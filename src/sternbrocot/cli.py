@@ -286,15 +286,8 @@ def _cmd_simulate(args) -> int:
     }
     extra = None
     if interval is not None and args.format == "json":
-        counts = [0] * (args.horizon + 1)
-        for hit, _, _ in table:
-            if hit >= 0:
-                counts[hit] += 1
-        hit_total = 0
-        curve = []
-        for c in counts:
-            hit_total += c
-            curve.append(str(Fraction(hit_total, args.walks)))
+        hits = [r[0] for r in table]
+        curve = [str(c) for c in stochastic.hitting_curve(hits, args.horizon)]
         extra = {"fraction": curve[-1], "curve": curve}
     return _emit(
         args, ("walk", "hit_time", "final_num", "final_den"), rows, flags, extra
@@ -420,7 +413,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--interval", default=None, metavar="a/b,c/d",
                    help="record first entry into this open interval")
     s.add_argument("--workers", type=int, default=1,
-                   help="worker threads; results do not depend on this")
+                   help="at least 1; starts no threads (the walks run as "
+                        "one batched kernel) and never changes results")
     s.set_defaults(func=_cmd_simulate)
 
     v = sub.add_parser(
@@ -432,7 +426,8 @@ def _build_parser() -> _Parser:
     v.add_argument("--list", action="store_true",
                    help="list check names and exit")
     v.add_argument("--workers", type=int, default=1,
-                   help="worker threads; results do not depend on this")
+                   help="at least 1; starts no threads and never changes "
+                        "results")
     v.set_defaults(func=_cmd_verify)
 
     return p

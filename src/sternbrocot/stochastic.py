@@ -5,37 +5,45 @@ u -> u/(1+u) and u -> u+1, written as letters 0 and 1.  MC0 flips a
 fair coin at every step; MC1 weights the branches by 1/(1+x) and
 x/(1+x), which makes 0 and infinity absorbing.  Letters come from
 counter-based per-walk keys, so a walk depends only on (seed, walk
-index, step) and any parallel schedule reproduces the serial output
+index, step) and any split of the walks reproduces the serial output
 bit for bit.
+
+``walk_table`` runs its walks as lanes of one batched numpy kernel, 4096
+walks at a time: it is vectorized over walks and loops over steps, with
+the SplitMix64 draws in uint64 and the states in int64.  A lane whose p + q reaches 2^62
+(sooner when an interval endpoint is large) leaves the kernel and is
+finished on Python integers from the same (key, step, state).  An MC1
+letter is decided by a float pre-screen; draws within 4 units of the
+53-bit threshold take the exact integer comparison.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import sqrt
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import rng
 from .core import CapExceeded, DomainError, ExtRat, ONE
 from .minkowski import stieltjes_mean
-from .operators import markov_apply, markov_power, transition_probs
+from .operators import _value, markov_apply, markov_power, transition_probs
 
 __all__ = [
     "HORIZON_CAP",
     "WORD_CAP",
     "WALKS_CAP",
-    "WALK_CHUNK",
     "ChainSpec",
     "WalkPath",
     "HittingResult",
     "MartingaleReport",
-    "transition_probs",
     "apply_letter",
     "simulate",
     "cylinder_prob",
     "walk_table",
+    "hitting_curve",
     "hitting_experiment",
     "martingale_check",
     "mc0_limit_experiment",
@@ -44,7 +52,6 @@ __all__ = [
 HORIZON_CAP = 1 << 20
 WORD_CAP = 1 << 10
 WALKS_CAP = 10 ** 6
-WALK_CHUNK = 1024
 
 
 def apply_letter(x: ExtRat, letter: int) -> ExtRat:
@@ -152,32 +159,153 @@ def cylinder_prob(kind: str, x: ExtRat, word: Sequence[int]) -> Fraction:
 
 def _run_walk(
     kind: str,
-    start: ExtRat,
+    x: ExtRat,
+    step: int,
     horizon: int,
     key: int,
     interval: Optional[Tuple[ExtRat, ExtRat]],
 ) -> Tuple[int, int, int]:
-    """One walk as plain integers: (hit_time, final_num, final_den).
+    """Finish one walk on Python ints from state x at time step.
 
-    With an interval the walk stops at its first state strictly inside
-    (the start counts as time 0) and reports that state as final.
+    Returns (hit_time, final_num, final_den).  With an interval the walk
+    stops at its first state strictly inside (x itself counts, at time
+    step) and reports that state as final.
     """
-    x = start
     if interval is not None and interval[0] < x < interval[1]:
-        return 0, x.num, x.den
-    for k in range(horizon):
+        return step, x.num, x.den
+    for k in range(step, horizon):
         x = apply_letter(x, _draw_letter(kind, key, k, x))
         if interval is not None and interval[0] < x < interval[1]:
             return k + 1, x.num, x.den
     return -1, x.num, x.den
 
 
-def _chunk_rows(args) -> list:
-    kind, start, horizon, seed, interval, lo, hi = args
-    return [
-        _run_walk(kind, start, horizon, rng.walk_key(seed, w), interval)
-        for w in range(lo, hi)
-    ]
+_LANE_SUM = 1 << 62
+_INT64_MAX = (1 << 63) - 1
+# Lanes per batch: enough to amortize numpy's per-call cost, while a
+# batch's int64 temporaries and Python-int columns stay under 1 MB, so a
+# large table or Monte Carlo check adds little to peak memory.
+_BATCH = 1 << 12
+
+
+def _walk_kernel(
+    kind: str,
+    start: ExtRat,
+    walks: int,
+    horizon: int,
+    seed: int,
+    interval: Optional[Tuple[ExtRat, ExtRat]] = None,
+) -> Iterator[Tuple[List[int], List[int], List[int]]]:
+    """Walks 0..walks-1 in batches of consecutive walks, in walk order.
+
+    Yields the columns (hit_times, nums, dens) of each batch.
+    """
+    for first in range(0, walks, _BATCH):
+        yield _walk_batch(
+            kind, start, first, min(first + _BATCH, walks), horizon, seed,
+            interval,
+        )
+
+
+def _walk_batch(
+    kind: str,
+    start: ExtRat,
+    first: int,
+    stop: int,
+    horizon: int,
+    seed: int,
+    interval: Optional[Tuple[ExtRat, ExtRat]],
+) -> Tuple[List[int], List[int], List[int]]:
+    """Walks first..stop-1 as lanes of one batch: columns (hit_times, nums, dens).
+
+    The columns hold Python ints and equal, lane by lane, what _run_walk
+    returns from the start at time 0.  Lanes are stepped together on
+    numpy arrays, one step at a time.
+
+    Exactness:
+
+    * Overflow.  Every lane in the batch has p + q < lim <= 2^62.  One
+      step maps (p, q) to (p, p+q) or (p+q, q), so the new entries are at
+      most p + q < 2^62 and their sum at most 2(p + q) < 2^63: no int64
+      sum wraps.  A lane whose new sum reaches lim leaves the batch
+      before any further arithmetic on it; _run_walk resumes it from the
+      same (key, step, p, q) and, the draws being counter-based, yields
+      the letters it would have drawn in the batch.  A start with
+      p + q >= lim sends every lane there at time 0.
+    * Interval tests.  lim <= (2^63 - 1) // m + 1 for m the largest
+      endpoint numerator or denominator, so max(p, q) * m <= (p + q) * m
+      <= 2^63 - 1 and the cross-products a_num*q < p*a_den and
+      p*b_den < b_num*q are exact in int64; this also covers b = 1/0
+      (p*0 < 1*q, i.e. q > 0).  Endpoints at or past 2^63 give lim = 1,
+      so all lanes take the exact path.
+    * MC1 letters.  The letter is 0 iff d*(p+q) < q*2^53 for the 53-bit
+      draw d, i.e. iff d < T = q*2^53/(p+q) <= 2^53.  The kernel forms
+      t = fl(fl(q)/fl(p+q))*2^53: three roundings of relative error
+      <= 2^-53 each, so |t - T| <= T*(3*2^-53 + 2^-104) < 3 + 2^-50.  d is
+      exact in float64 (d < 2^53), and g = fl(d - t) keeps the sign of
+      d - t with |g| > 4 only when |d - t| > 4(1 - 2^-53) > |t - T|.  So
+      g < -4 proves d < T (letter 0) and g > 4 proves d > T (letter 1);
+      lanes with |g| <= 4 take the exact integer test, where a tie
+      d*(p+q) == q*2^53 gives letter 1.
+    """
+    walks = stop - first
+    keys = rng.walk_keys(seed, first, stop)
+    lim = _LANE_SUM
+    if interval is not None:
+        lo, hi = interval
+        lim = min(lim, _INT64_MAX // max(lo.num, lo.den, hi.num, hi.den) + 1)
+    hits = np.full(walks, -1, dtype=np.int64)
+    nums = np.zeros(walks, dtype=np.int64)
+    dens = np.zeros(walks, dtype=np.int64)
+    exits: list = []  # (lane, step, p, q) finished by _run_walk
+    if start.num + start.den < lim:
+        lane, key = np.arange(walks), keys
+        p = np.full(walks, start.num, dtype=np.int64)
+        q = np.full(walks, start.den, dtype=np.int64)
+    else:
+        exits = [(w, 0, start.num, start.den) for w in range(walks)]
+        lane = key = p = q = np.zeros(0, dtype=np.int64)
+    t = 0
+    while lane.size:
+        # every lane holds its time-t state, with p + q < lim
+        if interval is not None:
+            inside = (lo.num * q < p * lo.den) & (p * hi.den < hi.num * q)
+            if inside.any():
+                hit = lane[inside]
+                hits[hit] = t
+                nums[hit] = p[inside]
+                dens[hit] = q[inside]
+                keep = ~inside
+                lane, key, p, q = lane[keep], key[keep], p[keep], q[keep]
+        if t == horizon:
+            break
+        d = rng.draw_array(key, t)
+        s = p + q
+        if kind == "MC0":
+            letter = d >= np.uint64(1 << 63)
+        else:
+            d53 = d >> np.uint64(11)
+            g = d53.astype(np.float64) - q / s * 2.0 ** 53
+            letter = g > 0
+            for i in np.flatnonzero(np.abs(g) <= 4.0).tolist():
+                letter[i] = int(d53[i]) * int(s[i]) >= int(q[i]) << 53
+        p = np.where(letter, s, p)
+        q = np.where(letter, q, s)
+        t += 1
+        out = p + q >= lim
+        if out.any():
+            exits.extend(zip(lane[out].tolist(), [t] * int(out.sum()),
+                             p[out].tolist(), q[out].tolist()))
+            keep = ~out
+            lane, key, p, q = lane[keep], key[keep], p[keep], q[keep]
+    nums[lane] = p
+    dens[lane] = q
+    hit_times, num_col, den_col = hits.tolist(), nums.tolist(), dens.tolist()
+    for w, step, a, b in exits:
+        hit_times[w], num_col[w], den_col[w] = _run_walk(
+            kind, ExtRat._raw(a, b), step, horizon, int(keys[w]), interval
+        )
+    return hit_times, num_col, den_col
 
 
 def walk_table(
@@ -194,10 +322,14 @@ def walk_table(
     hit_time is the first index whose state lies strictly inside
     ``interval`` (0 counts the start), or -1 when the walk never enters
     within the horizon; walks stop once they hit.  Rows depend only on
-    (seed, walk index), never on ``workers`` or scheduling.
+    (seed, walk index).  ``workers`` (at least 1) is accepted for
+    compatibility and starts no threads: the walks run as lanes of one
+    batched kernel, so it never changes the rows.
     """
     if kind not in ("MC0", "MC1"):
         raise ValueError(f"unknown chain kind: {kind!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     if not 1 <= walks <= WALKS_CAP:
         raise CapExceeded(f"walks must be in 1..{WALKS_CAP}, got {walks}")
     if not 1 <= horizon <= HORIZON_CAP:
@@ -210,19 +342,9 @@ def walk_table(
             raise TypeError("interval endpoints must be ExtRat")
         if not a < b:
             raise DomainError(f"empty interval ({a}, {b})")
-    tasks = [
-        (kind, start, horizon, seed, interval, lo, min(lo + WALK_CHUNK, walks))
-        for lo in range(0, walks, WALK_CHUNK)
-    ]
-    if workers <= 1 or len(tasks) == 1:
-        rows: list = []
-        for t in tasks:
-            rows.extend(_chunk_rows(t))
-        return tuple(rows)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = []
-        for part in pool.map(_chunk_rows, tasks):
-            rows.extend(part)
+    rows: list = []
+    for columns in _walk_kernel(kind, start, walks, horizon, seed, interval):
+        rows.extend(zip(*columns))
     return tuple(rows)
 
 
@@ -239,6 +361,20 @@ class HittingResult:
     curve: Tuple[Fraction, ...]
     hit_times: Tuple[int, ...]
     finals: Tuple[Tuple[int, int], ...]
+
+
+def hitting_curve(hit_times: Sequence[int], horizon: int) -> Tuple[Fraction, ...]:
+    """curve[t]: exact fraction of walks with 0 <= hit_time <= t, t = 0..horizon."""
+    counts = [0] * (horizon + 1)
+    for t in hit_times:
+        if t >= 0:
+            counts[t] += 1
+    curve = []
+    cum = 0
+    for c in counts:
+        cum += c
+        curve.append(Fraction(cum, len(hit_times)))
+    return tuple(curve)
 
 
 def hitting_experiment(
@@ -259,19 +395,12 @@ def hitting_experiment(
     rows = walk_table(
         kind, start, walks, horizon, seed, interval=interval, workers=workers
     )
-    counts = [0] * (horizon + 1)
-    for t, _, _ in rows:
-        if t >= 0:
-            counts[t] += 1
-    curve = []
-    cum = 0
-    for c in counts:
-        cum += c
-        curve.append(Fraction(cum, walks))
+    hit_times = tuple(r[0] for r in rows)
+    curve = hitting_curve(hit_times, horizon)
     return HittingResult(
         fraction=curve[-1],
-        curve=tuple(curve),
-        hit_times=tuple(r[0] for r in rows),
+        curve=curve,
+        hit_times=hit_times,
         finals=tuple((r[1], r[2]) for r in rows),
     )
 
@@ -295,12 +424,6 @@ class MartingaleReport:
     window_fraction: Optional[Fraction]
     min_alternations: int
     mean_alternations: float
-
-
-def _h_val(v):
-    if isinstance(v, ExtRat):
-        return v.as_fraction()
-    return v
 
 
 def _max_run(mask: int, n: int) -> int:
@@ -373,7 +496,7 @@ def martingale_check(
 
     max_residual: object = Fraction(0)
     for y in seen:
-        r = markov_apply(kind, h, y) - (a * _h_val(h(y)) + b)
+        r = markov_apply(kind, h, y) - (a * _value(h(y)) + b)
         if abs(r) > abs(max_residual):
             max_residual = abs(r)
 
@@ -397,10 +520,10 @@ def martingale_check(
             y = start
             for k in range(n):
                 y = apply_letter(y, (prefix >> k) & 1)
-            h0 = _h_val(h(apply_letter(y, 0)))
-            h1 = _h_val(h(apply_letter(y, 1)))
+            h0 = _value(h(apply_letter(y, 0)))
+            h1 = _value(h(apply_letter(y, 1)))
             emp = (c0 * h0 + c1 * h1) / c
-            pred = a * _h_val(h(y)) + b
+            pred = a * _value(h(y)) + b
             dev = abs(float(emp - pred))
             phat = c1 / c
             se = abs(float(h1 - h0)) * sqrt(phat * (1.0 - phat) / c)

@@ -718,21 +718,11 @@ def _c_power_mc(r, seed, workers):
         )
         acc = 0.0
         acc2 = 0.0
-        for w in range(walks):
-            key = rng.walk_key(seed, w)
-            p, q = 1, 1
-            for k in range(n):
-                if kind == "MC0":
-                    bit = rng.draw_bit(key, k)
-                else:
-                    bit = 0 if rng.draw_below(key, k, q, p + q) else 1
-                if bit:
-                    p = p + q
-                else:
-                    q = p + q
-            v = q / (p + q)
-            acc += v
-            acc2 += v * v
+        for _, nums, dens in stochastic._walk_kernel(kind, ONE, walks, n, seed):
+            for p, q in zip(nums, dens):
+                v = q / (p + q)
+                acc += v
+                acc2 += v * v
         mean = acc / walks
         var = max(acc2 / walks - mean * mean, 0.0)
         se = sqrt(var / walks)

@@ -1,11 +1,15 @@
 """Random walks: exact cylinder weights, reproducible tables, hitting."""
 
 import math
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from sternbrocot import rng
+from sternbrocot.cli import run
 from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
 from sternbrocot.minkowski import rho
 from sternbrocot.stochastic import (
@@ -171,6 +175,138 @@ class TestWalkTable:
             walk_table("MC0", ONE, 10, 10, seed=0, interval=(0.4, 0.6))
         with pytest.raises(ValueError):
             walk_table("MC3", ONE, 10, 10, seed=0)
+        with pytest.raises(ValueError):
+            walk_table("MC0", ONE, 10, 10, seed=0, workers=0)
+
+
+# Reference walk written from the documented rule alone: SplitMix64 over
+# (seed, walk, step) counters, letter 0 sends p/q to p/(p+q) and letter 1
+# to (p+q)/q; MC0 takes the top bit of the draw, MC1 takes letter 0 iff
+# (draw >> 11) * (p + q) < q * 2^53; hits are exact cross-multiplications.
+_MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _splitmix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def reference_walk(kind, x, horizon, seed, walk, interval):
+    key = _splitmix((seed + _GAMMA * (walk + 1)) & _MASK64)
+    p, q = x.num, x.den
+
+    def inside(p, q):
+        if interval is None:
+            return False
+        lo, hi = interval
+        return lo.num * q < p * lo.den and p * hi.den < hi.num * q
+
+    if inside(p, q):
+        return 0, p, q
+    for k in range(horizon):
+        d = _splitmix((key + _GAMMA * (k + 1)) & _MASK64)
+        if kind == "MC0":
+            letter = d >> 63
+        else:
+            letter = 0 if (d >> 11) * (p + q) < q << 53 else 1
+        p, q = (p + q, q) if letter else (p, p + q)
+        if inside(p, q):
+            return k + 1, p, q
+    return -1, p, q
+
+
+def _fib_ratio(bits):
+    a, b = 1, 1
+    while b.bit_length() < bits:
+        a, b = b, a + b
+    return ExtRat(a, b)
+
+
+# p + q is about 2^60.7, so lanes pass 2^62 within a few steps
+FIB60 = _fib_ratio(60)
+KERNEL_STARTS = [ONE, ZERO, INF, FIB60]
+KERNEL_INTERVALS = [
+    None,
+    (ExtRat(2, 5), ExtRat(3, 5)),
+    (ExtRat(3, 2), INF),
+    # endpoints near 2^41 leave int64 cross-products room for ~2^21 only
+    (ExtRat(2 ** 40, 3 * 2 ** 40 + 1), ExtRat(1, 2)),
+    # endpoints past int64
+    (ExtRat(2 ** 70, 2 ** 71 + 1), ExtRat(3 * 2 ** 70 + 1, 2 ** 72)),
+]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("kind", ["MC0", "MC1"])
+    @pytest.mark.parametrize("interval", KERNEL_INTERVALS)
+    @settings(max_examples=25, deadline=None)
+    @given(
+        start=st.sampled_from(KERNEL_STARTS),
+        horizon=st.integers(1, 300),
+        seed=st.integers(0, _MASK64),
+        walks=st.integers(1, 24),
+    )
+    def test_rows_match_reference_walks(self, kind, start, interval, horizon, seed, walks):
+        rows = walk_table(kind, start, walks, horizon, seed, interval=interval)
+        assert rows == tuple(
+            reference_walk(kind, start, horizon, seed, w, interval)
+            for w in range(walks)
+        )
+
+    @pytest.mark.parametrize("kind", ["MC0", "MC1"])
+    def test_rows_match_reference_across_batches(self, kind):
+        # the kernel runs 4096 walks per batch; check both sides of two seams
+        rows = walk_table(kind, ONE, 8192 + 40, 120, seed=3)
+        for w in list(range(4080, 4112)) + list(range(8170, 8232)) + [0]:
+            assert rows[w] == reference_walk(kind, ONE, 120, 3, w, None)
+
+    def test_mc1_letters_near_the_threshold(self):
+        seed = 5
+        d53 = rng.draw(rng.walk_key(seed, 0), 0) >> 11
+        # exact tie: q/(p+q) == d53/2^53, which must give letter 1
+        g = math.gcd(d53, 1 << 53)
+        tie = ExtRat(((1 << 53) - d53) // g, d53 // g)
+        # p+q = 2^53+1 rounds to 2^53, so the float estimate of the
+        # threshold is q while the exact one lies in (q-1, q)
+        s = (1 << 53) + 1
+        starts = [tie] + [ExtRat(s - d53 - off, d53 + off) for off in range(-3, 4)]
+        # p+q near 2^61: the float threshold lands one unit past d53 on
+        # the wrong side, so only the exact test gets these letters right
+        starts += [
+            ExtRat(67823619209512247, 3296671496688926273),
+            ExtRat(67206011978046677, 3266651745754786218),
+        ]
+        for x in starts:
+            assert abs(d53 - Fraction(x.den << 53, x.num + x.den)) <= 4
+            rows = walk_table("MC1", x, 16, 1, seed)
+            for w, (_, num, den) in enumerate(rows):
+                key = rng.walk_key(seed, w)
+                below = rng.draw_below(key, 0, x.den, x.num + x.den)
+                y = apply_letter(x, 0 if below else 1)
+                assert (num, den) == (y.num, y.den)
+        assert walk_table("MC1", tie, 1, 1, seed)[0] == (
+            -1, tie.num + tie.den, tie.den
+        )
+
+    def test_numpy_mix_matches_scalar(self):
+        r = np.random.default_rng(11)
+        zs = [0, 1, (1 << 63) - 1, 1 << 63, _MASK64]
+        zs += [int(z) for z in r.integers(0, _MASK64, 4000, dtype=np.uint64, endpoint=True)]
+        got = rng.mix64_array(np.array(zs, dtype=np.uint64)).tolist()
+        assert got == [rng.mix64(z) for z in zs]
+        keys = rng.walk_keys(2 ** 64 + 3, 50, 150)
+        assert keys.tolist() == [rng.walk_key(2 ** 64 + 3, w) for w in range(50, 150)]
+        assert rng.draw_array(keys, 99).tolist() == [rng.draw(int(k), 99) for k in keys]
+
+    def test_no_warnings_escape(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk_table("MC0", ONE, 2000, 150, seed=7)
+            walk_table("MC1", FIB60, 500, 60, seed=7, interval=KERNEL_INTERVALS[1])
+            assert run(["verify", "--suite", "operators.power-vs-monte-carlo"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestHitting:

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
+from itertools import chain
 
 from . import __version__, maps, stochastic, trees, verify
 from .core import CapExceeded, DomainError, ExtRat, ONE, parse_cf
@@ -130,7 +129,7 @@ def _primed(it):
     first = next(it, sentinel)
     if first is sentinel:
         return iter(())
-    return itertools.chain([first], it)
+    return chain([first], it)
 
 
 # ---------------------------------------------------------------- output
@@ -148,7 +147,18 @@ def _open_out(args):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _emit(args, columns, rows, flags, extra=None) -> int:
+def _doc(args, columns, flags, rows, extra=None):
+    doc = {
+        "meta": {"version": __version__, "seed": args.seed, "flags": flags},
+        "columns": list(columns),
+        "rows": rows,
+    }
+    if extra:
+        doc.update(extra)
+    return doc
+
+
+def _emit(args, columns, rows, flags) -> int:
     """Write one table as CSV rows or as a JSON document with metadata."""
     stream, close = _open_out(args)
     try:
@@ -157,17 +167,7 @@ def _emit(args, columns, rows, flags, extra=None) -> int:
             w.writerow(columns)
             w.writerows(rows)
         else:
-            doc = {
-                "meta": {
-                    "version": __version__,
-                    "seed": args.seed,
-                    "flags": flags,
-                },
-                "columns": list(columns),
-                "rows": [list(r) for r in rows],
-            }
-            if extra:
-                doc.update(extra)
+            doc = _doc(args, columns, flags, [list(r) for r in rows])
             json.dump(doc, stream, indent=2)
             stream.write("\n")
     finally:
@@ -176,18 +176,69 @@ def _emit(args, columns, rows, flags, extra=None) -> int:
     return 0
 
 
+_BLOCK_ROWS = 4096  # for tables that arrive whole
+_ROWS_KEY = '\n  "rows": []'  # unique: a newline inside a JSON string is escaped
+
+
+def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
+    """Write an all-integer table given as blocks of equal-length columns.
+
+    Each block is written with one %-format, and the bytes are those _emit
+    writes for the same rows: csv.writer's, or json.dump's with indent=2,
+    whose document head and tail (meta, columns, extra keys) come from
+    json.dumps itself.
+    """
+    width = len(columns)
+    as_json = args.format == "json"
+    if as_json:
+        text = json.dumps(_doc(args, columns, flags, [], extra), indent=2)
+        head, rest = text.split(_ROWS_KEY)
+        head += '\n  "rows": ['
+        tail, empty_tail = "\n  ]" + rest + "\n", "]" + rest + "\n"
+        row = ",\n    [" + ",".join(["\n      %d"] * width) + "\n    ]"
+    else:
+        head, tail, empty_tail = ",".join(columns) + "\n", "", ""
+        row = ",".join(["%d"] * width) + "\n"
+    stream, close = _open_out(args)
+    try:
+        stream.write(head)
+        count = 0
+        for cols in blocks:
+            n = len(cols[0])
+            cells = [0] * (n * width)
+            for j, col in enumerate(cols):
+                cells[j::width] = col
+            text = row * n % tuple(cells)
+            # JSON rows after the first start with ","
+            stream.write(text[1:] if as_json and not count else text)
+            count += n
+        stream.write(tail if count else empty_tail)
+    finally:
+        if close:
+            stream.close()
+    return 0
+
+
+def _indexed(first, blocks):
+    """Prefix each block of columns with the range of its row indices."""
+    for cols in blocks:
+        n = len(cols[0])
+        yield (range(first, first + n), *cols)
+        first += n
+
+
 # ------------------------------------------------------------- commands
 
 def _cmd_tree(args) -> int:
     spec = TreeSpec(args.kind, permuted=args.permuted)
     cap = UNSAFE_LEVEL_CAP if args.unsafe_cap else trees.LEVEL_CAP
     k = args.depth
-    rows = _primed(
-        (k, i, v.num, v.den)
-        for i, v in enumerate(trees.level(spec, k, cap=cap), start=1)
+    blocks = _primed(
+        ([k] * len(num), index, num.tolist(), den.tolist())
+        for index, num, den in _indexed(1, trees.level_blocks(spec, k, cap=cap))
     )
     flags = {"kind": args.kind, "permuted": args.permuted, "depth": k}
-    return _emit(args, ("level", "index", "num", "den"), rows, flags)
+    return _emit_ints(args, ("level", "index", "num", "den"), blocks, flags)
 
 
 def _cmd_enumerate(args) -> int:
@@ -197,12 +248,10 @@ def _cmd_enumerate(args) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     cap = UNSAFE_ORBIT_CAP if args.unsafe_cap else maps.ORBIT_CAP
-    rows = _primed(
-        (i, v.num, v.den)
-        for i, v in enumerate(maps.orbit_iter(args.map, start, args.count, cap=cap))
-    )
+    orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, cap=cap)
+    blocks = _primed(_indexed(0, orbit))
     flags = {"map": args.map, "start": args.start, "count": args.count}
-    return _emit(args, ("i", "num", "den"), rows, flags)
+    return _emit_ints(args, ("i", "num", "den"), blocks, flags)
 
 
 def _cmd_qmark(args) -> int:
@@ -210,7 +259,7 @@ def _cmd_qmark(args) -> int:
         prefix = _cf_prefix(args.value)
         lo, hi = qmark_enclosure(prefix)
         flags = {"input": args.value, "mode": "enclosure"}
-        row = (args.value, str(lo), str(hi), _dy_float(lo), _dy_float(hi))
+        row = (args.value, str(lo), str(hi), float(lo), float(hi))
         return _emit(
             args, ("input", "lo", "hi", "lo_decimal", "hi_decimal"), [row], flags
         )
@@ -223,12 +272,8 @@ def _cmd_qmark(args) -> int:
         x = _rat(args.value)
         d = rho(x) if args.extended else qmark(x)
         flags = {"input": args.value, "mode": "value", "extended": args.extended}
-        row = (args.value, str(d), _dy_float(d))
+        row = (args.value, str(d), float(d))
     return _emit(args, ("input", "value", "decimal"), [row], flags)
-
-
-def _dy_float(d: Dyadic) -> float:
-    return float(Fraction(d.num, 1 << d.exp))
 
 
 def _cmd_fourier(args) -> int:
@@ -276,7 +321,6 @@ def _cmd_simulate(args) -> int:
             interval=interval,
             workers=args.workers,
         )
-    rows = [(w, hit, num, den) for w, (hit, num, den) in enumerate(table)]
     flags = {
         "chain": args.chain,
         "start": str(start),
@@ -289,8 +333,11 @@ def _cmd_simulate(args) -> int:
         hits = [r[0] for r in table]
         curve = [str(c) for c in stochastic.hitting_curve(hits, args.horizon)]
         extra = {"fraction": curve[-1], "curve": curve}
-    return _emit(
-        args, ("walk", "hit_time", "final_num", "final_den"), rows, flags, extra
+    blocks = _indexed(0, (
+        tuple(zip(*table[i:i + _BLOCK_ROWS])) for i in range(0, len(table), _BLOCK_ROWS)
+    ))
+    return _emit_ints(
+        args, ("walk", "hit_time", "final_num", "final_den"), blocks, flags, extra
     )
 
 

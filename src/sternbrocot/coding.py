@@ -91,12 +91,6 @@ def hat(x: ExtRat) -> ExtRat:
     return rat_from_word(word_from_rat(x)[::-1])
 
 
-def conjugate_by_U(m):
-    """U M U for U = (0 1; 1 0): swaps rows and columns."""
-    a, b, c, d = m
-    return (d, c, b, a)
-
-
 def swap_letters(word: str) -> str:
     return word.translate(str.maketrans("LR", "RL"))
 

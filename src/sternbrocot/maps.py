@@ -14,13 +14,14 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import pi
+from math import gcd, pi
+from operator import truediv
 from typing import Iterator
 
 import numpy as np
 
 from .accum import fsum_array
-from .core import INF, ONE, ZERO, CapExceeded, DomainError, ExtRat, phi, phi_inv
+from .core import INF, ONE, CapExceeded, DomainError, ExtRat, phi, phi_inv
 from .minkowski import Dyadic, qmark, qmark_inv
 
 MAPS = ("R", "S", "T", "G", "F", "D")
@@ -38,46 +39,73 @@ def _need_unit(x: ExtRat, m: str):
         raise DomainError(f"{m} lives on [0, 1], got {x}")
 
 
+# One step of each map on a reduced pair p/q of its domain.  R, S and G
+# give reduced pairs as they stand; T, F and D reduce as ExtRat() does.
+
+def _reduced(p: int, q: int) -> tuple[int, int]:
+    g = gcd(p, q)
+    return (p // g, q // g) if g > 1 else (p, q)
+
+
+def _step_R(p, q):
+    if q == 0:
+        return 0, 1
+    return q, p + q - 2 * (p % q)  # q / ((floor(p/q) + 1) q - (p mod q))
+
+
+def _step_S(p, q):
+    if p == q:
+        return 0, 1
+    u = q - p
+    return u, p + 2 * (u - p % u)  # u / ((floor(p/u) + 2) u - (p mod u))
+
+
+def _step_T(p, q):
+    if p == q:
+        return 0, 1
+    d = q - p
+    n = (q // d).bit_length() - 1  # largest n with 2^n * d <= q
+    s = 1 << (n + 1)
+    return _reduced(s * p + 3 * q - s * q, s * q)
+
+
+def _step_G(p, q):
+    if q == 0:
+        return 1, 0
+    if p >= q:
+        return p - q, q
+    return p, q - p
+
+
+def _step_F(p, q):
+    if 2 * p < q:
+        return p, q - p
+    return _reduced(2 * p - q, p)
+
+
+def _step_D(p, q):
+    if p == q:
+        return 1, 1
+    return _reduced(2 * p % q, q)
+
+
+_STEPS = {"R": _step_R, "S": _step_S, "T": _step_T,
+          "G": _step_G, "F": _step_F, "D": _step_D}
+
+
+def _step_for(m: str, x: ExtRat):
+    """The step function of map m, once x is checked to lie in its domain."""
+    step = _STEPS.get(m)
+    if step is None:
+        raise DomainError(f"unknown map {m!r}")
+    if m not in ("R", "G"):
+        _need_unit(x, m)
+    return step
+
+
 def apply(m: str, x: ExtRat) -> ExtRat:
     """One exact step of the named map."""
-    p, q = x.num, x.den
-    if m == "R":
-        if x.is_infinite:
-            return ZERO
-        a, r = divmod(p, q)
-        return ExtRat._raw(q, (a + 1) * q - r)
-    if m == "S":
-        _need_unit(x, m)
-        if x == ONE:
-            return ZERO
-        u = q - p
-        a, r = divmod(p, u)
-        return ExtRat._raw(u, (a + 2) * u - r)
-    if m == "T":
-        _need_unit(x, m)
-        if x == ONE:
-            return ZERO
-        d = q - p
-        n = (q // d).bit_length() - 1  # largest n with 2^n * d <= q
-        s = 1 << (n + 1)
-        return ExtRat(s * p + 3 * q - s * q, s * q)
-    if m == "G":
-        if x.is_infinite:
-            return INF
-        if p >= q:
-            return ExtRat._raw(p - q, q)
-        return ExtRat._raw(p, q - p)
-    if m == "F":
-        _need_unit(x, m)
-        if 2 * p < q:
-            return ExtRat._raw(p, q - p)
-        return ExtRat(2 * p - q, p)
-    if m == "D":
-        _need_unit(x, m)
-        if x == ONE:
-            return ONE
-        return ExtRat(2 * p % q, q)
-    raise DomainError(f"unknown map {m!r}")
+    return ExtRat._raw(*_step_for(m, x)(x.num, x.den))
 
 
 def apply_inverse(m: str, x: ExtRat) -> ExtRat:
@@ -124,17 +152,41 @@ def inverse_branches(m: str, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     raise DomainError(f"{m!r} is not a two-to-one map")
 
 
-def orbit_iter(m: str, start: ExtRat, count: int,
-               cap: int = ORBIT_CAP) -> Iterator[ExtRat]:
-    """Yield start, map(start), ..., count entries in all."""
+ORBIT_BLOCK = 4096
+
+
+def orbit_blocks(m: str, p: int, q: int, count: int,
+                 cap: int = ORBIT_CAP) -> Iterator[tuple[list, list]]:
+    """The orbit of p/q, count entries in all, as blocks (nums, dens).
+
+    Each block holds up to ORBIT_BLOCK reduced entries in orbit order.
+    """
     if count < 0:
         raise DomainError("count must be nonnegative")
     if count > cap:
         raise CapExceeded(f"orbit length {count} above the cap {cap}")
-    x = start
-    for _ in range(count):
-        yield x
-        x = apply(m, x)
+    if count == 0:
+        return
+    x = ExtRat(p, q)
+    # Each map sends its interval into itself, so only the start needs a
+    # domain check.
+    step = _step_for(m, x)
+    p, q = x.num, x.den
+    for done in range(0, count, ORBIT_BLOCK):
+        n = min(ORBIT_BLOCK, count - done)
+        nums, dens = [0] * n, [0] * n
+        for j in range(n):
+            nums[j] = p
+            dens[j] = q
+            p, q = step(p, q)
+        yield nums, dens
+
+
+def orbit_iter(m: str, start: ExtRat, count: int,
+               cap: int = ORBIT_CAP) -> Iterator[ExtRat]:
+    """Yield start, map(start), ..., count entries in all."""
+    for nums, dens in orbit_blocks(m, start.num, start.den, count, cap):
+        yield from map(ExtRat._raw, nums, dens)
 
 
 def orbit(m: str, start: ExtRat, count: int, cap: int = ORBIT_CAP) -> list[ExtRat]:
@@ -269,8 +321,10 @@ def eigenfunction_check(m: int, x: ExtRat, map: str = "T") -> tuple[complex, com
 @lru_cache(maxsize=4)
 def _orbit_floats(m: str, num: int, den: int, count: int) -> np.ndarray:
     out = np.empty(count, dtype=float)
-    for i, v in enumerate(orbit_iter(m, ExtRat._raw(num, den), count)):
-        out[i] = v.num / v.den
+    i = 0
+    for nums, dens in orbit_blocks(m, num, den, count):
+        out[i:i + len(nums)] = list(map(truediv, nums, dens))
+        i += len(nums)
     return out
 
 

@@ -10,8 +10,10 @@ generated directly by the descendant rules
     farey:   p/q -> p/(p+q), q/(2q-p)
     dyadic:  p/q -> p/(2q), (p+q)/(2q)
 
-Levels are streamed left to right in depth-first order, so level 24 never
-needs the whole tree in memory.
+Levels are streamed left to right in blocks of up to 4096 entries: a
+depth-first walk reaches each vertex 12 levels above the target and
+expands its subtree as int64 columns, exact up to level 62 (see
+level_blocks), so level 24 never needs the whole tree in memory.
 """
 
 from __future__ import annotations
@@ -39,136 +41,101 @@ class TreeSpec:
             raise DomainError(f"unknown tree kind {self.kind!r}")
 
 
-# Internal node state is a plain int tuple.  Mediant kinds carry the two
-# parents (pl, ql, pr, qr); the value is their mediant.  The other kinds
-# carry the value (p, q) itself.
+# Internal node state is a tuple of ints, or of equal-length int columns.
+# Mediant kinds carry the two parents (pl, ql, pr, qr); the value is their
+# mediant.  The other kinds carry the value (p, q) itself.
 
 
-def _plain_state(kind):
-    if kind == "sb":
+def _root_state(spec):
+    if spec.permuted:
+        return (1, 1) if spec.kind == "sb" else (1, 2)
+    if spec.kind == "sb":
         return (0, 1, 1, 0)
-    if kind == "farey":
+    if spec.kind == "farey":
         return (0, 1, 1, 1)
     return (1, 2)
 
 
-def _plain_children(kind, s):
-    if kind == "dyadic":
-        p, q = s
-        return (2 * p - 1, 2 * q), (2 * p + 1, 2 * q)
-    pl, ql, pr, qr = s
-    pm, qm = pl + pr, ql + qr
-    return (pl, ql, pm, qm), (pm, qm, pr, qr)
-
-
-def _plain_value(kind, s):
-    if kind == "dyadic":
-        return ExtRat._raw(s[0], s[1])
-    return ExtRat._raw(s[0] + s[2], s[1] + s[3])
-
-
-def _perm_state(kind):
-    return (1, 1) if kind == "sb" else (1, 2)
-
-
-def _perm_children(kind, s):
+def _children(spec, s):
+    """The (left, right) child states of state s."""
+    if not spec.permuted and spec.kind != "dyadic":
+        pl, ql, pr, qr = s
+        pm, qm = pl + pr, ql + qr
+        return (pl, ql, pm, qm), (pm, qm, pr, qr)
     p, q = s
-    if kind == "sb":
+    if not spec.permuted:
+        return (2 * p - 1, 2 * q), (2 * p + 1, 2 * q)
+    if spec.kind == "sb":
         return (p, p + q), (p + q, q)
-    if kind == "farey":
+    if spec.kind == "farey":
         return (p, p + q), (q, 2 * q - p)
     return (p, 2 * q), (p + q, 2 * q)
 
 
-def _perm_value(kind, s):
-    return ExtRat._raw(s[0], s[1])
+def _values(s):
+    """(num, den) of a state."""
+    if len(s) == 4:
+        return s[0] + s[2], s[1] + s[3]
+    return s
 
 
-def level(spec: TreeSpec, k: int, cap: int = LEVEL_CAP) -> Iterator[ExtRat]:
-    """Yield level k (the root is level 1) left to right."""
-    if k < 1:
-        raise DomainError("levels start at 1")
-    if k > cap:
-        raise CapExceeded(f"level {k} above the cap {cap}")
-    if spec.permuted:
-        root, children, value = _perm_state(spec.kind), _perm_children, _perm_value
-    else:
-        root, children, value = _plain_state(spec.kind), _plain_children, _plain_value
-    stack = [(1, root)]
-    kind = spec.kind
-    while stack:
-        d, s = stack.pop()
-        if d == k:
-            yield value(kind, s)
-        else:
-            left, right = children(kind, s)
-            stack.append((d + 1, right))
-            stack.append((d + 1, left))
+# Levels whose subtrees level_blocks expands at once: 2^12 entries a block.
+BLOCK_LEVELS = 12
+# The deepest level whose arithmetic level_blocks does in int64.
+INT64_LEVEL = 62
 
 
-def level_chunk(spec: TreeSpec, k: int, start: int, count: int,
-                cap: int = LEVEL_CAP) -> Iterator[ExtRat]:
-    """Yield entries [start, start+count) of level k (0-based positions).
+def level_blocks(spec: TreeSpec, k: int, cap: int = LEVEL_CAP):
+    """Level k as (num, den) column blocks, left to right.
 
-    Seeks to the start position along its root path, so chunks can be
-    produced independently and in parallel; concatenating chunks in
-    order reproduces level(spec, k) exactly.
+    A depth-first walk visits the vertices of level k - c, with
+    c = min(BLOCK_LEVELS, k - 1), and expands the subtree under each one
+    c levels at once; its 2^c leaves are the next block of level k.
+
+    The arithmetic is exact in int64 up to level INT64_LEVEL.  Each child
+    rule builds its entries from p + q, 2q, 2q - p and 2p +- 1 with p < q
+    in the non-mediant kinds, so no entry (and no intermediate 2q or 2p)
+    exceeds twice the largest entry of the parent state.  The root states
+    have entries at most 1 (mediant kinds) or 2 (the others), so every
+    state entry at level j is at most 2^j, and for the mediant kinds at
+    most 2^(j-1), which makes the value pl + pr at most 2^j as well.  So
+    every integer computed for level k is at most 2^k, below 2^(k+1) and
+    within int64 for k <= 62.  Deeper levels, reachable only past the
+    default cap, use numpy object columns of Python ints.
     """
     if k < 1:
         raise DomainError("levels start at 1")
     if k > cap:
         raise CapExceeded(f"level {k} above the cap {cap}")
-    width = 1 << (k - 1)
-    if not (0 <= start <= width):
-        raise DomainError("chunk start out of range")
-    count = min(count, width - start)
-    if count <= 0:
-        return
-    if spec.permuted:
-        root, children, value = _perm_state(spec.kind), _perm_children, _perm_value
-    else:
-        root, children, value = _plain_state(spec.kind), _plain_children, _plain_value
-    kind = spec.kind
-    # descend to the start leaf, stashing each right sibling not yet visited
-    stack = []
-    s = root
-    for i in range(k - 2, -1, -1):
-        left, right = children(kind, s)
-        if (start >> i) & 1:
-            s = right
-        else:
-            stack.append((k - i, right))
-            s = left
-    stack.append((k, s))
-    emitted = 0
-    while stack and emitted < count:
+    c = min(BLOCK_LEVELS, k - 1)
+    dtype = np.int64 if k <= INT64_LEVEL else object
+    stack = [(1, _root_state(spec))]
+    while stack:
         d, s = stack.pop()
-        if d == k:
-            yield value(kind, s)
-            emitted += 1
-        else:
-            left, right = children(kind, s)
+        if d < k - c:
+            left, right = _children(spec, s)
             stack.append((d + 1, right))
             stack.append((d + 1, left))
+            continue
+        cols = _cols(s, dtype)
+        for _ in range(c):
+            cols = _child_cols(spec, cols)
+        yield _values(cols)
+
+
+def level(spec: TreeSpec, k: int, cap: int = LEVEL_CAP) -> Iterator[ExtRat]:
+    """Yield level k (the root is level 1) left to right."""
+    for num, den in level_blocks(spec, k, cap):
+        yield from map(ExtRat._raw, num.tolist(), den.tolist())
 
 
 def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     """The two children of vertex x in the given tree."""
-    if spec.permuted:
-        p, q = x.num, x.den
-        if spec.kind == "farey" and not 0 < x < 1:
-            raise DomainError("farey vertices lie in (0,1)")
-        if spec.kind == "dyadic" and not 0 < x < 1:
-            raise DomainError("dyadic vertices lie in (0,1)")
-        (a, b), (c, d) = _perm_children(spec.kind, (p, q))
+    if spec.kind != "sb" and not 0 < x < 1:
+        raise DomainError(f"{spec.kind} vertices lie in (0,1)")
+    if spec.permuted or spec.kind == "dyadic":
+        (a, b), (c, d) = _children(spec, (x.num, x.den))
         return ExtRat._raw(a, b), ExtRat._raw(c, d)
-    if spec.kind == "dyadic":
-        if not 0 < x < 1:
-            raise DomainError("dyadic vertices lie in (0,1)")
-        p, q = x.num, x.den
-        return ExtRat._raw(2 * p - 1, 2 * q), ExtRat._raw(2 * p + 1, 2 * q)
-    if spec.kind == "farey" and not 0 < x < 1:
-        raise DomainError("farey vertices lie in (0,1)")
     lo, hi = coding.parents(x)
     return mediant(lo, x), mediant(x, hi)
 
@@ -181,30 +148,14 @@ _STATE_CACHE: dict = {}
 _FLOAT_CACHE: dict = {}
 
 
-def _root_cols(spec):
-    s = _perm_state(spec.kind) if spec.permuted else _plain_state(spec.kind)
-    return tuple(np.array([c], dtype=np.int64) for c in s)
+def _cols(s, dtype=np.int64):
+    return tuple(np.array([v], dtype=dtype) for v in s)
 
 
 def _child_cols(spec, cols):
-    n = cols[0].size
-    if not spec.permuted and spec.kind != "dyadic":
-        pl, ql, pr, qr = cols
-        pm, qm = pl + pr, ql + qr
-        left, right = (pl, ql, pm, qm), (pm, qm, pr, qr)
-    else:
-        p, q = cols
-        if not spec.permuted:
-            left, right = (2 * p - 1, 2 * q), (2 * p + 1, 2 * q)
-        elif spec.kind == "sb":
-            left, right = (p, p + q), (p + q, q)
-        elif spec.kind == "farey":
-            left, right = (p, p + q), (q, 2 * q - p)
-        else:
-            left, right = (p, 2 * q), (p + q, 2 * q)
     out = []
-    for lc, rc in zip(left, right):
-        col = np.empty(2 * n, dtype=np.int64)
+    for lc, rc in zip(*_children(spec, cols)):
+        col = np.empty(2 * lc.size, dtype=lc.dtype)
         col[0::2] = lc
         col[1::2] = rc
         out.append(col)
@@ -216,7 +167,7 @@ def _state_cols(spec, k):
     hit = _STATE_CACHE.get(key)
     if hit is not None:
         return hit
-    cols = _root_cols(spec) if k == 1 else _child_cols(spec, _state_cols(spec, k - 1))
+    cols = _cols(_root_state(spec)) if k == 1 else _child_cols(spec, _state_cols(spec, k - 1))
     _STATE_CACHE[key] = cols
     return cols
 
@@ -230,10 +181,7 @@ def level_arrays(spec: TreeSpec, k: int, cap: int = ARRAY_CAP):
         raise DomainError("levels start at 1")
     if k > cap:
         raise CapExceeded(f"level arrays stop at {cap}")
-    cols = _state_cols(spec, k)
-    if len(cols) == 4:
-        return cols[0] + cols[2], cols[1] + cols[3]
-    return cols
+    return _values(_state_cols(spec, k))
 
 
 def level_floats(spec: TreeSpec, k: int, cap: int = ARRAY_CAP) -> np.ndarray:

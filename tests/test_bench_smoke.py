@@ -1,0 +1,27 @@
+"""The benchmark harness runs and its byte checks pass, at tiny sizes.
+
+Each workload here checks every output against the recorded digests in
+bench/golden.json, so a change to the output bytes fails this test.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["emit", "walks"])
+def test_tiny_bench_run_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "11",
+         "--seconds", "0", "--trace", "0", "--tiny"],
+        cwd=ROOT, capture_output=True, text=True, timeout=180,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stdout
+    assert result["failed"] == 0 and result["attempted"] >= 1

@@ -1,0 +1,207 @@
+"""Block-streamed integer tables are byte-identical to row-at-a-time writers.
+
+The reference here is the plain path: csv.writer or json.dump(indent=2)
+over row tuples, with tree levels from a lazy depth-first walk and orbits
+from Fraction formulas, all written independently of the package.
+"""
+
+import csv
+import io
+import json
+from fractions import Fraction
+from itertools import islice
+
+import pytest
+
+from sternbrocot import __version__, maps, stochastic, trees
+from sternbrocot.cli import run
+from sternbrocot.core import ExtRat
+
+SPECS = [(kind, permuted) for kind in trees.KINDS for permuted in (False, True)]
+TREE_COLUMNS = ("level", "index", "num", "den")
+ORBIT_COLUMNS = ("i", "num", "den")
+
+
+def reference_level(kind, permuted, k):
+    """Level k as (num, den) pairs, left to right, from a lazy DFS."""
+    if permuted:
+        root = (1, 1) if kind == "sb" else (1, 2)
+    else:
+        root = {"sb": (0, 1, 1, 0), "farey": (0, 1, 1, 1), "dyadic": (1, 2)}[kind]
+
+    def children(s):
+        if len(s) == 4:
+            pl, ql, pr, qr = s
+            return (pl, ql, pl + pr, ql + qr), (pl + pr, ql + qr, pr, qr)
+        p, q = s
+        if not permuted:
+            return (2 * p - 1, 2 * q), (2 * p + 1, 2 * q)
+        if kind == "sb":
+            return (p, p + q), (p + q, q)
+        if kind == "farey":
+            return (p, p + q), (q, 2 * q - p)
+        return (p, 2 * q), (p + q, 2 * q)
+
+    stack = [(1, root)]
+    while stack:
+        d, s = stack.pop()
+        if d == k:
+            yield (s[0] + s[2], s[1] + s[3]) if len(s) == 4 else s
+        else:
+            left, right = children(s)
+            stack += [(d + 1, right), (d + 1, left)]
+
+
+def _frac(p, q):
+    return None if q == 0 else Fraction(p, q)  # None is the point 1/0
+
+
+def _ref_step(m, x):
+    if m == "R":
+        if x is None:
+            return Fraction(0)
+        n = x.numerator // x.denominator
+        return 1 / (n + 1 - (x - n))
+    if m == "S":  # S = phi R phi^-1 with phi(t) = t / (1 + t)
+        y = None if x == 1 else x / (1 - x)
+        r = _ref_step("R", y)
+        return r / (1 + r)
+    if m == "T":  # the binary odometer: x + 3 / 2^(n+1) - 1 on [1 - 2^-n, 1 - 2^-(n+1))
+        if x == 1:
+            return Fraction(0)
+        n = 0
+        while 1 - x <= Fraction(1, 2 ** (n + 1)):
+            n += 1
+        return x + Fraction(3, 2 ** (n + 1)) - 1
+    if m == "G":
+        if x is None:
+            return None
+        return x - 1 if x >= 1 else x / (1 - x)
+    if m == "F":
+        return x / (1 - x) if 2 * x < 1 else 2 - 1 / x
+    return Fraction(1) if x == 1 else 2 * x % 1  # D
+
+
+def reference_orbit(m, p, q, count):
+    x = _frac(p, q)
+    out = []
+    for _ in range(count):
+        out.append((1, 0) if x is None else (x.numerator, x.denominator))
+        x = _ref_step(m, x)
+    return out
+
+
+def reference_bytes(fmt, seed, columns, rows, flags, extra=None):
+    buf = io.StringIO()
+    if fmt == "csv":
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(columns)
+        w.writerows(rows)
+    else:
+        doc = {
+            "meta": {"version": __version__, "seed": seed, "flags": flags},
+            "columns": list(columns),
+            "rows": [list(r) for r in rows],
+        }
+        if extra:
+            doc.update(extra)
+        json.dump(doc, buf, indent=2)
+        buf.write("\n")
+    return buf.getvalue()
+
+
+def run_both(argv, capsys, tmp_path):
+    """(stdout text, --output file text) of one invocation."""
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    target = tmp_path / "table.out"
+    assert run(argv + ["--output", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    return out, target.read_text(encoding="utf-8")
+
+
+def fib_ratio(bits):
+    a, b = 1, 1
+    while b.bit_length() < bits:
+        a, b = b, a + b
+    return a, b
+
+
+@pytest.mark.parametrize("kind,permuted", SPECS)
+def test_tree_levels_match_row_writers(kind, permuted, capsys, tmp_path):
+    for k in range(1, 15):
+        rows = [(k, i, p, q) for i, (p, q) in enumerate(reference_level(kind, permuted, k), 1)]
+        flags = {"kind": kind, "permuted": permuted, "depth": k}
+        for fmt in ("csv", "json"):
+            argv = ["tree", "--kind", kind, "--depth", str(k), "--format", fmt, "--seed", "3"]
+            if permuted:
+                argv.append("--permuted")
+            want = reference_bytes(fmt, 3, TREE_COLUMNS, rows, flags)
+            assert run_both(argv, capsys, tmp_path) == (want, want), (kind, permuted, k, fmt)
+
+
+FIB_P, FIB_Q = fib_ratio(200)
+STARTS = {m: [(0, 1), (1, 1), (FIB_P, FIB_Q)] for m in "RSTGFD"}
+STARTS["R"] = STARTS["G"] = [(1, 0), (0, 1), (1, 1), (FIB_P, FIB_Q)]
+
+
+B = maps.ORBIT_BLOCK
+
+
+@pytest.mark.parametrize("m", sorted(STARTS))
+def test_orbits_match_row_writers(m, capsys, tmp_path):
+    for p, q in STARTS[m]:
+        orbit = reference_orbit(m, p, q, B + 1)
+        start = f"{p}/{q}"
+        for count in (0, 1, B - 1, B, B + 1):
+            rows = [(i, a, b) for i, (a, b) in enumerate(orbit[:count])]
+            flags = {"map": m, "start": start, "count": count}
+            for fmt in ("csv", "json"):
+                argv = ["enumerate", "--map", m, "--start", start,
+                        "--count", str(count), "--format", fmt]
+                want = reference_bytes(fmt, 7, ORBIT_COLUMNS, rows, flags)
+                assert run_both(argv, capsys, tmp_path) == (want, want), (m, start, count, fmt)
+
+
+def test_empty_json_rows(capsys):
+    assert run(["enumerate", "--map", "R", "--start", "1/1", "--count", "0",
+                "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '\n  "rows": []\n}\n' in out
+    assert json.loads(out)["rows"] == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_rows_then_curve(fmt, capsys, tmp_path):
+    walks, horizon = 4097, 12  # one row past a block
+    lo, hi = ExtRat(2, 5), ExtRat(3, 5)
+    table = stochastic.walk_table("MC1", ExtRat(1, 1), walks, horizon, 5, interval=(lo, hi))
+    rows = [(w, *r) for w, r in enumerate(table)]
+    flags = {"chain": "mc1", "start": "1/1", "walks": walks, "horizon": horizon,
+             "interval": "2/5,3/5"}
+    extra = None
+    if fmt == "json":
+        curve = [str(c) for c in stochastic.hitting_curve([r[0] for r in table], horizon)]
+        extra = {"fraction": curve[-1], "curve": curve}
+    argv = ["simulate", "--chain", "mc1", "--walks", str(walks), "--horizon", str(horizon),
+            "--interval", "2/5,3/5", "--seed", "5", "--format", fmt]
+    want = reference_bytes(fmt, 5, ("walk", "hit_time", "final_num", "final_den"),
+                           rows, flags, extra)
+    got = run_both(argv, capsys, tmp_path)
+    assert got == (want, want)
+    if fmt == "json":
+        assert list(json.loads(got[0])) == ["meta", "columns", "rows", "fraction", "curve"]
+
+
+@pytest.mark.parametrize("kind,permuted", SPECS)
+@pytest.mark.parametrize("k", [62, 63, 70, 100])
+def test_deep_level_blocks_match_lazy_walk(kind, permuted, k):
+    # level 62 is the deepest computed in int64, 63 and up use Python ints;
+    # two blocks check both without emitting 2^(k-1) entries
+    spec = trees.TreeSpec(kind, permuted=permuted)
+    got = []
+    for num, den in islice(trees.level_blocks(spec, k, cap=k), 2):
+        got += zip(num.tolist(), den.tolist())
+    assert len(got) == 2 << trees.BLOCK_LEVELS
+    assert got == list(islice(reference_level(kind, permuted, k), len(got)))
+    assert all(type(v) is int for pair in got for v in pair)

@@ -9,7 +9,10 @@ counter-based deterministic generator.
 """
 
 from .core import (
+    CAPS,
+    UNSAFE_CAPS,
     CapExceeded,
+    Caps,
     DomainError,
     ExtRat,
     INF,
@@ -96,7 +99,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "CapExceeded", "DomainError", "ExtRat", "INF", "ONE", "ZERO",
+    "CAPS", "UNSAFE_CAPS", "CapExceeded", "Caps", "DomainError", "ExtRat",
+    "INF", "ONE", "ZERO",
     "canonicalize_cf", "cf_from_rat", "complement_cf", "depth",
     "format_cf", "mediant", "parse_cf", "phi", "phi_inv", "rank",
     "rat_from_cf",

@@ -23,8 +23,10 @@ the rows (version, seed, semantic flags), never execution details such
 as worker counts, so output bytes are reproducible across machines and
 parallelism levels.
 
-Generous size caps guard each command; ``--unsafe-cap`` lifts them for
-runs that are expected to be large.
+Size caps guard each command: the ``Caps`` table ``CAPS``, or, for runs
+expected to be large, ``--unsafe-cap``'s ``UNSAFE_CAPS``, which lifts
+every cap but the hard memory limits.  Library callers pass a larger
+``Caps``.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
 from itertools import chain
 
 from . import __version__, maps, stochastic, trees, verify
-from .core import CapExceeded, DomainError, ExtRat, ONE, parse_cf
+from .core import CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, ONE, parse_cf
 from .minkowski import (
     Dyadic,
     fourier_tree_mean,
@@ -53,14 +54,6 @@ from .trees import TreeSpec
 DEFAULT_SEED = 7
 OUTDIR_ENV = "STERNBROCOT_OUTDIR"
 
-# Caps applied under --unsafe-cap.  Streaming commands (tree, enumerate)
-# stay exact at any size; the lifted bounds only keep argument typos from
-# looking like hangs.
-UNSAFE_LEVEL_CAP = 1 << 10
-UNSAFE_ORBIT_CAP = 1 << 34
-UNSAFE_WALKS_CAP = 10 ** 9
-UNSAFE_HORIZON_CAP = 1 << 26
-
 
 class UsageError(Exception):
     """Bad invocation: malformed value, conflicting flags, unknown name."""
@@ -71,21 +64,6 @@ class _Parser(argparse.ArgumentParser):
     # here for verification failures, so route errors through UsageError.
     def error(self, message):
         raise UsageError(message)
-
-
-@contextmanager
-def _lifted_caps(active: bool):
-    if not active:
-        yield
-        return
-    saved = (stochastic.WALKS_CAP, stochastic.HORIZON_CAP, maps.ORBIT_CAP)
-    stochastic.WALKS_CAP = UNSAFE_WALKS_CAP
-    stochastic.HORIZON_CAP = UNSAFE_HORIZON_CAP
-    maps.ORBIT_CAP = UNSAFE_ORBIT_CAP
-    try:
-        yield
-    finally:
-        stochastic.WALKS_CAP, stochastic.HORIZON_CAP, maps.ORBIT_CAP = saved
 
 
 # ---------------------------------------------------------------- parsing
@@ -229,35 +207,33 @@ def _indexed(first, blocks):
 
 # ------------------------------------------------------------- commands
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args, caps) -> int:
     spec = TreeSpec(args.kind, permuted=args.permuted)
-    cap = UNSAFE_LEVEL_CAP if args.unsafe_cap else trees.LEVEL_CAP
     k = args.depth
     blocks = _primed(
         ([k] * len(num), index, num.tolist(), den.tolist())
-        for index, num, den in _indexed(1, trees.level_blocks(spec, k, cap=cap))
+        for index, num, den in _indexed(1, trees.level_blocks(spec, k, caps))
     )
     flags = {"kind": args.kind, "permuted": args.permuted, "depth": k}
     return _emit_ints(args, ("level", "index", "num", "den"), blocks, flags)
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args, caps) -> int:
     start = _rat(args.start)
     try:  # reject starts outside the map's interval before any output
         maps.apply(args.map, start)
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-    cap = UNSAFE_ORBIT_CAP if args.unsafe_cap else maps.ORBIT_CAP
-    orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, cap=cap)
+    orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, caps)
     blocks = _primed(_indexed(0, orbit))
     flags = {"map": args.map, "start": args.start, "count": args.count}
     return _emit_ints(args, ("i", "num", "den"), blocks, flags)
 
 
-def _cmd_qmark(args) -> int:
+def _cmd_qmark(args, caps) -> int:
     if args.enclosure:
         prefix = _cf_prefix(args.value)
-        lo, hi = qmark_enclosure(prefix)
+        lo, hi = qmark_enclosure(prefix, caps)
         flags = {"input": args.value, "mode": "enclosure"}
         row = (args.value, str(lo), str(hi), float(lo), float(hi))
         return _emit(
@@ -265,29 +241,28 @@ def _cmd_qmark(args) -> int:
         )
     if args.inverse:
         d = _dyadic(args.value)
-        x = rho_inv(d) if args.extended else qmark_inv(d)
+        x = rho_inv(d, caps) if args.extended else qmark_inv(d, caps)
         flags = {"input": args.value, "mode": "inverse", "extended": args.extended}
         row = (args.value, str(x), float(x))
     else:
         x = _rat(args.value)
-        d = rho(x) if args.extended else qmark(x)
+        d = rho(x, caps) if args.extended else qmark(x, caps)
         flags = {"input": args.value, "mode": "value", "extended": args.extended}
         row = (args.value, str(d), float(d))
     return _emit(args, ("input", "value", "decimal"), [row], flags)
 
 
-def _cmd_fourier(args) -> int:
+def _cmd_fourier(args, caps) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     start = _rat(args.start)
     rows = []
     for n in range(1, args.n_max + 1):
         if args.method in ("tree", "both"):
-            z = fourier_tree_mean(n, args.depth)
+            z = fourier_tree_mean(n, args.depth, caps=caps)
             rows.append((n, z.real, z.imag, "tree", 1 << args.depth))
         if args.method in ("ergodic", "both"):
-            with _lifted_caps(args.unsafe_cap):
-                z = maps.ergodic_fourier(n, start, args.iters, map=args.map)
+            z = maps.ergodic_fourier(n, start, args.iters, map=args.map, caps=caps)
             rows.append((n, z.real, z.imag, "ergodic", args.iters))
     flags = {
         "n_max": args.n_max,
@@ -300,7 +275,7 @@ def _cmd_fourier(args) -> int:
     return _emit(args, ("n", "re", "im", "method", "size"), rows, flags)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, caps) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
     if args.chain == "rw":
@@ -311,16 +286,8 @@ def _cmd_simulate(args) -> int:
         kind = args.chain.upper()
         start = _rat(args.start) if args.start is not None else ONE
     interval = _interval(args.interval) if args.interval else None
-    with _lifted_caps(args.unsafe_cap):
-        table = stochastic.walk_table(
-            kind,
-            start,
-            args.walks,
-            args.horizon,
-            args.seed,
-            interval=interval,
-            workers=args.workers,
-        )
+    table = stochastic.walk_table(kind, start, args.walks, args.horizon, args.seed,
+                                  interval=interval, workers=args.workers, caps=caps)
     flags = {
         "chain": args.chain,
         "start": str(start),
@@ -341,7 +308,7 @@ def _cmd_simulate(args) -> int:
     )
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, caps) -> int:
     if args.workers < 1:
         raise UsageError("--workers must be at least 1")
     if args.list:
@@ -381,7 +348,7 @@ def _build_parser() -> _Parser:
     )
     common.add_argument(
         "--unsafe-cap", action="store_true",
-        help="lift the built-in size caps",
+        help="lift the size caps that are not hard memory limits",
     )
 
     p = _Parser(prog="sternbrocot", description=__doc__.splitlines()[0])
@@ -491,7 +458,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # --help / --version paths
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, UNSAFE_CAPS if args.unsafe_cap else CAPS)
     except UsageError as exc:
         print(f"sternbrocot: error: {exc}", file=sys.stderr)
         return 1

@@ -13,9 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import (
+    CAPS,
+    Caps,
     DomainError,
     ExtRat,
     cf_from_rat,
+    check_cap,
     _check_canonical,
 )
 
@@ -23,8 +26,6 @@ L = (1, 0, 1, 1)
 R = (1, 1, 0, 1)
 U = (0, 1, 1, 0)
 IDENT = (1, 0, 0, 1)
-
-WORD_CAP = 1 << 10
 
 
 def mat_mul(m, n):
@@ -42,9 +43,8 @@ def rat_from_matrix(m) -> ExtRat:
     return ExtRat(m[0] + m[1], m[2] + m[3])
 
 
-def matrix_from_word(word: str):
-    if len(word) > WORD_CAP:
-        raise DomainError(f"word longer than the {WORD_CAP} cap")
+def matrix_from_word(word: str, caps: Caps = CAPS):
+    check_cap(caps, "word", len(word), "word length")
     m = IDENT
     for ch in word:
         if ch == "L":

@@ -12,6 +12,7 @@ so every positive rational has exactly one expansion ([0] stands for zero).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
 
@@ -21,7 +22,46 @@ class DomainError(ValueError):
 
 
 class CapExceeded(ValueError):
-    """A size cap would be exceeded; pass a larger cap to proceed anyway."""
+    """A size cap would be exceeded; pass a larger `Caps` to proceed anyway."""
+
+
+@dataclass(frozen=True)
+class Caps:
+    """Size caps, one per resource: CAPS, or UNSAFE_CAPS under --unsafe-cap.
+
+    A hard cap has the same value in both; lifting it would let memory
+    held whole pass about 1 GiB.  The README tabulates the values.
+    """
+
+    level: int = 24  # tree level streamed in blocks; not hard, memory stays flat
+    estimate: int = 20  # tree levels held whole as arrays (~2^k * 64 B); not hard
+    orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~32 B an iterate; not hard
+    exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes; not hard
+    word: int = 1 << 10  # letters of an {L, R} or 0/1 word; not hard
+    walks: int = 10 ** 6  # walks in one table, held whole (~80 B a walk); not hard
+    horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step; not hard
+    power: int = 24  # HARD: a Markov power holds all 2^n branch words
+    stack: int = 20  # stage n of a stack interval; not hard
+
+
+CAPS = Caps()
+UNSAFE_CAPS = Caps(level=1 << 10, estimate=23, orbit=1 << 25, exp=1 << 20,
+                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, stack=1 << 10)
+
+
+def check_cap(caps: Caps, field: str, size: int, what: str) -> None:
+    """Raise CapExceeded, saying whether --unsafe-cap lifts it, if size > caps.<field>."""
+    cap = getattr(caps, field)
+    if size <= cap:
+        return
+    lifted = getattr(UNSAFE_CAPS, field)
+    if lifted == getattr(CAPS, field):
+        note = "a hard limit that --unsafe-cap does not lift"
+    elif cap < lifted:
+        note = f"--unsafe-cap lifts it to {lifted}"
+    else:
+        note = "already lifted by --unsafe-cap"
+    raise CapExceeded(f"{what} {size} above the cap {cap} (caps.{field}: {note})")
 
 
 class ExtRat:

@@ -21,14 +21,12 @@ from typing import Iterator
 import numpy as np
 
 from .accum import fsum_array
-from .core import INF, ONE, CapExceeded, DomainError, ExtRat, phi, phi_inv
+from .core import CAPS, INF, ONE, Caps, DomainError, ExtRat, check_cap, phi, phi_inv
 from .minkowski import Dyadic, qmark, qmark_inv
 
 MAPS = ("R", "S", "T", "G", "F", "D")
 INVERTIBLE = ("R", "S", "T")
 FOLDING = ("G", "F", "D")
-ORBIT_CAP = 1 << 24
-STACK_CAP = 20
 ODOMETER_CAP = 12
 
 CONJUGACY_PAIRS = ("R-S", "S-T", "G-F", "F-D")
@@ -156,15 +154,14 @@ ORBIT_BLOCK = 4096
 
 
 def orbit_blocks(m: str, p: int, q: int, count: int,
-                 cap: int = ORBIT_CAP) -> Iterator[tuple[list, list]]:
+                 caps: Caps = CAPS) -> Iterator[tuple[list, list]]:
     """The orbit of p/q, count entries in all, as blocks (nums, dens).
 
     Each block holds up to ORBIT_BLOCK reduced entries in orbit order.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
-    if count > cap:
-        raise CapExceeded(f"orbit length {count} above the cap {cap}")
+    check_cap(caps, "orbit", count, "orbit length")
     if count == 0:
         return
     x = ExtRat(p, q)
@@ -183,14 +180,14 @@ def orbit_blocks(m: str, p: int, q: int, count: int,
 
 
 def orbit_iter(m: str, start: ExtRat, count: int,
-               cap: int = ORBIT_CAP) -> Iterator[ExtRat]:
+               caps: Caps = CAPS) -> Iterator[ExtRat]:
     """Yield start, map(start), ..., count entries in all."""
-    for nums, dens in orbit_blocks(m, start.num, start.den, count, cap):
+    for nums, dens in orbit_blocks(m, start.num, start.den, count, caps):
         yield from map(ExtRat._raw, nums, dens)
 
 
-def orbit(m: str, start: ExtRat, count: int, cap: int = ORBIT_CAP) -> list[ExtRat]:
-    return list(orbit_iter(m, start, count, cap))
+def orbit(m: str, start: ExtRat, count: int, caps: Caps = CAPS) -> list[ExtRat]:
+    return list(orbit_iter(m, start, count, caps))
 
 
 def _dy_rat(d: Dyadic) -> ExtRat:
@@ -245,7 +242,7 @@ def _bit_reverse(v: int, n: int) -> int:
     return out
 
 
-def stack_interval(family: str, i: int, n: int, cap: int = STACK_CAP) -> StackInterval:
+def stack_interval(family: str, i: int, n: int, caps: Caps = CAPS) -> StackInterval:
     """Level i of the n-stack: A under T, B = ?-preimage, C = phi-preimage.
 
     A(1, n) = [0, 2^-n) and T translates each level onto the next, so the
@@ -254,15 +251,14 @@ def stack_interval(family: str, i: int, n: int, cap: int = STACK_CAP) -> StackIn
     """
     if family not in ("A", "B", "C"):
         raise DomainError("family is A, B or C")
-    if n < 0 or n > cap:
-        raise CapExceeded(f"stack stage {n} above the cap {cap}")
-    if not 1 <= i <= 1 << n:
+    check_cap(caps, "stack", n, "stack stage")
+    if n < 0 or not 1 <= i <= 1 << n:
         raise DomainError(f"stack level {i} outside 1..2^{n}")
     lo = Dyadic(_bit_reverse(i - 1, n), n)
     hi = Dyadic(_bit_reverse(i - 1, n) + 1, n)
     if family == "A":
         return StackInterval(family, i, n, _dy_rat(lo), _dy_rat(hi))
-    blo, bhi = qmark_inv(lo), qmark_inv(hi)
+    blo, bhi = qmark_inv(lo, caps), qmark_inv(hi, caps)
     if family == "B":
         return StackInterval(family, i, n, blo, bhi)
     return StackInterval(family, i, n, phi_inv(blo), phi_inv(bhi))
@@ -319,16 +315,17 @@ def eigenfunction_check(m: int, x: ExtRat, map: str = "T") -> tuple[complex, com
 
 
 @lru_cache(maxsize=4)
-def _orbit_floats(m: str, num: int, den: int, count: int) -> np.ndarray:
+def _orbit_floats(m: str, num: int, den: int, count: int, caps: Caps) -> np.ndarray:
     out = np.empty(count, dtype=float)
     i = 0
-    for nums, dens in orbit_blocks(m, num, den, count):
+    for nums, dens in orbit_blocks(m, num, den, count, caps):
         out[i:i + len(nums)] = list(map(truediv, nums, dens))
         i += len(nums)
     return out
 
 
-def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R") -> complex:
+def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R",
+                    caps: Caps = CAPS) -> complex:
     """Fourier mean (1/N) sum of e^(2 pi i n x_k) along the exact orbit."""
     if map not in INVERTIBLE:
         raise DomainError("ergodic means run along R, S or T orbits")
@@ -336,8 +333,8 @@ def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R") -> comple
         raise DomainError("start must be finite")
     if iters < 1:
         raise DomainError("need at least one iterate")
-    if iters > ORBIT_CAP:
-        raise CapExceeded(f"orbit length {iters} above the cap {ORBIT_CAP}")
-    vals = _orbit_floats(map, start.num, start.den, iters)
-    osc = np.exp((2j * pi * n) * vals)
+    check_cap(caps, "orbit", iters, "orbit length")  # before _orbit_floats allocates
+    vals = _orbit_floats(map, start.num, start.den, iters, caps)
+    osc = (2j * pi * n) * vals
+    np.exp(osc, out=osc)  # in place: one complex array at the orbit cap, not two
     return complex(fsum_array(osc.real) / iters, fsum_array(osc.imag) / iters)

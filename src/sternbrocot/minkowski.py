@@ -23,20 +23,19 @@ import numpy as np
 from . import trees
 from .accum import fsum_array
 from .core import (
+    CAPS,
     INF,
     ONE,
     ZERO,
-    CapExceeded,
+    Caps,
     DomainError,
     ExtRat,
     canonicalize_cf,
     cf_from_rat,
+    check_cap,
     rat_from_cf,
 )
 from .trees import TreeSpec
-
-EXP_CAP = 1 << 16
-ESTIMATE_CAP = trees.ARRAY_CAP
 
 _SB = TreeSpec("sb")
 
@@ -46,7 +45,7 @@ class Dyadic:
 
     __slots__ = ("num", "exp")
 
-    def __init__(self, num: int, exp: int = 0, cap: int = EXP_CAP):
+    def __init__(self, num: int, exp: int = 0):
         if not isinstance(num, int) or not isinstance(exp, int):
             raise TypeError("Dyadic takes integers")
         if exp < 0:
@@ -58,8 +57,6 @@ class Dyadic:
             drop = min(twos, exp)
             num >>= drop
             exp -= drop
-        if exp > cap:
-            raise CapExceeded(f"dyadic exponent {exp} above the cap {cap}")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -227,7 +224,7 @@ def _check_unit(d: Dyadic):
         raise DomainError("value must lie in [0, 1]")
 
 
-def rho(x: ExtRat) -> Dyadic:
+def rho(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
     """Binary reading of the {L,R} path code; exact on all of [0, inf]."""
     if x.is_infinite:
         return DY_ONE
@@ -236,15 +233,14 @@ def rho(x: ExtRat) -> Dyadic:
         return DY_ZERO
     sums = list(accumulate(cf))
     total = sums[-1]
-    if total > EXP_CAP:
-        raise CapExceeded(f"needs {total} bits, above the cap {EXP_CAP}")
+    check_cap(caps, "exp", total, "dyadic bits")
     num = (1 << total) - sum(
         (-1 if k % 2 else 1) << (total - s) for k, s in enumerate(sums)
     )
     return Dyadic(num, total)
 
 
-def qmark(x: ExtRat) -> Dyadic:
+def qmark(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
     """Question mark function on [0, 1], by its own alternating series."""
     if x.is_infinite or x > 1:
         raise DomainError("the question mark lives on [0, 1]")
@@ -255,8 +251,7 @@ def qmark(x: ExtRat) -> Dyadic:
     cf = cf_from_rat(x)  # [0; a1, ..., an]
     sums = list(accumulate(cf[1:]))
     total = sums[-1]
-    if total > EXP_CAP + 1:
-        raise CapExceeded(f"needs {total - 1} bits, above the cap {EXP_CAP}")
+    check_cap(caps, "exp", total - 1, "dyadic bits")
     num = sum(
         (1 if k % 2 == 0 else -1) << (total + 1 - t) for k, t in enumerate(sums)
     )
@@ -284,8 +279,9 @@ def _qmark_runs(bits: tuple[int, ...]) -> list[int]:
     return [0, lead + 1] + [n for _, n in groups]
 
 
-def rho_inv(d: Dyadic) -> ExtRat:
+def rho_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
     """The rational with rho(x) = d; both binary readings are cross-checked."""
+    check_cap(caps, "exp", d.exp, "dyadic exponent")
     _check_unit(d)
     if d.num == 0:
         return ZERO
@@ -298,8 +294,9 @@ def rho_inv(d: Dyadic) -> ExtRat:
     return a
 
 
-def qmark_inv(d: Dyadic) -> ExtRat:
+def qmark_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
     """The rational with qmark(x) = d; both binary readings are cross-checked."""
+    check_cap(caps, "exp", d.exp, "dyadic exponent")
     _check_unit(d)
     if d.num == 0:
         return ZERO
@@ -312,7 +309,7 @@ def qmark_inv(d: Dyadic) -> ExtRat:
     return a
 
 
-def qmark_enclosure(prefix: Sequence[int]) -> tuple[Dyadic, Dyadic]:
+def qmark_enclosure(prefix: Sequence[int], caps: Caps = CAPS) -> tuple[Dyadic, Dyadic]:
     """Exact bounds on the value at every number whose expansion starts so.
 
     The prefix [a0; a1, ..., an] need not end canonically.  The bounds
@@ -331,26 +328,25 @@ def qmark_enclosure(prefix: Sequence[int]) -> tuple[Dyadic, Dyadic]:
         q, qq = a * q + qq, q
     ends = sorted([ExtRat(p, q), ExtRat(p + pp, q + qq)])
     value = qmark if prefix[0] == 0 else rho
-    return value(ends[0]), value(ends[1])
+    return value(ends[0], caps), value(ends[1], caps)
 
 
-def distribution_estimate(spec: TreeSpec, k: int, x: ExtRat) -> Fraction:
+def distribution_estimate(spec: TreeSpec, k: int, x: ExtRat, caps: Caps = CAPS) -> Fraction:
     """Share of the first k levels lying at or below x, out of 2^k."""
     if k < 1:
         raise DomainError("levels start at 1")
-    if k > ESTIMATE_CAP:
-        raise CapExceeded(f"distribution estimates stop at {ESTIMATE_CAP}")
+    check_cap(caps, "estimate", k, "distribution estimate level")
     count = 0
     if x.is_infinite:
         count = (1 << k) - 1
     elif max(x.num, x.den) < 1 << 36:
         xn, xd = x.num, x.den
         for j in range(1, k + 1):
-            p, q = trees.level_arrays(spec, j)
+            p, q = trees.level_arrays(spec, j, caps)
             count += int(np.count_nonzero(p * xd <= xn * q))
     else:
         for j in range(1, k + 1):
-            count += sum(1 for v in trees.level(spec, j) if v <= x)
+            count += sum(1 for v in trees.level(spec, j, caps) if v <= x)
     return Fraction(count, 1 << k)
 
 
@@ -359,6 +355,7 @@ def stieltjes_mean(
     k: int,
     spec: TreeSpec = _SB,
     vectorized: bool = False,
+    caps: Caps = CAPS,
 ):
     """Mean of f over the first k levels, normalized by 2^k.
 
@@ -369,18 +366,17 @@ def stieltjes_mean(
     """
     if k < 1:
         raise DomainError("levels start at 1")
-    if k > ESTIMATE_CAP:
-        raise CapExceeded(f"stieltjes means stop at {ESTIMATE_CAP}")
+    check_cap(caps, "estimate", k, "Stieltjes mean level")
     re_parts: list[float] = []
     im_parts: list[float] = []
     if vectorized:
         for j in range(1, k + 1):
-            vals = np.asarray(f(trees.level_floats(spec, j)))
+            vals = np.asarray(f(trees.level_floats(spec, j, caps)))
             re_parts.append(fsum_array(vals.real))
             im_parts.append(fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
     else:
         for j in range(1, k + 1):
-            vals = [complex(f(v)) for v in trees.level(spec, j)]
+            vals = [complex(f(v)) for v in trees.level(spec, j, caps)]
             re_parts.append(fsum(v.real for v in vals))
             im_parts.append(fsum(v.imag for v in vals))
     scale = float(2 ** -k)
@@ -389,12 +385,12 @@ def stieltjes_mean(
     return complex(re, im) if im else re
 
 
-def fourier_tree_mean(n: int, k: int, spec: TreeSpec = _SB) -> complex:
+def fourier_tree_mean(n: int, k: int, spec: TreeSpec = _SB, caps: Caps = CAPS) -> complex:
     """Tree estimate of the n-th Fourier coefficient of the limit measure."""
     two_pi_n = 2.0 * np.pi * n
 
     def osc(vals: np.ndarray) -> np.ndarray:
         return np.exp(1j * two_pi_n * vals)
 
-    out = stieltjes_mean(osc, k, spec, vectorized=True)
+    out = stieltjes_mean(osc, k, spec, vectorized=True, caps=caps)
     return complex(out)

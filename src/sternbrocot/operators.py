@@ -12,11 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import fsum
 
-from .core import CapExceeded, DomainError, ExtRat
+from .core import CAPS, Caps, DomainError, ExtRat, check_cap
 
 TRANSFER_KINDS = ("G", "dyadic", "farey")
 CHAIN_KINDS = ("MC0", "MC1")
-POWER_CAP = 24
 
 
 def _point(x):
@@ -145,12 +144,11 @@ def markov_apply(kind: str, f, x: ExtRat):
     return _sum_terms(terms)
 
 
-def markov_power(kind: str, f, x: ExtRat, n: int, cap: int = POWER_CAP):
+def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
     """Exact n-step expectation E_x[f(W_n)] over all 2^n branch words."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"operator power {n} above the cap {cap}")
+    check_cap(caps, "power", n, "operator power")
     if kind == "MC0":
         frontier = [(x.num, x.den)]
         for _ in range(n):

@@ -27,14 +27,11 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import rng
-from .core import CapExceeded, DomainError, ExtRat, ONE
+from .core import CAPS, CapExceeded, Caps, DomainError, ExtRat, ONE, check_cap
 from .minkowski import stieltjes_mean
 from .operators import _value, markov_apply, markov_power, transition_probs
 
 __all__ = [
-    "HORIZON_CAP",
-    "WORD_CAP",
-    "WALKS_CAP",
     "ChainSpec",
     "WalkPath",
     "HittingResult",
@@ -48,10 +45,6 @@ __all__ = [
     "martingale_check",
     "mc0_limit_experiment",
 ]
-
-HORIZON_CAP = 1 << 20
-WORD_CAP = 1 << 10
-WALKS_CAP = 10 ** 6
 
 
 def apply_letter(x: ExtRat, letter: int) -> ExtRat:
@@ -69,26 +62,29 @@ def _draw_letter(kind: str, key: int, step: int, x: ExtRat) -> int:
     return 0 if rng.draw_below(key, step, x.den, x.num + x.den) else 1
 
 
+def _check_sizes(walks: int, horizon: int, caps: Caps) -> None:
+    for what, size in (("walks", walks), ("horizon", horizon)):
+        if size < 1:
+            raise CapExceeded(f"{what} must be at least 1, got {size}")
+        check_cap(caps, what, size, what)
+
+
 @dataclasses.dataclass(frozen=True)
 class ChainSpec:
-    """Chain kind, start state, walk length, and base seed."""
+    """Chain kind, start state, walk length, base seed, and size caps."""
 
     kind: str
     start: ExtRat = ONE
     horizon: int = 64
     seed: int = 0
+    caps: Caps = CAPS
 
     def __post_init__(self) -> None:
         if self.kind not in ("MC0", "MC1"):
             raise ValueError(f"unknown chain kind: {self.kind!r}")
         if not isinstance(self.start, ExtRat):
             raise TypeError("start must be an ExtRat")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.horizon > HORIZON_CAP:
-            raise CapExceeded(
-                f"horizon {self.horizon} exceeds cap {HORIZON_CAP}"
-            )
+        _check_sizes(1, self.horizon, self.caps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -140,11 +136,10 @@ def simulate(
     return WalkPath(states=tuple(states), letters=tuple(word), prob=prob)
 
 
-def cylinder_prob(kind: str, x: ExtRat, word: Sequence[int]) -> Fraction:
+def cylinder_prob(kind: str, x: ExtRat, word: Sequence[int], caps: Caps = CAPS) -> Fraction:
     """Exact probability that a walk from x begins with the given letters."""
     bits = tuple(int(b) for b in word)
-    if len(bits) > WORD_CAP:
-        raise CapExceeded(f"word length {len(bits)} exceeds cap {WORD_CAP}")
+    check_cap(caps, "word", len(bits), "word length")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("word must consist of 0/1 bits")
     prob = Fraction(1)
@@ -316,6 +311,7 @@ def walk_table(
     seed: int,
     interval: Optional[Tuple[ExtRat, ExtRat]] = None,
     workers: int = 1,
+    caps: Caps = CAPS,
 ) -> Tuple[Tuple[int, int, int], ...]:
     """Simulate independent walks, one row (hit_time, num, den) per walk.
 
@@ -330,12 +326,7 @@ def walk_table(
         raise ValueError(f"unknown chain kind: {kind!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    if not 1 <= walks <= WALKS_CAP:
-        raise CapExceeded(f"walks must be in 1..{WALKS_CAP}, got {walks}")
-    if not 1 <= horizon <= HORIZON_CAP:
-        raise CapExceeded(
-            f"horizon must be in 1..{HORIZON_CAP}, got {horizon}"
-        )
+    _check_sizes(walks, horizon, caps)
     if interval is not None:
         a, b = interval
         if not (isinstance(a, ExtRat) and isinstance(b, ExtRat)):
@@ -385,6 +376,7 @@ def hitting_experiment(
     kind: str = "MC0",
     start: ExtRat = ONE,
     workers: int = 1,
+    caps: Caps = CAPS,
 ) -> HittingResult:
     """Fraction of walks entering the open interval within the horizon.
 
@@ -392,9 +384,8 @@ def hitting_experiment(
     nondecreasing by construction and its monotone growth toward 1 is
     the observable content of almost-sure hitting.
     """
-    rows = walk_table(
-        kind, start, walks, horizon, seed, interval=interval, workers=workers
-    )
+    rows = walk_table(kind, start, walks, horizon, seed, interval=interval,
+                      workers=workers, caps=caps)
     hit_times = tuple(r[0] for r in rows)
     curve = hitting_curve(hit_times, horizon)
     return HittingResult(
@@ -452,6 +443,7 @@ def martingale_check(
     window: Optional[int] = 64,
     residual_depth: int = 32,
     min_cell: int = 64,
+    caps: Caps = CAPS,
 ) -> MartingaleReport:
     """Simulate walks and test the one-step identity P h = a h + b.
 
@@ -469,12 +461,7 @@ def martingale_check(
     """
     if kind not in ("MC0", "MC1"):
         raise ValueError(f"unknown chain kind: {kind!r}")
-    if not 1 <= walks <= WALKS_CAP:
-        raise CapExceeded(f"walks must be in 1..{WALKS_CAP}, got {walks}")
-    if not 1 <= horizon <= HORIZON_CAP:
-        raise CapExceeded(
-            f"horizon must be in 1..{HORIZON_CAP}, got {horizon}"
-        )
+    _check_sizes(walks, horizon, caps)
     a = Fraction(affine[0]) if isinstance(affine[0], (int, Fraction)) else affine[0]
     b = Fraction(affine[1]) if isinstance(affine[1], (int, Fraction)) else affine[1]
 
@@ -557,7 +544,7 @@ def martingale_check(
     )
 
 
-def mc0_limit_experiment(f: Callable[[ExtRat], object], x: ExtRat, n: int):
+def mc0_limit_experiment(f: Callable[[ExtRat], object], x: ExtRat, n: int, caps: Caps = CAPS):
     """Pair the exact n-step MC0 mean from x with the stage-n tree mean.
 
     Both numbers approximate the same limit integral; the difference is
@@ -565,6 +552,5 @@ def mc0_limit_experiment(f: Callable[[ExtRat], object], x: ExtRat, n: int):
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > 20:
-        raise CapExceeded(f"n {n} exceeds cap 20")
-    return markov_power("MC0", f, x, n), stieltjes_mean(f, n)
+    check_cap(caps, "estimate", n, "tree mean level")  # before markov_power runs
+    return markov_power("MC0", f, x, n, caps), stieltjes_mean(f, n, caps=caps)

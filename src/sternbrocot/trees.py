@@ -23,12 +23,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import CapExceeded, DomainError, ExtRat, mediant
+from .core import CAPS, Caps, DomainError, ExtRat, check_cap, mediant
 from . import coding
 
 KINDS = ("sb", "farey", "dyadic")
-LEVEL_CAP = 24
-ARRAY_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ BLOCK_LEVELS = 12
 INT64_LEVEL = 62
 
 
-def level_blocks(spec: TreeSpec, k: int, cap: int = LEVEL_CAP):
+def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
     """Level k as (num, den) column blocks, left to right.
 
     A depth-first walk visits the vertices of level k - c, with
@@ -101,12 +99,11 @@ def level_blocks(spec: TreeSpec, k: int, cap: int = LEVEL_CAP):
     most 2^(j-1), which makes the value pl + pr at most 2^j as well.  So
     every integer computed for level k is at most 2^k, below 2^(k+1) and
     within int64 for k <= 62.  Deeper levels, reachable only past the
-    default cap, use numpy object columns of Python ints.
+    default caps.level, use numpy object columns of Python ints.
     """
     if k < 1:
         raise DomainError("levels start at 1")
-    if k > cap:
-        raise CapExceeded(f"level {k} above the cap {cap}")
+    check_cap(caps, "level", k, "level")
     c = min(BLOCK_LEVELS, k - 1)
     dtype = np.int64 if k <= INT64_LEVEL else object
     stack = [(1, _root_state(spec))]
@@ -123,9 +120,9 @@ def level_blocks(spec: TreeSpec, k: int, cap: int = LEVEL_CAP):
         yield _values(cols)
 
 
-def level(spec: TreeSpec, k: int, cap: int = LEVEL_CAP) -> Iterator[ExtRat]:
+def level(spec: TreeSpec, k: int, caps: Caps = CAPS) -> Iterator[ExtRat]:
     """Yield level k (the root is level 1) left to right."""
-    for num, den in level_blocks(spec, k, cap):
+    for num, den in level_blocks(spec, k, caps):
         yield from map(ExtRat._raw, num.tolist(), den.tolist())
 
 
@@ -172,24 +169,24 @@ def _state_cols(spec, k):
     return cols
 
 
-def level_arrays(spec: TreeSpec, k: int, cap: int = ARRAY_CAP):
+def level_arrays(spec: TreeSpec, k: int, caps: Caps = CAPS):
     """Numerators and denominators of level k as int64 arrays, level order.
 
     Cached per level; agrees entry for entry with level(spec, k).
     """
     if k < 1:
         raise DomainError("levels start at 1")
-    if k > cap:
-        raise CapExceeded(f"level arrays stop at {cap}")
+    check_cap(caps, "estimate", k, "held level")
     return _values(_state_cols(spec, k))
 
 
-def level_floats(spec: TreeSpec, k: int, cap: int = ARRAY_CAP) -> np.ndarray:
+def level_floats(spec: TreeSpec, k: int, caps: Caps = CAPS) -> np.ndarray:
     """Level k as double-precision values, cached."""
+    check_cap(caps, "estimate", k, "held level")
     key = (spec.kind, spec.permuted, k)
     hit = _FLOAT_CACHE.get(key)
     if hit is None:
-        p, q = level_arrays(spec, k, cap)
+        p, q = level_arrays(spec, k, caps)
         hit = p / q
         _FLOAT_CACHE[key] = hit
     return hit

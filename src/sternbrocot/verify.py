@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import sqrt
 from typing import Callable, Dict, Tuple
 
 from . import coding, maps, minkowski, operators, rng, stochastic, trees
 from .core import (
+    CAPS,
     ExtRat,
     INF,
     ONE,
@@ -392,10 +393,11 @@ def _c_bijection(r, seed, workers):
 @_check("minkowski.qmark-reflection")
 def _c_qmark_reflect(r, seed, workers):
     one = minkowski.DY_ONE
+    caps = replace(CAPS, exp=10 ** 6)  # ?(p/q) has fewer than q bits, q < 10^6
     for _ in range(10 ** 4):
         x = _rand_unit(r)
         xc = ExtRat(x.den - x.num, x.den)
-        if minkowski.qmark(x) + minkowski.qmark(xc) != one:
+        if minkowski.qmark(x, caps) + minkowski.qmark(xc, caps) != one:
             raise CheckFailure(f"?(x) + ?(1-x) != 1 at {x}")
     return "?(x) + ?(1-x) == 1 exactly on 10^4 unit rationals"
 
@@ -403,11 +405,12 @@ def _c_qmark_reflect(r, seed, workers):
 @_check("minkowski.rho-reflection")
 def _c_rho_reflect(r, seed, workers):
     one = minkowski.DY_ONE
+    caps = replace(CAPS, exp=1 << 25)  # rho(p/q) has fewer than p + q bits
     if minkowski.rho(ZERO) + minkowski.rho(INF) != one:
         raise CheckFailure("rho(0) + rho(inf) != 1")
     for _ in range(10 ** 4):
         x = _rand_rat(r, 24)
-        if minkowski.rho(x) + minkowski.rho(x.reciprocal()) != one:
+        if minkowski.rho(x, caps) + minkowski.rho(x.reciprocal(), caps) != one:
             raise CheckFailure(f"rho(x) + rho(1/x) != 1 at {x}")
     return "rho(x) + rho(1/x) == 1 exactly, boundary included"
 

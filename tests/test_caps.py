@@ -1,0 +1,73 @@
+"""The size caps: one frozen table of defaults, one lifted table, no globals."""
+
+import ast
+import importlib
+import pkgutil
+from dataclasses import FrozenInstanceError, fields
+from pathlib import Path
+from types import ModuleType
+
+import pytest
+
+import sternbrocot
+from sternbrocot.core import CAPS, UNSAFE_CAPS
+
+# The hard memory limits, as the README lists them.
+HARD = {"power"}
+
+MODULES = [
+    importlib.import_module(f"sternbrocot.{m.name}")
+    for m in pkgutil.iter_modules(sternbrocot.__path__)
+]
+
+
+def _tree(mod):
+    return ast.parse(Path(mod.__file__).read_text(), mod.__file__)
+
+
+def test_unsafe_lifts_every_field_but_the_hard_ones():
+    for f in fields(CAPS):
+        default, lifted = getattr(CAPS, f.name), getattr(UNSAFE_CAPS, f.name)
+        if f.name in HARD:
+            assert lifted == default, f.name
+        else:
+            assert lifted > default, f.name
+
+
+def test_tables_are_frozen():
+    with pytest.raises(FrozenInstanceError):
+        CAPS.level = 10 ** 9
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_no_cap_constants(mod):
+    names = set()
+    for node in ast.walk(_tree(mod)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    # ODOMETER_CAP bounds a domain (digit counts) and raises DomainError
+    assert {n for n in names if n.endswith("_CAP")} <= {"ODOMETER_CAP"}
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_no_module_assigns_another_modules_attribute(mod):
+    aliases = {n for n, v in vars(mod).items() if isinstance(v, ModuleType)}
+    for node in ast.walk(_tree(mod)):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+            while targets:
+                t = targets.pop()
+                if isinstance(t, (ast.Tuple, ast.List)):
+                    targets.extend(t.elts)
+                elif isinstance(t, ast.Starred):
+                    targets.append(t.value)
+                elif isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name):
+                    assert t.value.id not in aliases, ast.unparse(node)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("setattr", "delattr") and node.args
+              and isinstance(node.args[0], ast.Name)):
+            assert node.args[0].id not in aliases, ast.unparse(node)

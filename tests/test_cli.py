@@ -1,11 +1,14 @@
 """Command line surface: schemas, exit codes, redirection, determinism."""
 
 import json
+from dataclasses import fields
 
-from sternbrocot import verify
+import pytest
+
+from sternbrocot import cli, verify
 from sternbrocot.cli import run
 from sternbrocot.minkowski import rho
-from sternbrocot.core import ExtRat
+from sternbrocot.core import CAPS, UNSAFE_CAPS, Caps, ExtRat
 
 
 def lines(capsys):
@@ -31,14 +34,6 @@ class TestTree:
     def test_cap_is_named_and_liftable(self, capsys):
         assert run(["tree", "--kind", "dyadic", "--depth", "26"]) == 1
         assert "cap" in capsys.readouterr().err
-        from sternbrocot import cli, stochastic
-        from sternbrocot import maps as maps_mod
-
-        with cli._lifted_caps(True):
-            assert stochastic.WALKS_CAP == cli.UNSAFE_WALKS_CAP
-            assert stochastic.HORIZON_CAP == cli.UNSAFE_HORIZON_CAP
-            assert maps_mod.ORBIT_CAP == cli.UNSAFE_ORBIT_CAP
-        assert stochastic.WALKS_CAP == 10**6
 
     def test_json_shape(self, capsys):
         assert run(["tree", "--kind", "farey", "--depth", "3",
@@ -72,6 +67,13 @@ class TestQmark:
         assert run(["qmark", "2/5", "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["rows"] == [["2/5", "3/2^3", 0.375]]
+
+    def test_dyadic_over_the_exponent_cap_is_a_cap_hit(self, capsys):
+        assert run(["qmark", "3/2^70000", "--inverse"]) == 1
+        err = capsys.readouterr().err
+        assert "caps.exp" in err and "malformed" not in err
+        assert run(["qmark", "3/2^70000", "--inverse", "--unsafe-cap"]) == 0
+        assert lines(capsys)[1].startswith("3/2^70000,2/139999,")
 
     def test_inverse_round_trips(self, capsys):
         assert run(["qmark", "3/8", "--inverse"]) == 0
@@ -203,3 +205,39 @@ class TestPlumbing:
         with_code = run(["--version"])
         assert with_code == 0
         assert "sternbrocot" in capsys.readouterr().out
+
+
+def _hard(name):
+    return getattr(CAPS, name) == getattr(UNSAFE_CAPS, name)
+
+
+# Tiny tables with the real tables' hard fields: each cap is hit at size 5.
+TINY = Caps(**{f.name: 4 for f in fields(Caps)})
+TINY_UNSAFE = Caps(**{f.name: 4 if _hard(f.name) else 8 for f in fields(Caps)})
+
+
+# One invocation per cap field the CLI reaches, at size 5 of that field.
+@pytest.mark.parametrize("field,argv", [
+    ("level", ["tree", "--kind", "sb", "--depth", "5"]),
+    ("estimate", ["fourier", "--method", "tree", "--depth", "5", "--n-max", "1"]),
+    ("orbit", ["enumerate", "--map", "R", "--start", "1/0", "--count", "5"]),
+    ("orbit", ["fourier", "--method", "ergodic", "--iters", "5", "--n-max", "1"]),
+    ("exp", ["qmark", "1/6"]),
+    ("exp", ["qmark", "1/2^5", "--inverse"]),
+    ("walks", ["simulate", "--chain", "mc0", "--walks", "5", "--horizon", "2"]),
+    ("horizon", ["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "5"]),
+], ids=["level", "estimate", "orbit-enumerate", "orbit-ergodic", "exp", "exp-inverse",
+        "walks", "horizon"])
+def test_each_cap_is_refused_then_lifted_or_hard(field, argv, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CAPS", TINY)
+    monkeypatch.setattr(cli, "UNSAFE_CAPS", TINY_UNSAFE)
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"caps.{field}" in captured.err and "--unsafe-cap" in captured.err
+    code = run(argv + ["--unsafe-cap"])
+    captured = capsys.readouterr()
+    if _hard(field):
+        assert code == 1 and "hard limit" in captured.err
+    else:
+        assert code == 0 and captured.out and not captured.err

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sternbrocot.core import DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, rat_from_cf
+from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, rat_from_cf
 from sternbrocot.coding import (
     InfiniteCode,
     children_cf,
@@ -75,6 +75,11 @@ class TestWordsAndMatrices:
         for _ in range(500):
             x = ExtRat(r.randrange(1, 999), r.randrange(1, 999))
             assert len(word_from_rat(x)) == sum(cf_from_rat(x)) - 1
+
+    def test_word_cap_is_a_cap(self):
+        assert matrix_from_word("L" * 1024)[2] == 1024
+        with pytest.raises(CapExceeded):
+            matrix_from_word("L" * 1025)
 
     def test_rejects_bad_letters(self):
         with pytest.raises(DomainError):

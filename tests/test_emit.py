@@ -8,6 +8,7 @@ from Fraction formulas, all written independently of the package.
 import csv
 import io
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
@@ -15,7 +16,7 @@ import pytest
 
 from sternbrocot import __version__, maps, stochastic, trees
 from sternbrocot.cli import run
-from sternbrocot.core import ExtRat
+from sternbrocot.core import CAPS, ExtRat
 
 SPECS = [(kind, permuted) for kind in trees.KINDS for permuted in (False, True)]
 TREE_COLUMNS = ("level", "index", "num", "den")
@@ -200,7 +201,7 @@ def test_deep_level_blocks_match_lazy_walk(kind, permuted, k):
     # two blocks check both without emitting 2^(k-1) entries
     spec = trees.TreeSpec(kind, permuted=permuted)
     got = []
-    for num, den in islice(trees.level_blocks(spec, k, cap=k), 2):
+    for num, den in islice(trees.level_blocks(spec, k, replace(CAPS, level=k)), 2):
         got += zip(num.tolist(), den.tolist())
     assert len(got) == 2 << trees.BLOCK_LEVELS
     assert got == list(islice(reference_level(kind, permuted, k), len(got)))

@@ -1,12 +1,14 @@
 """The six interval maps: formulas, inverses, orbits, stacks, odometer."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sternbrocot.core import (
+    CAPS,
     CapExceeded,
     DomainError,
     ExtRat,
@@ -16,6 +18,7 @@ from sternbrocot.core import (
     phi,
 )
 from sternbrocot.maps import (
+    _orbit_floats,
     apply,
     apply_inverse,
     binary_digits,
@@ -283,3 +286,12 @@ class TestErgodicMeans:
             ergodic_fourier(1, INF, 10)
         with pytest.raises(CapExceeded):
             ergodic_fourier(1, ONE, (1 << 24) + 1)
+
+    def test_orbit_honours_the_given_caps(self):
+        # the cached orbit must take the caps ergodic_fourier was given
+        z = ergodic_fourier(1, ONE, 4, caps=replace(CAPS, orbit=4))
+        assert z == ergodic_fourier(1, ONE, 4)
+        with pytest.raises(CapExceeded):
+            ergodic_fourier(1, ONE, 4, caps=replace(CAPS, orbit=3))
+        with pytest.raises(CapExceeded):  # the orbit stream gets the same table
+            _orbit_floats("R", 1, 1, 4, replace(CAPS, orbit=3))

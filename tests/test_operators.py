@@ -1,11 +1,12 @@
 """Transfer operators, Markov averaging operators, harmonic structure."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
+from sternbrocot.core import CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
 from sternbrocot.minkowski import rho
 from sternbrocot.operators import (
     averaging_apply,
@@ -175,8 +176,8 @@ class TestChainPower:
         with pytest.raises(DomainError):
             markov_power("MC0", lambda y: 1, ONE, -1)
         with pytest.raises(CapExceeded):
-            markov_power("MC1", lambda y: 1, ONE, 5, cap=4)
-        assert markov_power("MC0", lambda y: 1, ONE, 5, cap=5) == 1
+            markov_power("MC1", lambda y: 1, ONE, 5, replace(CAPS, power=4))
+        assert markov_power("MC0", lambda y: 1, ONE, 5, replace(CAPS, power=5)) == 1
 
 
 class TestSymmetry:

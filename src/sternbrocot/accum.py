@@ -3,16 +3,10 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
 CHUNK = 4096
-
-
-def fsum_iter(values: Iterable[float]) -> float:
-    """Exactly rounded sum of a float iterable."""
-    return math.fsum(values)
 
 
 def fsum_array(a: np.ndarray) -> float:
@@ -26,10 +20,3 @@ def fsum_array(a: np.ndarray) -> float:
         return 0.0
     partials = [float(np.sum(flat[i:i + CHUNK])) for i in range(0, flat.size, CHUNK)]
     return math.fsum(partials)
-
-
-def mean_array(a: np.ndarray) -> float:
-    flat = np.asarray(a, dtype=float).ravel()
-    if flat.size == 0:
-        raise ValueError("mean of empty array")
-    return fsum_array(flat) / flat.size

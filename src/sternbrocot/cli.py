@@ -154,7 +154,6 @@ def _emit(args, columns, rows, flags) -> int:
     return 0
 
 
-_BLOCK_ROWS = 4096  # for tables that arrive whole
 _ROWS_KEY = '\n  "rows": []'  # unique: a newline inside a JSON string is escaped
 
 
@@ -164,18 +163,21 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     Each block is written with one %-format, and the bytes are those _emit
     writes for the same rows: csv.writer's, or json.dump's with indent=2,
     whose document head and tail (meta, columns, extra keys) come from
-    json.dumps itself.
+    json.dumps itself.  extra, if given, is called after the last block
+    for the JSON keys that follow the rows.
     """
     width = len(columns)
     as_json = args.format == "json"
+
+    def json_parts(extra_keys=None):
+        text = json.dumps(_doc(args, columns, flags, [], extra_keys), indent=2)
+        return text.split(_ROWS_KEY)
+
     if as_json:
-        text = json.dumps(_doc(args, columns, flags, [], extra), indent=2)
-        head, rest = text.split(_ROWS_KEY)
-        head += '\n  "rows": ['
-        tail, empty_tail = "\n  ]" + rest + "\n", "]" + rest + "\n"
+        head = json_parts()[0] + '\n  "rows": ['
         row = ",\n    [" + ",".join(["\n      %d"] * width) + "\n    ]"
     else:
-        head, tail, empty_tail = ",".join(columns) + "\n", "", ""
+        head = ",".join(columns) + "\n"
         row = ",".join(["%d"] * width) + "\n"
     stream, close = _open_out(args)
     try:
@@ -190,7 +192,9 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
             # JSON rows after the first start with ","
             stream.write(text[1:] if as_json and not count else text)
             count += n
-        stream.write(tail if count else empty_tail)
+        if as_json:
+            rest = json_parts(extra and extra())[1]
+            stream.write(("\n  ]" if count else "]") + rest + "\n")
     finally:
         if close:
             stream.close()
@@ -286,8 +290,8 @@ def _cmd_simulate(args, caps) -> int:
         kind = args.chain.upper()
         start = _rat(args.start) if args.start is not None else ONE
     interval = _interval(args.interval) if args.interval else None
-    table = stochastic.walk_table(kind, start, args.walks, args.horizon, args.seed,
-                                  interval=interval, workers=args.workers, caps=caps)
+    blocks = stochastic.walk_blocks(kind, start, args.walks, args.horizon, args.seed,
+                                    interval=interval, caps=caps)
     flags = {
         "chain": args.chain,
         "start": str(start),
@@ -297,14 +301,16 @@ def _cmd_simulate(args, caps) -> int:
     }
     extra = None
     if interval is not None and args.format == "json":
-        hits = [r[0] for r in table]
-        curve = [str(c) for c in stochastic.hitting_curve(hits, args.horizon)]
-        extra = {"fraction": curve[-1], "curve": curve}
-    blocks = _indexed(0, (
-        tuple(zip(*table[i:i + _BLOCK_ROWS])) for i in range(0, len(table), _BLOCK_ROWS)
-    ))
+        hits: list = []  # the hit-time column, for the curve after the rows
+        blocks = (hits.extend(cols[0]) or cols for cols in blocks)
+
+        def extra():
+            curve = [str(c) for c in stochastic.hitting_curve(hits, args.horizon)]
+            return {"fraction": curve[-1], "curve": curve}
+
     return _emit_ints(
-        args, ("walk", "hit_time", "final_num", "final_den"), blocks, flags, extra
+        args, ("walk", "hit_time", "final_num", "final_den"), _indexed(0, blocks),
+        flags, extra,
     )
 
 
@@ -449,6 +455,19 @@ def _build_parser() -> _Parser:
 
 def run(argv=None) -> int:
     """Parse argv and dispatch; returns the process exit code."""
+    # The caps bound every exact value, so values print and parse whole,
+    # past Python's default limit of 4300 digits where it has one.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _dispatch(argv)
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
+
+
+def _dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -56,6 +56,11 @@ def matrix_from_word(word: str, caps: Caps = CAPS):
     return m
 
 
+def _blocks(exps) -> str:
+    """The word R^e0 L^e1 R^e2 ... for exponents e0, e1, e2, ..."""
+    return "".join(("R" if i % 2 == 0 else "L") * e for i, e in enumerate(exps))
+
+
 def word_from_cf(terms: list[int]) -> str:
     """Word of x = [a0; a1, ..., an]: blocks R^a0 L^a1 R^a2 ..., last block short one.
 
@@ -64,12 +69,7 @@ def word_from_cf(terms: list[int]) -> str:
     _check_canonical(terms)
     if terms == [0]:
         raise DomainError("zero is an ancestor, not a vertex")
-    exps = list(terms)
-    exps[-1] -= 1
-    out = []
-    for i, e in enumerate(exps):
-        out.append(("R" if i % 2 == 0 else "L") * e)
-    return "".join(out)
+    return _blocks([*terms[:-1], terms[-1] - 1])
 
 
 def word_from_rat(x: ExtRat) -> str:
@@ -163,11 +163,8 @@ def pi_code(x: ExtRat) -> InfiniteCode:
     if x.is_zero:
         return InfiniteCode("", "L")
     terms = cf_from_rat(x)
-    out = []
-    for i, e in enumerate(terms):
-        out.append(("R" if i % 2 == 0 else "L") * e)
     tail = "L" if (len(terms) - 1) % 2 == 0 else "R"
-    return InfiniteCode("".join(out), tail)
+    return InfiniteCode(_blocks(terms), tail)
 
 
 def cf_prefix_code(terms: list[int]) -> InfiniteCode:
@@ -179,10 +176,7 @@ def cf_prefix_code(terms: list[int]) -> InfiniteCode:
     """
     if not terms or terms[0] < 0 or any(a < 1 for a in terms[1:]):
         raise DomainError("bad expansion prefix")
-    out = []
-    for i, e in enumerate(terms):
-        out.append(("R" if i % 2 == 0 else "L") * e)
-    return InfiniteCode("".join(out), None)
+    return InfiniteCode(_blocks(terms), None)
 
 
 def code_compare(c1: InfiniteCode, c2: InfiniteCode) -> int | None:

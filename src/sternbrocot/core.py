@@ -38,7 +38,7 @@ class Caps:
     orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~32 B an iterate; not hard
     exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes; not hard
     word: int = 1 << 10  # letters of an {L, R} or 0/1 word; not hard
-    walks: int = 10 ** 6  # walks in one table, held whole (~80 B a walk); not hard
+    walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk); not hard
     horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step; not hard
     power: int = 24  # HARD: a Markov power holds all 2^n branch words
     stack: int = 20  # stage n of a stack interval; not hard

@@ -23,6 +23,7 @@ import numpy as np
 from .accum import fsum_array
 from .core import CAPS, INF, ONE, Caps, DomainError, ExtRat, check_cap, phi, phi_inv
 from .minkowski import Dyadic, qmark, qmark_inv
+from .operators import apply_letter
 
 MAPS = ("R", "S", "T", "G", "F", "D")
 INVERTIBLE = ("R", "S", "T")
@@ -140,7 +141,7 @@ def inverse_branches(m: str, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     """The two preimages (left, right) under G, F or D, tree-ordered."""
     p, q = x.num, x.den
     if m == "G":
-        return ExtRat._raw(p, p + q), ExtRat._raw(p + q, q)
+        return apply_letter(x, 0), apply_letter(x, 1)
     if m == "F":
         _need_unit(x, m)
         return ExtRat._raw(p, p + q), ExtRat._raw(q, 2 * q - p)

@@ -1,9 +1,10 @@
 """The question mark function, its extension to [0, inf], and tree estimators.
 
-On rationals both functions take exact dyadic values.  qmark maps [0,1]
-onto the dyadics by rewriting the continued fraction expansion as binary
-run lengths; rho does the same on the whole nonnegative ray via the
-{L,R} path code, and the two are linked by rho = qmark(x/(1+x)).
+On rationals both functions take exact dyadic values.  rho maps the
+whole nonnegative ray onto the dyadics in [0, 1] by reading the {L,R}
+path code (the continued fraction's run lengths) as binary digits.  The
+question mark is not computed a second time: since rho(x) = ?(x/(1+x)),
+? = rho o phi^-1 and ?^-1 = phi o rho^-1, with phi(x) = x/(1+x).
 
 The module also carries the estimators built on tree levels: the
 distribution counts whose limit is rho, Stieltjes means against the
@@ -25,7 +26,6 @@ from .accum import fsum_array
 from .core import (
     CAPS,
     INF,
-    ONE,
     ZERO,
     Caps,
     DomainError,
@@ -33,6 +33,8 @@ from .core import (
     canonicalize_cf,
     cf_from_rat,
     check_cap,
+    phi,
+    phi_inv,
     rat_from_cf,
 )
 from .trees import TreeSpec
@@ -79,7 +81,10 @@ class Dyadic:
         top, bottom = s.split("/", 1)
         if bottom.startswith("2^"):
             return cls(int(top), int(bottom[2:]))
-        return cls.from_fraction(Fraction(int(top), int(bottom)))
+        den = int(bottom)
+        if den == 0:
+            raise DomainError("zero denominator")
+        return cls.from_fraction(Fraction(int(top), den))
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
@@ -241,21 +246,15 @@ def rho(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
 
 
 def qmark(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
-    """Question mark function on [0, 1], by its own alternating series."""
+    """Question mark function on [0, 1], computed as rho(phi^-1(x)).
+
+    phi^-1(x) = x/(1-x) has a continued fraction summing to one less than
+    that of x, which is the exponent of ?(x): rho's caps.exp check counts
+    the bits of the result.
+    """
     if x.is_infinite or x > 1:
         raise DomainError("the question mark lives on [0, 1]")
-    if x.is_zero:
-        return DY_ZERO
-    if x == ONE:
-        return DY_ONE
-    cf = cf_from_rat(x)  # [0; a1, ..., an]
-    sums = list(accumulate(cf[1:]))
-    total = sums[-1]
-    check_cap(caps, "exp", total - 1, "dyadic bits")
-    num = sum(
-        (1 if k % 2 == 0 else -1) << (total + 1 - t) for k, t in enumerate(sums)
-    )
-    return Dyadic(num, total)
+    return rho(phi_inv(x), caps)
 
 
 def _cf_from_runs(runs: list[int]) -> ExtRat:
@@ -267,16 +266,6 @@ def _rho_runs(bits: tuple[int, ...]) -> list[int]:
     runs = [0] if bits and bits[0] == 0 else []
     runs.extend(sum(1 for _ in g) for _, g in groupby(bits))
     return runs
-
-
-def _qmark_runs(bits: tuple[int, ...]) -> list[int]:
-    # first run of zeros has an implicit extra zero in front
-    groups = [(d, sum(1 for _ in g)) for d, g in groupby(bits)]
-    if groups and groups[0][0] == 0:
-        lead, groups = groups[0][1], groups[1:]
-    else:
-        lead = 0
-    return [0, lead + 1] + [n for _, n in groups]
 
 
 def rho_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
@@ -295,18 +284,8 @@ def rho_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
 
 
 def qmark_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
-    """The rational with qmark(x) = d; both binary readings are cross-checked."""
-    check_cap(caps, "exp", d.exp, "dyadic exponent")
-    _check_unit(d)
-    if d.num == 0:
-        return ZERO
-    if d == DY_ONE:
-        return ONE
-    a = _cf_from_runs(_qmark_runs(binary_word(d, "zeros").bits))
-    b = _cf_from_runs(_qmark_runs(binary_word(d, "ones").bits))
-    if a != b:
-        raise RuntimeError(f"binary readings of {d} disagree: {a} vs {b}")
-    return a
+    """The rational with qmark(x) = d, computed as phi(rho^-1(d))."""
+    return phi(rho_inv(d, caps))
 
 
 def qmark_enclosure(prefix: Sequence[int], caps: Caps = CAPS) -> tuple[Dyadic, Dyadic]:

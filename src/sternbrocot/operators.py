@@ -2,9 +2,10 @@
 
 Transfer operators weight the two preimages by |derivative|^(-q); with
 integer q and rational points everything stays exact.  The Markov
-operators average over the branches x/(1+x) and x+1 of G with either
-fair weights (chain 0) or the weights 1/(1+x), x/(1+x) (chain 1), whose
-boundary values make 0 and infinity absorbing.
+operators average over the branches x/(1+x) and x+1 of G (apply_letter
+0 and 1, the one branch step the package uses) with either fair weights
+(chain 0) or the weights 1/(1+x), x/(1+x) (chain 1), whose boundary
+values make 0 and infinity absorbing.
 """
 
 from __future__ import annotations
@@ -99,10 +100,12 @@ def lewis_zagier_residual(f, q, x):
     return _sum_terms([f(pt), -f(pt + 1), -(w * f(pt / (1 + pt)))])
 
 
-def branches(x: ExtRat) -> tuple[ExtRat, ExtRat]:
-    """The two G-preimages (x/(1+x), x+1), defined on all of [0, inf]."""
-    p, q = x.num, x.den
-    return ExtRat._raw(p, p + q), ExtRat._raw(p + q, q)
+def apply_letter(x: ExtRat, letter: int) -> ExtRat:
+    """G-branch step on [0, inf]: letter 0 sends p/q to p/(p+q), 1 to (p+q)/q."""
+    # both images are already in lowest terms: gcd(p, p+q) = gcd(p, q)
+    if letter == 0:
+        return ExtRat._raw(x.num, x.num + x.den)
+    return ExtRat._raw(x.num + x.den, x.den)
 
 
 def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:
@@ -135,12 +138,11 @@ def markov_apply(kind: str, f, x: ExtRat):
     needs no special casing in f.
     """
     p0, p1 = transition_probs(kind, x)
-    b0, b1 = branches(x)
     terms = []
     if p0:
-        terms.append(_scale(p0, f(b0)))
+        terms.append(_scale(p0, f(apply_letter(x, 0))))
     if p1:
-        terms.append(_scale(p1, f(b1)))
+        terms.append(_scale(p1, f(apply_letter(x, 1))))
     return _sum_terms(terms)
 
 
@@ -170,11 +172,10 @@ def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
         nxt = []
         for y, w in weighted:
             p0, p1 = transition_probs(kind, y)
-            b0, b1 = branches(y)
             if p0:
-                nxt.append((b0, w * p0))
+                nxt.append((apply_letter(y, 0), w * p0))
             if p1:
-                nxt.append((b1, w * p1))
+                nxt.append((apply_letter(y, 1), w * p1))
         weighted = nxt
     return _sum_terms([_scale(w, f(y)) for y, w in weighted])
 

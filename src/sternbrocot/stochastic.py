@@ -8,7 +8,7 @@ counter-based per-walk keys, so a walk depends only on (seed, walk
 index, step) and any split of the walks reproduces the serial output
 bit for bit.
 
-``walk_table`` runs its walks as lanes of one batched numpy kernel, 4096
+``walk_blocks`` runs its walks as lanes of one batched numpy kernel, 4096
 walks at a time: it is vectorized over walks and loops over steps, with
 the SplitMix64 draws in uint64 and the states in int64.  A lane whose p + q reaches 2^62
 (sooner when an interval endpoint is large) leaves the kernel and is
@@ -29,7 +29,7 @@ import numpy as np
 from . import rng
 from .core import CAPS, CapExceeded, Caps, DomainError, ExtRat, ONE, check_cap
 from .minkowski import stieltjes_mean
-from .operators import _value, markov_apply, markov_power, transition_probs
+from .operators import _value, apply_letter, markov_apply, markov_power, transition_probs
 
 __all__ = [
     "ChainSpec",
@@ -39,20 +39,13 @@ __all__ = [
     "apply_letter",
     "simulate",
     "cylinder_prob",
+    "walk_blocks",
     "walk_table",
     "hitting_curve",
     "hitting_experiment",
     "martingale_check",
     "mc0_limit_experiment",
 ]
-
-
-def apply_letter(x: ExtRat, letter: int) -> ExtRat:
-    """Branch step: letter 0 sends p/q to p/(p+q), letter 1 to (p+q)/q."""
-    # both images are already in lowest terms: gcd(p, p+q) = gcd(p, q)
-    if letter == 0:
-        return ExtRat._raw(x.num, x.num + x.den)
-    return ExtRat._raw(x.num + x.den, x.den)
 
 
 def _draw_letter(kind: str, key: int, step: int, x: ExtRat) -> int:
@@ -183,25 +176,6 @@ _INT64_MAX = (1 << 63) - 1
 _BATCH = 1 << 12
 
 
-def _walk_kernel(
-    kind: str,
-    start: ExtRat,
-    walks: int,
-    horizon: int,
-    seed: int,
-    interval: Optional[Tuple[ExtRat, ExtRat]] = None,
-) -> Iterator[Tuple[List[int], List[int], List[int]]]:
-    """Walks 0..walks-1 in batches of consecutive walks, in walk order.
-
-    Yields the columns (hit_times, nums, dens) of each batch.
-    """
-    for first in range(0, walks, _BATCH):
-        yield _walk_batch(
-            kind, start, first, min(first + _BATCH, walks), horizon, seed,
-            interval,
-        )
-
-
 def _walk_batch(
     kind: str,
     start: ExtRat,
@@ -303,6 +277,39 @@ def _walk_batch(
     return hit_times, num_col, den_col
 
 
+def walk_blocks(
+    kind: str,
+    start: ExtRat,
+    walks: int,
+    horizon: int,
+    seed: int,
+    interval: Optional[Tuple[ExtRat, ExtRat]] = None,
+    caps: Caps = CAPS,
+) -> Iterator[Tuple[List[int], List[int], List[int]]]:
+    """Simulate independent walks as column blocks (hit_times, nums, dens).
+
+    Blocks hold up to 4096 consecutive walks, in walk order.  hit_time is
+    the first index whose state lies strictly inside ``interval`` (0
+    counts the start), or -1 when the walk never enters within the
+    horizon; walks stop once they hit.  Every walk depends only on (seed,
+    walk index).  The arguments are checked here, before the first block
+    is asked for.
+    """
+    if kind not in ("MC0", "MC1"):
+        raise ValueError(f"unknown chain kind: {kind!r}")
+    _check_sizes(walks, horizon, caps)
+    if interval is not None:
+        a, b = interval
+        if not (isinstance(a, ExtRat) and isinstance(b, ExtRat)):
+            raise TypeError("interval endpoints must be ExtRat")
+        if not a < b:
+            raise DomainError(f"empty interval ({a}, {b})")
+    return (
+        _walk_batch(kind, start, first, min(first + _BATCH, walks), horizon, seed, interval)
+        for first in range(0, walks, _BATCH)
+    )
+
+
 def walk_table(
     kind: str,
     start: ExtRat,
@@ -313,28 +320,16 @@ def walk_table(
     workers: int = 1,
     caps: Caps = CAPS,
 ) -> Tuple[Tuple[int, int, int], ...]:
-    """Simulate independent walks, one row (hit_time, num, den) per walk.
+    """The walks of walk_blocks as one row (hit_time, num, den) per walk.
 
-    hit_time is the first index whose state lies strictly inside
-    ``interval`` (0 counts the start), or -1 when the walk never enters
-    within the horizon; walks stop once they hit.  Rows depend only on
-    (seed, walk index).  ``workers`` (at least 1) is accepted for
-    compatibility and starts no threads: the walks run as lanes of one
-    batched kernel, so it never changes the rows.
+    ``workers`` (at least 1) is accepted for compatibility and starts no
+    threads: the walks run as lanes of one batched kernel, so it never
+    changes the rows.
     """
-    if kind not in ("MC0", "MC1"):
-        raise ValueError(f"unknown chain kind: {kind!r}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    _check_sizes(walks, horizon, caps)
-    if interval is not None:
-        a, b = interval
-        if not (isinstance(a, ExtRat) and isinstance(b, ExtRat)):
-            raise TypeError("interval endpoints must be ExtRat")
-        if not a < b:
-            raise DomainError(f"empty interval ({a}, {b})")
     rows: list = []
-    for columns in _walk_kernel(kind, start, walks, horizon, seed, interval):
+    for columns in walk_blocks(kind, start, walks, horizon, seed, interval, caps):
         rows.extend(zip(*columns))
     return tuple(rows)
 

@@ -192,39 +192,20 @@ def level_floats(spec: TreeSpec, k: int, caps: Caps = CAPS) -> np.ndarray:
     return hit
 
 
-_HYPER = {0: 1, 1: 1, 2: 2}
-
-
 def hyperbinary(n: int) -> int:
     """Number of ways to write n as a sum of powers of 2, each used at most twice.
 
-    b(0) = 1, b(2n+1) = b(n), b(2n+2) = b(n) + b(n+1); consecutive values
-    give the permuted Stern-Brocot sequence b(i-2)/b(i-1).
+    b(n) = s(n+1) for Stern's diatomic sequence s(0) = 0, s(1) = 1,
+    s(2m) = s(m), s(2m+1) = s(m) + s(m+1); consecutive values give the
+    Calkin-Wilf order b(i-2)/b(i-1).  Reading the binary digits of n+1
+    after the leading 1 carries (s(m), s(m+1)) from m = 1 to m = n+1.
     """
     if n < 0:
         raise DomainError("hyperbinary wants n >= 0")
-    known = _HYPER
-    if n in known:
-        return known[n]
-    todo = [n]
-    while todo:
-        m = todo[-1]
-        if m in known:
-            todo.pop()
-            continue
-        if m % 2:
-            k = (m - 1) // 2
-            if k in known:
-                known[m] = known[k]
-                todo.pop()
-            else:
-                todo.append(k)
+    a, b = 1, 1
+    for digit in bin(n + 1)[3:]:
+        if digit == "1":
+            a += b
         else:
-            k = (m - 2) // 2
-            missing = [j for j in (k, k + 1) if j not in known]
-            if missing:
-                todo.extend(missing)
-            else:
-                known[m] = known[k] + known[k + 1]
-                todo.pop()
-    return known[n]
+            b += a
+    return a

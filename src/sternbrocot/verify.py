@@ -33,7 +33,7 @@ from .core import (
     rat_from_cf,
 )
 
-__all__ = ["CheckResult", "CheckFailure", "names", "select", "run_suite", "report_lines"]
+__all__ = ["CheckResult", "CheckFailure", "names", "select", "run_suite"]
 
 
 class CheckFailure(AssertionError):
@@ -100,17 +100,6 @@ def run_suite(suite: str = "all", seed: int = 7, workers: int = 1):
         except Exception as exc:  # a crashed check is a failed check
             results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
     return tuple(results)
-
-
-def report_lines(results, seed: int) -> list:
-    lines = []
-    for r in results:
-        lines.append(f"{'ok  ' if r.ok else 'FAIL'} {r.name}: {r.detail}")
-    bad = sum(1 for r in results if not r.ok)
-    lines.append(
-        f"{len(results)} checks: {len(results) - bad} ok, {bad} failed (seed {seed})"
-    )
-    return lines
 
 
 # ---------------------------------------------------------------- helpers
@@ -721,7 +710,7 @@ def _c_power_mc(r, seed, workers):
         )
         acc = 0.0
         acc2 = 0.0
-        for _, nums, dens in stochastic._walk_kernel(kind, ONE, walks, n, seed):
+        for _, nums, dens in stochastic.walk_blocks(kind, ONE, walks, n, seed):
             for p, q in zip(nums, dens):
                 v = q / (p + q)
                 acc += v
@@ -831,20 +820,17 @@ def _c_no_atoms(r, seed, workers):
     const_all = 0
     for w in range(walks):
         key = rng.walk_key(seed, w)
-        p, q = 1, 1
+        x = ONE
         first = None
         change_at = None
         for k in range(horizon):
-            bit = 0 if rng.draw_below(key, k, q, p + q) else 1
+            bit = stochastic._draw_letter("MC1", key, k, x)
             if first is None:
                 first = bit
             elif bit != first:
                 change_at = k
                 break
-            if bit:
-                p = p + q
-            else:
-                q = p + q
+            x = operators.apply_letter(x, bit)
         if change_at is None:
             const_all += 1
             const_first += 1

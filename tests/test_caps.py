@@ -71,3 +71,16 @@ def test_no_module_assigns_another_modules_attribute(mod):
               and node.func.id in ("setattr", "delattr") and node.args
               and isinstance(node.args[0], ast.Name)):
             assert node.args[0].id not in aliases, ast.unparse(node)
+
+
+# Module-level dicts allowed: lookup tables filled at import, and the two
+# estimator caches the benchmark clears by name.  A memo table elsewhere
+# grows without bound.
+DICTS = {"_STEPS", "_REGISTRY", "_STATE_CACHE", "_FLOAT_CACHE"}
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_no_module_level_dicts_but_the_allowed_ones(mod):
+    for name, value in vars(mod).items():
+        if isinstance(value, dict) and not name.startswith("__"):
+            assert name in DICTS, f"{mod.__name__}.{name}"

@@ -1,19 +1,30 @@
 """Command line surface: schemas, exit codes, redirection, determinism."""
 
 import json
+import sys
 from dataclasses import fields
 
 import pytest
 
 from sternbrocot import cli, verify
 from sternbrocot.cli import run
-from sternbrocot.minkowski import rho
+from sternbrocot.minkowski import qmark, rho
 from sternbrocot.core import CAPS, UNSAFE_CAPS, Caps, ExtRat
 
 
 def lines(capsys):
     out = capsys.readouterr().out
     return out.splitlines()
+
+
+def decimal(n: int) -> str:
+    """str(n), past Python's limit on the digits of an int string."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class TestTree:
@@ -97,6 +108,36 @@ class TestQmark:
     def test_irrational_denominator_rejected_for_inverse(self, capsys):
         assert run(["qmark", "1/3", "--inverse"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extended", [[], ["--extended"]])
+    def test_zero_denominator_rejected_for_inverse(self, extended, capsys):
+        assert run(["qmark", "1/0", "--inverse", *extended]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sternbrocot: error: malformed dyadic '1/0'")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="this Python has no int-string digit limit")
+    def test_values_past_the_int_string_limit_print_whole(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)  # Python's default, whatever the environment sets
+        try:
+            # 15000/30001 = [0; 2, 1, 14999]: ? of it is m/2^15001, m of ~4500 digits
+            assert run(["qmark", "15000/30001"]) == 0
+            assert sys.get_int_max_str_digits() == 4300
+            d = qmark(ExtRat(15000, 30001))
+            assert d.exp == 15001
+            assert lines(capsys)[1].split(",")[1] == f"{decimal(d.num)}/2^15001"
+            # all partial quotients 1: ?^-1 gives Fibonacci numbers of ~5000 digits
+            p, q = 1, 1
+            for _ in range(24000):
+                p, q = q, p + q
+            d = qmark(ExtRat(p, q))
+            assert run(["qmark", f"{decimal(d.num)}/2^{d.exp}", "--inverse"]) == 0
+            assert lines(capsys)[1].split(",")[1] == f"{decimal(p)}/{decimal(q)}"
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestFourier:

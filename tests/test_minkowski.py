@@ -3,12 +3,15 @@
 import cmath
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sternbrocot.core import DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, phi
+from sternbrocot.core import (
+    CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, phi,
+)
 from sternbrocot.minkowski import (
     Dyadic,
     binary_word,
@@ -25,7 +28,8 @@ from sternbrocot.trees import TreeSpec, level
 
 
 def series_qmark(x: ExtRat) -> Fraction:
-    # alternating binary series over the partial quotients, in Fractions
+    # The independent oracle for ?, which the package computes as rho o phi^-1:
+    # the alternating binary series over the partial quotients, in Fractions.
     terms = cf_from_rat(x)
     assert terms[0] == 0 or x == ONE
     if x == ONE:
@@ -60,6 +64,8 @@ class TestDyadic:
     def test_rejects_non_dyadic_fractions(self):
         with pytest.raises(DomainError):
             Dyadic.from_string("1/3")
+        with pytest.raises(DomainError):
+            Dyadic.from_string("1/0")
 
     def test_arithmetic_matches_fractions(self):
         r = random.Random(3)
@@ -96,6 +102,17 @@ class TestQmarkValues:
     def test_domain_is_the_unit_interval(self):
         with pytest.raises(DomainError):
             qmark(ExtRat(3, 2))
+        with pytest.raises(DomainError):
+            qmark(INF)
+
+    def test_cap_counts_the_dyadic_bits(self):
+        # ?([0; a1, ..., an]) has a1 + ... + an - 1 bits
+        caps = replace(CAPS, exp=20)
+        assert qmark(ExtRat(1, 21), caps) == Dyadic(1, 20)
+        assert qmark(ExtRat(20, 21), caps).exp == 20  # [0; 1, 20]
+        for x in (ExtRat(1, 22), ExtRat(20, 41)):  # [0; 22] and [0; 2, 20]
+            with pytest.raises(CapExceeded, match=r"dyadic bits 21 above the cap 20 \(caps\.exp"):
+                qmark(x, caps)
 
 
 class TestRhoValues:
@@ -178,6 +195,7 @@ class TestInversion:
 
     def test_boundary(self):
         assert qmark_inv(Dyadic(0)) == ZERO
+        assert qmark_inv(Dyadic(1, 1)) == ExtRat(1, 2)
         assert qmark_inv(Dyadic(1)) == ONE
         assert rho_inv(Dyadic(1)) == INF
 

@@ -9,8 +9,8 @@ from hypothesis import given, strategies as st
 from sternbrocot.core import CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
 from sternbrocot.minkowski import rho
 from sternbrocot.operators import (
+    apply_letter,
     averaging_apply,
-    branches,
     commutator_residual,
     h1,
     harmonic_series_partial,
@@ -99,14 +99,14 @@ class TestThreeTerm:
 
 class TestChainStep:
     def test_branch_pair(self):
-        b0, b1 = branches(ExtRat(2, 5))
-        assert (str(b0), str(b1)) == ("2/7", "7/5")
+        x = ExtRat(2, 5)
+        assert (str(apply_letter(x, 0)), str(apply_letter(x, 1))) == ("2/7", "7/5")
 
     def test_absorbing_endpoints(self):
         assert transition_probs("MC1", ZERO) == (1, 0)
         assert transition_probs("MC1", INF) == (0, 1)
-        assert branches(ZERO)[0] == ZERO
-        assert branches(INF)[1] == INF
+        assert apply_letter(ZERO, 0) == ZERO
+        assert apply_letter(INF, 1) == INF
 
     @given(positives)
     def test_probs_sum_to_one(self, a):

@@ -1,6 +1,7 @@
 """Level generation for the six trees, plus the hyperbinary counter."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -180,6 +181,19 @@ class TestHyperbinary:
     def test_matches_brute_force(self):
         for n in range(40):
             assert hyperbinary(n) == self.brute(n)
+
+    def test_large_n_match_the_recurrence(self):
+        memo = {0: 1, 1: 1}
+
+        def b(n):  # b(2m+1) = b(m), b(2m+2) = b(m) + b(m+1)
+            if n not in memo:
+                m = (n - 1) // 2
+                memo[n] = b(m) if n % 2 else b(m) + b(m + 1)
+            return memo[n]
+
+        r = random.Random(23)
+        for n in [2 ** 100 + 12345, 2 ** 64 - 1] + [r.getrandbits(64) for _ in range(500)]:
+            assert hyperbinary(n) == b(n), n
 
     def test_consecutive_values_are_coprime(self):
         import math

@@ -69,15 +69,3 @@ class TestRunning:
         (res,) = verify.run_suite("core.phi-mediant", seed=7)
         assert not res.ok
         assert res.detail == "ZeroDivisionError: boom"
-
-
-class TestReport:
-    def test_line_format_and_footer(self):
-        results = (
-            verify.CheckResult("core.a", True, "fine"),
-            verify.CheckResult("trees.b", False, "off by one"),
-        )
-        lines = verify.report_lines(results, seed=9)
-        assert lines[0] == "ok   core.a: fine"
-        assert lines[1] == "FAIL trees.b: off by one"
-        assert lines[2] == "2 checks: 1 ok, 1 failed (seed 9)"

@@ -301,11 +301,11 @@ def _cmd_simulate(args, caps) -> int:
     }
     extra = None
     if interval is not None and args.format == "json":
-        hits: list = []  # the hit-time column, for the curve after the rows
-        blocks = (hits.extend(cols[0]) or cols for cols in blocks)
+        counts = [0] * (args.horizon + 1)  # walks first inside at each time
+        blocks = (stochastic.count_hits(counts, cols[0]) or cols for cols in blocks)
 
         def extra():
-            curve = [str(c) for c in stochastic.hitting_curve(hits, args.horizon)]
+            curve = [str(c) for c in stochastic.curve_from_counts(counts, args.walks)]
             return {"fraction": curve[-1], "curve": curve}
 
     return _emit_ints(

@@ -15,6 +15,18 @@ the SplitMix64 draws in uint64 and the states in int64.  A lane whose p + q reac
 finished on Python integers from the same (key, step, state).  An MC1
 letter is decided by a float pre-screen; draws within 4 units of the
 53-bit threshold take the exact integer comparison.
+
+``martingale_check`` and the letter-counting ``verify`` checks need only
+the letters, which ``_letter_steps`` yields one step column at a time.
+MC1 lanes there carry no (p, q) at all but a float64 u = q/(p+q), the
+only thing the letter depends on: letter 0 iff the 53-bit draw d is
+below u*2^53, with u -> 1/(2-u) after letter 0 and u -> u/(1+u) after
+letter 1.  Both maps contract u, so after t steps u is within
+(3t+1)*2^-54 of its exact value however long p and q grow, and every
+draw more than 2*horizon units from u*2^53 has a proven letter.  A lane
+inside that margin replays its walk on Python ints from step 0 (the
+draws are counter-based, so nothing is stored) and takes the exact
+integer test.
 """
 
 from __future__ import annotations
@@ -41,6 +53,8 @@ __all__ = [
     "cylinder_prob",
     "walk_blocks",
     "walk_table",
+    "count_hits",
+    "curve_from_counts",
     "hitting_curve",
     "hitting_experiment",
     "martingale_check",
@@ -277,6 +291,83 @@ def _walk_batch(
     return hit_times, num_col, den_col
 
 
+def _letter_steps(
+    kind: str,
+    start: ExtRat,
+    first: int,
+    stop: int,
+    horizon: int,
+    seed: int,
+    margin: Optional[float] = None,
+) -> Iterator[np.ndarray]:
+    """Letters of walks first..stop-1: one bool column per step 0..horizon-1.
+
+    Lane i of column t is the letter walk first+i draws at step t, as
+    _draw_letter and apply_letter give it from ``start``.  MC0 takes the
+    top bit of the draw.  MC1 lanes carry u ~ U = q/(p+q) in float64 and
+    the generator returns the number of lane-steps replayed exactly.
+
+    Exactness of MC1 (U_t, u_t the exact and float values after t steps):
+
+    * The rule.  Letter 0 iff d*(p+q) < q*2^53 for the 53-bit draw d,
+      i.e. iff d < U*2^53; a tie gives letter 1.  Letter 0 sends (p, q)
+      to (p, p+q), so U -> (p+q)/(2p+q) = 1/(2-U); letter 1 sends it to
+      (p+q, q), so U -> q/(p+2q) = U/(1+U).  Both maps send [0, 1] into
+      itself, and fl is monotone with 0, 1/2 and 1 representable, so
+      u stays in [0, 1] too.
+    * Start.  u_0 = den/(num+den) is Python's correctly rounded int
+      division, a value in [0, 1], so |u_0 - U_0| <= 2^-54.
+    * One step.  Letter 0 computes fl(1/a) with a = fl(2-u).  Since
+      2-u and a lie in [1, 2], |a - (2-u)| <= 2^-53 and
+      |1/a - 1/(2-u)| <= |a - (2-u)| <= 2^-53; the derivative of
+      1/(2-u) is 1/(2-u)^2 <= 1 on [0, 1], so |1/(2-u) - 1/(2-U)|
+      <= |u - U|; the quotient lies in [1/2, 1] and rounds by at most
+      2^-54.  Letter 1 computes fl(u/a) with a = fl(1+u) in [1, 2]:
+      |u/a - u/(1+u)| <= u*|a - (1+u)| <= 2^-53, the derivative
+      1/(1+u)^2 is at most 1, and the quotient lies in [0, 1], where
+      rounding moves it by at most half an ulp, 2^-54.  Either way the
+      error grows by at most 3*2^-54 a step, so |u_t - U_t| <=
+      (3t+1)*2^-54.
+    * The test.  d < 2^53 is exact in float64 and u*2^53 is exact (a
+      power-of-two scaling of a value in [0, 1]).  With v = u_t*2^53 and
+      V = U_t*2^53, |v - V| <= (3t+1)/2 < 1.5*horizon for t < horizon.
+      The margin M = 2*horizon is an integer, exact in float64, and fl
+      is monotone, so g = fl(d - v) > M implies d - v > M, hence
+      d - V > M - 1.5*horizon > 0: letter 1.  Likewise g < -M implies
+      d < V: letter 0.  A lane with |g| <= M replays walk first+i on
+      Python ints through steps 0..t-1 and takes _draw_letter at step t.
+    * Absorbing states.  From 1/0, U = 0 = u for ever: g = d >= 0 and
+      the letter is always 1 (d = 0 is a tie).  From 0/1, U = 1 = u
+      (fl(1/fl(2-1)) = 1): g = d - 2^53 < 0 and the letter is always 0.
+      Both keep error 0; a lane there with |g| <= M is replayed all
+      the same.
+
+    ``margin`` overrides M; anything at least 1.5*horizon keeps the
+    letters exact, and a larger one only forces more replays.
+    """
+    keys = rng.walk_keys(seed, first, stop)
+    if kind == "MC0":
+        for t in range(horizon):
+            yield rng.draw_array(keys, t) >= np.uint64(1 << 63)
+        return 0
+    m = 2.0 * horizon if margin is None else margin
+    u = np.full(stop - first, start.den / (start.num + start.den))
+    replays = 0
+    for t in range(horizon):
+        d53 = (rng.draw_array(keys, t) >> np.uint64(11)).astype(np.float64)
+        g = d53 - u * 2.0 ** 53
+        letter = g > 0
+        for i in np.flatnonzero(np.abs(g) <= m).tolist():
+            key, x = int(keys[i]), start
+            for k in range(t):
+                x = apply_letter(x, _draw_letter(kind, key, k, x))
+            letter[i] = _draw_letter(kind, key, t, x)
+            replays += 1
+        yield letter
+        u = np.where(letter, u, 1.0) / np.where(letter, 1.0 + u, 2.0 - u)
+    return replays
+
+
 def walk_blocks(
     kind: str,
     start: ExtRat,
@@ -310,6 +401,11 @@ def walk_blocks(
     )
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+
+
 def walk_table(
     kind: str,
     start: ExtRat,
@@ -326,8 +422,7 @@ def walk_table(
     threads: the walks run as lanes of one batched kernel, so it never
     changes the rows.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    _check_workers(workers)
     rows: list = []
     for columns in walk_blocks(kind, start, walks, horizon, seed, interval, caps):
         rows.extend(zip(*columns))
@@ -349,18 +444,28 @@ class HittingResult:
     finals: Tuple[Tuple[int, int], ...]
 
 
-def hitting_curve(hit_times: Sequence[int], horizon: int) -> Tuple[Fraction, ...]:
-    """curve[t]: exact fraction of walks with 0 <= hit_time <= t, t = 0..horizon."""
-    counts = [0] * (horizon + 1)
+def count_hits(counts: List[int], hit_times: Sequence[int]) -> None:
+    """Add one to counts[t] for every hit time t >= 0 (-1 means no hit)."""
     for t in hit_times:
         if t >= 0:
             counts[t] += 1
+
+
+def curve_from_counts(counts: Sequence[int], walks: int) -> Tuple[Fraction, ...]:
+    """curve[t]: exact fraction of the walks with a hit at one of times 0..t."""
     curve = []
     cum = 0
     for c in counts:
         cum += c
-        curve.append(Fraction(cum, len(hit_times)))
+        curve.append(Fraction(cum, walks))
     return tuple(curve)
+
+
+def hitting_curve(hit_times: Sequence[int], horizon: int) -> Tuple[Fraction, ...]:
+    """curve[t]: exact fraction of walks with 0 <= hit_time <= t, t = 0..horizon."""
+    counts = [0] * (horizon + 1)
+    count_hits(counts, hit_times)
+    return curve_from_counts(counts, len(hit_times))
 
 
 def hitting_experiment(
@@ -377,17 +482,23 @@ def hitting_experiment(
 
     Comparisons are exact rational comparisons; the cumulative curve is
     nondecreasing by construction and its monotone growth toward 1 is
-    the observable content of almost-sure hitting.
+    the observable content of almost-sure hitting.  ``workers`` is
+    accepted as in walk_table.
     """
-    rows = walk_table(kind, start, walks, horizon, seed, interval=interval,
-                      workers=workers, caps=caps)
-    hit_times = tuple(r[0] for r in rows)
-    curve = hitting_curve(hit_times, horizon)
+    _check_workers(workers)
+    counts = [0] * (horizon + 1)
+    hit_times: list = []
+    finals: list = []
+    for hits, nums, dens in walk_blocks(kind, start, walks, horizon, seed, interval, caps):
+        count_hits(counts, hits)
+        hit_times.extend(hits)
+        finals.extend(zip(nums, dens))
+    curve = curve_from_counts(counts, walks)
     return HittingResult(
         fraction=curve[-1],
         curve=curve,
-        hit_times=hit_times,
-        finals=tuple((r[1], r[2]) for r in rows),
+        hit_times=tuple(hit_times),
+        finals=tuple(finals),
     )
 
 
@@ -412,19 +523,21 @@ class MartingaleReport:
     mean_alternations: float
 
 
-def _max_run(mask: int, n: int) -> int:
-    """Longest run of equal bits in the n-bit LSB-first word."""
-    if n <= 0:
-        return 0
-    d = (mask ^ (mask >> 1)) & ((1 << (n - 1)) - 1) if n > 1 else 0
-    prev = -1
-    best = 0
-    while d:
-        low = (d & -d).bit_length() - 1
-        best = max(best, low - prev)
-        prev = low
-        d &= d - 1
-    return max(best, n - 1 - prev)
+def _extend_prefixes(node, bit, states: list, child: dict):
+    """Node ids one letter deeper: states[i] is the state of prefix node i.
+
+    child maps 2*parent + letter to the node id of that prefix, so a
+    prefix shared by many walks, in any batch, is one node.
+    """
+    uniq, inv = np.unique(node * 2 + bit, return_inverse=True)
+    ids = []
+    for k in uniq.tolist():
+        i = child.get(k)
+        if i is None:
+            i = child[k] = len(states)
+            states.append(apply_letter(states[k >> 1], k & 1))
+        ids.append(i)
+    return np.array(ids, dtype=np.int64)[inv]
 
 
 def martingale_check(
@@ -453,49 +566,74 @@ def martingale_check(
     also yield alternation counts and, when the horizon admits it, the
     fraction of walks showing both letters in every length-``window``
     window.
+
+    The letters come from _letter_steps, 4096 walks at a time, and are
+    folded into running per-walk statistics (alternations, current and
+    longest run, prefix-cell code, prefix node), so memory is O(batch +
+    cells + distinct early prefixes), never O(walks * horizon).
     """
     if kind not in ("MC0", "MC1"):
         raise ValueError(f"unknown chain kind: {kind!r}")
     _check_sizes(walks, horizon, caps)
+    if min_cell < 1:
+        raise ValueError(f"min_cell must be at least 1, got {min_cell}")
     a = Fraction(affine[0]) if isinstance(affine[0], (int, Fraction)) else affine[0]
     b = Fraction(affine[1]) if isinstance(affine[1], (int, Fraction)) else affine[1]
 
-    seen = set()
-    masks = []
-    for w in range(walks):
-        key = rng.walk_key(seed, w)
-        x = start
-        mask = 0
-        for k in range(horizon):
-            if k <= residual_depth:
-                seen.add(x)
-            bit = _draw_letter(kind, key, k, x)
-            mask |= bit << k
-            x = apply_letter(x, bit)
-        if horizon <= residual_depth:
-            seen.add(x)
-        masks.append(mask)
+    # prefix cells: the step-n state is a function of the first n letters
+    n_max = 0
+    while (1 << (n_max + 1)) * min_cell <= walks and n_max + 1 < horizon:
+        n_max += 1
+    # cell_counts[n][prefix + 2^n * letter]: walks with that n-letter
+    # prefix (LSB first) and that letter at step n
+    cell_counts = [np.zeros(2 << n, dtype=np.int64) for n in range(n_max + 1)]
+    depth = min(residual_depth, horizon)  # states at steps 0..depth are checked
+    states = [start]
+    child: dict = {}
+    windowed = window is not None and horizon >= window
+    alt_total = 0
+    alt_min = horizon
+    ok_windows = 0
+    for first in range(0, walks, _BATCH):
+        stop = min(first + _BATCH, walks)
+        node = np.zeros(stop - first, dtype=np.int64)
+        code = np.zeros(stop - first, dtype=np.int64)
+        alts = np.zeros(stop - first, dtype=np.int64)
+        run = np.ones(stop - first, dtype=np.int64)
+        longest = np.ones(stop - first, dtype=np.int64)
+        for t, letter in enumerate(_letter_steps(kind, start, first, stop, horizon, seed)):
+            if t < depth or t <= n_max:
+                bit = letter.astype(np.int64)
+                if t < depth:
+                    node = _extend_prefixes(node, bit, states, child)
+                if t <= n_max:
+                    cell_counts[t] += np.bincount(code + (bit << t), minlength=2 << t)
+                    code = code | (bit << t)
+            if t:
+                same = letter == prev
+                alts += ~same
+                if windowed:
+                    run = np.where(same, run + 1, 1)
+                    longest = np.maximum(longest, run)
+            prev = letter
+        alt_total += int(alts.sum())
+        alt_min = min(alt_min, int(alts.min()))
+        if windowed:
+            ok_windows += int(np.count_nonzero(longest <= window - 1))
 
+    seen = set(states) if depth >= 0 else set()
     max_residual: object = Fraction(0)
     for y in seen:
         r = markov_apply(kind, h, y) - (a * _value(h(y)) + b)
         if abs(r) > abs(max_residual):
             max_residual = abs(r)
 
-    # prefix cells: the step-n state is a function of the first n letters
-    n_max = 0
-    while (1 << (n_max + 1)) * min_cell <= walks and n_max + 1 < horizon:
-        n_max += 1
     max_dev = 0.0
     dev_se = 0.0
     cells = 0
-    for n in range(n_max + 1):
-        counts: dict = {}
-        pmask = (1 << n) - 1
-        for mask in masks:
-            slot = counts.setdefault(mask & pmask, [0, 0])
-            slot[(mask >> n) & 1] += 1
-        for prefix, (c0, c1) in sorted(counts.items()):
+    for n, counts in enumerate(cell_counts):
+        pairs = zip(counts[: 1 << n].tolist(), counts[1 << n:].tolist())
+        for prefix, (c0, c1) in enumerate(pairs):
             c = c0 + c1
             if c < min_cell:
                 continue
@@ -514,28 +652,15 @@ def martingale_check(
                 max_dev = dev
                 dev_se = se
 
-    alts = []
-    ok_windows = 0
-    for mask in masks:
-        diff = (mask ^ (mask >> 1)) & ((1 << (horizon - 1)) - 1) if horizon > 1 else 0
-        alts.append(bin(diff).count("1"))
-        if window is not None and horizon >= window:
-            if _max_run(mask, horizon) <= window - 1:
-                ok_windows += 1
-    window_fraction = (
-        Fraction(ok_windows, walks)
-        if window is not None and horizon >= window
-        else None
-    )
     return MartingaleReport(
         max_residual=max_residual,
         residual_states=len(seen),
         max_deviation=max_dev,
         deviation_se=dev_se,
         cells=cells,
-        window_fraction=window_fraction,
-        min_alternations=min(alts),
-        mean_alternations=sum(alts) / walks,
+        window_fraction=Fraction(ok_windows, walks) if windowed else None,
+        min_alternations=alt_min,
+        mean_alternations=alt_total / walks,
     )
 
 

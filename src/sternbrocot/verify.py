@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import Callable, Dict, Tuple
 
-from . import coding, maps, minkowski, operators, rng, stochastic, trees
+from . import coding, maps, minkowski, operators, stochastic, trees
 from .core import (
     CAPS,
     ExtRat,
@@ -745,10 +745,8 @@ def _c_symme(r, seed, workers):
 @_check("stochastic.letter-frequencies")
 def _c_letter_freq(r, seed, workers):
     walks, horizon = 2000, 32
-    ones = 0
-    spec = stochastic.ChainSpec("MC0", ONE, horizon=horizon, seed=seed)
-    for w in range(walks):
-        ones += sum(stochastic.simulate(spec, walk=w).letters)
+    ones = sum(int(letters.sum()) for letters in
+               stochastic._letter_steps("MC0", ONE, 0, walks, horizon, seed))
     total = walks * horizon
     dev = abs(ones / total - 0.5)
     bound = 3 * 0.5 / sqrt(total)
@@ -756,12 +754,8 @@ def _c_letter_freq(r, seed, workers):
         raise CheckFailure(f"MC0 letter frequency off by {dev:.4f} > {bound:.4f}")
     # MC1 from 2: exact step marginals by summing cylinders
     start = ExtRat(2, 1)
-    spec = stochastic.ChainSpec("MC1", start, horizon=4, seed=seed + 1)
-    counts = [0] * 4
-    for w in range(walks):
-        path = stochastic.simulate(spec, walk=w)
-        for k, b in enumerate(path.letters):
-            counts[k] += b
+    counts = [int(letters.sum()) for letters in
+              stochastic._letter_steps("MC1", start, 0, walks, 4, seed + 1)]
     msgs = []
     for k in range(4):
         marg = Fraction(0)
@@ -816,26 +810,14 @@ def _c_no_atoms(r, seed, workers):
     )
     # first-window-constant count must match the exact cylinder value
     # 2/(window+1); a full-horizon-constant walk has probability 2/1025
-    const_first = 0
-    const_all = 0
-    for w in range(walks):
-        key = rng.walk_key(seed, w)
-        x = ONE
-        first = None
-        change_at = None
-        for k in range(horizon):
-            bit = stochastic._draw_letter("MC1", key, k, x)
-            if first is None:
-                first = bit
-            elif bit != first:
-                change_at = k
-                break
-            x = operators.apply_letter(x, bit)
-        if change_at is None:
-            const_all += 1
-            const_first += 1
-        elif change_at >= window:
-            const_first += 1
+    steps = stochastic._letter_steps("MC1", ONE, 0, walks, horizon, seed)
+    first = next(steps)
+    same = first == first  # walks whose letters so far all equal the first
+    for k, letters in enumerate(steps, 1):
+        same &= letters == first
+        if k == window - 1:
+            const_first = int(same.sum())
+    const_all = int(same.sum())
     p0 = 2.0 / (window + 1)
     se = sqrt(p0 * (1 - p0) / walks)
     if abs(const_first / walks - p0) > 5 * se:

@@ -8,6 +8,7 @@ from Fraction formulas, all written independently of the package.
 import csv
 import io
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
@@ -192,6 +193,23 @@ def test_simulate_rows_then_curve(fmt, capsys, tmp_path):
     assert got == (want, want)
     if fmt == "json":
         assert list(json.loads(got[0])) == ["meta", "columns", "rows", "fraction", "curve"]
+
+
+def test_simulate_json_curve_memory_does_not_grow_with_walks(tmp_path):
+    # the curve needs one hit count per time step, not the hit-time column
+    peaks = {}
+    for walks in (20000, 200000):
+        argv = ["simulate", "--chain", "mc0", "--walks", str(walks), "--horizon", "5",
+                "--interval", "2/5,3/5", "--format", "json",
+                "--output", str(tmp_path / f"{walks}.json")]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peaks[walks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a hit-time list would add 8 bytes a walk, 1.4 MB here
+    assert peaks[200000] < peaks[20000] + (256 << 10)
 
 
 @pytest.mark.parametrize("kind,permuted", SPECS)

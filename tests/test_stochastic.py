@@ -1,8 +1,14 @@
 """Random walks: exact cylinder weights, reproducible tables, hitting."""
 
+import dataclasses
+import hashlib
+import json
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
+from math import sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +18,12 @@ from sternbrocot import rng
 from sternbrocot.cli import run
 from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
 from sternbrocot.minkowski import rho
+from sternbrocot.operators import _value, markov_apply
 from sternbrocot.stochastic import (
     ChainSpec,
+    MartingaleReport,
+    _draw_letter,
+    _letter_steps,
     apply_letter,
     cylinder_prob,
     hitting_experiment,
@@ -309,6 +319,94 @@ class TestKernel:
         assert capsys.readouterr().err == ""
 
 
+def exact_letters(kind, x, horizon, seed, walk):
+    """One walk's letters from the scalar rule: _draw_letter, then apply_letter."""
+    key = rng.walk_key(seed, walk)
+    word = []
+    for k in range(horizon):
+        b = _draw_letter(kind, key, k, x)
+        word.append(b)
+        x = apply_letter(x, b)
+    return word
+
+
+def kernel_letters(kind, start, first, stop, horizon, seed, margin=None):
+    """Per-walk letter lists from _letter_steps, and its replay count."""
+    steps = _letter_steps(kind, start, first, stop, horizon, seed, margin)
+    columns = []
+    while True:
+        try:
+            columns.append(next(steps).tolist())
+        except StopIteration as done:
+            return [list(map(int, w)) for w in zip(*columns)], done.value
+
+
+FIB200 = _fib_ratio(200)
+LETTER_STARTS = [ZERO, INF, ONE, ExtRat(2, 5), FIB200]
+
+
+class TestLetterKernel:
+    @pytest.mark.parametrize("kind", ["MC0", "MC1"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        start=st.sampled_from(LETTER_STARTS),
+        horizon=st.integers(1, 1100),
+        seed=st.integers(0, _MASK64),
+        # lanes may start at 0 or straddle walk 4096, the walk-batch seam
+        first=st.one_of(st.just(0), st.integers(4088, 4096)),
+        walks=st.integers(1, 8),
+    )
+    def test_letters_match_the_exact_walks(self, kind, start, horizon, seed, first, walks):
+        got, replays = kernel_letters(kind, start, first, first + walks, horizon, seed)
+        assert got == [exact_letters(kind, start, horizon, seed, w)
+                       for w in range(first, first + walks)]
+        assert replays >= 0
+
+    @pytest.mark.parametrize("start", [ONE, ExtRat(2, 5), FIB200, ZERO, INF])
+    def test_forced_replays_keep_the_letters(self, start):
+        # a margin of 2^52 sends about half of all lane-steps to the replay
+        got, replays = kernel_letters("MC1", start, 4093, 4100, 40, 9, margin=2.0 ** 52)
+        assert replays > 0
+        assert got == [exact_letters("MC1", start, 40, 9, w) for w in range(4093, 4100)]
+
+    @pytest.mark.parametrize("seed,num,den", [
+        (1, 4066625741558545, 63924342554810846),
+        (37, 16738629655302959, 38580334727322018),
+        (60, 6136586414785198, 32960503811571369),
+    ])
+    def test_float_state_on_the_wrong_side_is_replayed(self, seed, num, den):
+        # after one step the float u puts u*2^53 strictly on the wrong side
+        # of the step-1 draw, so only the margin saves the letter
+        x = ExtRat(num, den)
+        word = exact_letters("MC1", x, 2, seed, 0)
+        y = apply_letter(x, word[0])
+        u = x.den / (x.num + x.den)
+        u = u / (1.0 + u) if word[0] else 1.0 / (2.0 - u)
+        d53 = rng.draw(rng.walk_key(seed, 0), 1) >> 11
+        exact_side = d53 >= Fraction(y.den << 53, y.num + y.den)
+        assert d53 != u * 2.0 ** 53 and (d53 > u * 2.0 ** 53) != exact_side
+        got, replays = kernel_letters("MC1", x, 0, 1, 2, seed)
+        assert got == [word] and replays >= 1
+
+    def test_tie_gives_letter_one(self):
+        seed = 5
+        d53 = rng.draw(rng.walk_key(seed, 0), 0) >> 11
+        g = math.gcd(d53, 1 << 53)
+        tie = ExtRat(((1 << 53) - d53) // g, d53 // g)  # d53 == q*2^53/(p+q)
+        assert kernel_letters("MC1", tie, 0, 1, 1, seed)[0] == [[1]]
+
+    def test_stochastic_suite_bytes_and_no_warnings(self, capsys):
+        # the verify-stochastic digest recorded in bench/golden.json (seed 7)
+        golden = json.loads((Path(__file__).parent.parent / "bench" / "golden.json").read_text())
+        want = next(e["sha256"] for e in golden.values() if e["label"] == "verify-stochastic")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--suite", "stochastic", "--seed", "7"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert hashlib.sha256(out.out.encode()).hexdigest() == want
+
+
 class TestHitting:
     def test_small_experiment_shape(self):
         res = hitting_experiment(
@@ -384,6 +482,159 @@ class TestMartingale:
             martingale_check("MC9", indicator, 10, 10, seed=0)
         with pytest.raises(CapExceeded):
             martingale_check("MC0", indicator, 0, 10, seed=0)
+        with pytest.raises(ValueError):  # cells of no walks: 2^horizon of them
+            martingale_check("MC0", indicator, 10, 10, seed=0, min_cell=0)
+
+
+def _max_run(mask, n):
+    """Longest run of equal bits in the n-bit LSB-first word."""
+    if n <= 0:
+        return 0
+    d = (mask ^ (mask >> 1)) & ((1 << (n - 1)) - 1) if n > 1 else 0
+    prev = -1
+    best = 0
+    while d:
+        low = (d & -d).bit_length() - 1
+        best = max(best, low - prev)
+        prev = low
+        d &= d - 1
+    return max(best, n - 1 - prev)
+
+
+def scalar_martingale_check(kind, h, walks, horizon, seed, start=ONE, affine=(1, 0),
+                            window=64, residual_depth=32, min_cell=64):
+    """The oracle for martingale_check: every walk stepped on Python ints,
+    its letters kept as one int mask, and every statistic read off the masks."""
+    a = Fraction(affine[0]) if isinstance(affine[0], (int, Fraction)) else affine[0]
+    b = Fraction(affine[1]) if isinstance(affine[1], (int, Fraction)) else affine[1]
+
+    seen = set()
+    masks = []
+    for w in range(walks):
+        key = rng.walk_key(seed, w)
+        x = start
+        mask = 0
+        for k in range(horizon):
+            if k <= residual_depth:
+                seen.add(x)
+            bit = _draw_letter(kind, key, k, x)
+            mask |= bit << k
+            x = apply_letter(x, bit)
+        if horizon <= residual_depth:
+            seen.add(x)
+        masks.append(mask)
+
+    max_residual = Fraction(0)
+    for y in seen:
+        r = markov_apply(kind, h, y) - (a * _value(h(y)) + b)
+        if abs(r) > abs(max_residual):
+            max_residual = abs(r)
+
+    n_max = 0
+    while (1 << (n_max + 1)) * min_cell <= walks and n_max + 1 < horizon:
+        n_max += 1
+    max_dev = 0.0
+    dev_se = 0.0
+    cells = 0
+    for n in range(n_max + 1):
+        counts = {}
+        pmask = (1 << n) - 1
+        for mask in masks:
+            slot = counts.setdefault(mask & pmask, [0, 0])
+            slot[(mask >> n) & 1] += 1
+        for prefix, (c0, c1) in sorted(counts.items()):
+            c = c0 + c1
+            if c < min_cell:
+                continue
+            y = start
+            for k in range(n):
+                y = apply_letter(y, (prefix >> k) & 1)
+            h0 = _value(h(apply_letter(y, 0)))
+            h1 = _value(h(apply_letter(y, 1)))
+            emp = (c0 * h0 + c1 * h1) / c
+            pred = a * _value(h(y)) + b
+            dev = abs(float(emp - pred))
+            phat = c1 / c
+            se = abs(float(h1 - h0)) * sqrt(phat * (1.0 - phat) / c)
+            cells += 1
+            if dev > max_dev:
+                max_dev = dev
+                dev_se = se
+
+    alts = []
+    ok_windows = 0
+    for mask in masks:
+        diff = (mask ^ (mask >> 1)) & ((1 << (horizon - 1)) - 1) if horizon > 1 else 0
+        alts.append(bin(diff).count("1"))
+        if window is not None and horizon >= window:
+            if _max_run(mask, horizon) <= window - 1:
+                ok_windows += 1
+    window_fraction = (
+        Fraction(ok_windows, walks) if window is not None and horizon >= window else None
+    )
+    return MartingaleReport(
+        max_residual=max_residual,
+        residual_states=len(seen),
+        max_deviation=max_dev,
+        deviation_se=dev_se,
+        cells=cells,
+        window_fraction=window_fraction,
+        min_alternations=min(alts),
+        mean_alternations=sum(alts) / walks,
+    )
+
+
+def u_value(x):
+    """q/(p+q): not harmonic for either chain, so residuals and deviations are nonzero."""
+    return Fraction(x.den, x.num + x.den)
+
+
+def rho_shift(x):
+    return rho_frac(x) + Fraction(1, 3)
+
+
+# (kind, start, h, affine, walks, horizon, window, residual_depth, min_cell)
+ORACLE_CASES = [
+    ("MC0", ONE, rho_frac, (Fraction(1, 2), Fraction(1, 4)), 1, 40, 64, 50, 64),
+    ("MC1", ONE, u_value, (1, 0), 1, 40, None, 3, 64),
+    ("MC0", ONE, u_value, (1, 0), 4095, 12, 8, 16, 64),
+    ("MC1", ONE, u_value, (1, 0), 4095, 12, 8, 12, 64),
+    ("MC1", ONE, indicator, (1, 0), 4097, 70, 64, 5, 64),
+    ("MC0", ZERO, u_value, (Fraction(1, 2), 0.25), 4097, 10, 8, 12, 16),
+    ("MC1", ExtRat(2, 5), rho_shift, (1, 0), 4097, 30, None, 6, 8),
+    ("MC1", FIB200, u_value, (1, 0), 300, 64, 64, 2, 4),
+    ("MC0", INF, indicator, (1, 0), 50, 9, 100, -1, 1),
+]
+
+
+class TestMartingaleOracle:
+    @pytest.mark.parametrize(
+        "kind,start,h,affine,walks,horizon,window,depth,min_cell", ORACLE_CASES
+    )
+    def test_report_equals_the_scalar_oracle(
+        self, kind, start, h, affine, walks, horizon, window, depth, min_cell
+    ):
+        args = (kind, h, walks, horizon, 11)
+        opts = dict(start=start, affine=affine, window=window, residual_depth=depth,
+                    min_cell=min_cell)
+        got = martingale_check(*args, **opts)
+        want = scalar_martingale_check(*args, **opts)
+        for field in dataclasses.fields(MartingaleReport):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+    def test_memory_does_not_grow_with_walks_times_horizon(self):
+        horizon = 1024
+        peaks = {}
+        for walks in (4096, 16384):
+            tracemalloc.start()
+            try:
+                martingale_check("MC0", indicator, walks, horizon, 7, residual_depth=4)
+                peaks[walks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the scalar version held every letter, walks * horizon / 8 bytes at least
+        assert peaks[16384] < 16384 * horizon // 8
+        assert peaks[16384] < peaks[4096] + (64 << 10)
 
 
 class TestLimitPairs:

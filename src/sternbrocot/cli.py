@@ -25,8 +25,7 @@ parallelism levels.
 
 Size caps guard each command: the ``Caps`` table ``CAPS``, or, for runs
 expected to be large, ``--unsafe-cap``'s ``UNSAFE_CAPS``, which lifts
-every cap but the hard memory limits.  Library callers pass a larger
-``Caps``.
+every cap.  Library callers pass a larger ``Caps``.
 """
 
 from __future__ import annotations
@@ -354,7 +353,7 @@ def _build_parser() -> _Parser:
     )
     common.add_argument(
         "--unsafe-cap", action="store_true",
-        help="lift the size caps that are not hard memory limits",
+        help="lift every size cap to its UNSAFE_CAPS value",
     )
 
     p = _Parser(prog="sternbrocot", description=__doc__.splitlines()[0])

@@ -29,24 +29,24 @@ class CapExceeded(ValueError):
 class Caps:
     """Size caps, one per resource: CAPS, or UNSAFE_CAPS under --unsafe-cap.
 
-    A hard cap has the same value in both; lifting it would let memory
-    held whole pass about 1 GiB.  The README tabulates the values.
+    UNSAFE_CAPS lifts every field; no lifted value lets memory held whole
+    pass about 1 GiB.  The README tabulates the values.
     """
 
-    level: int = 24  # tree level streamed in blocks; not hard, memory stays flat
-    estimate: int = 20  # tree levels held whole as arrays (~2^k * 64 B); not hard
-    orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~32 B an iterate; not hard
-    exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes; not hard
-    word: int = 1 << 10  # letters of an {L, R} or 0/1 word; not hard
-    walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk); not hard
-    horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step; not hard
-    power: int = 24  # HARD: a Markov power holds all 2^n branch words
-    stack: int = 20  # stage n of a stack interval; not hard
+    level: int = 24  # tree level streamed in blocks; memory stays flat
+    estimate: int = 20  # tree levels held whole as arrays (~2^k * 64 B)
+    orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~32 B an iterate
+    exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes
+    word: int = 1 << 10  # letters of an {L, R} or 0/1 word
+    walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)
+    horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step
+    power: int = 24  # steps of a Markov power: 2^n branch words, walked in O(n) memory
+    stack: int = 20  # stage n of a stack interval
 
 
 CAPS = Caps()
 UNSAFE_CAPS = Caps(level=1 << 10, estimate=23, orbit=1 << 25, exp=1 << 20,
-                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, stack=1 << 10)
+                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, power=26, stack=1 << 10)
 
 
 def check_cap(caps: Caps, field: str, size: int, what: str) -> None:
@@ -55,9 +55,7 @@ def check_cap(caps: Caps, field: str, size: int, what: str) -> None:
     if size <= cap:
         return
     lifted = getattr(UNSAFE_CAPS, field)
-    if lifted == getattr(CAPS, field):
-        note = "a hard limit that --unsafe-cap does not lift"
-    elif cap < lifted:
+    if cap < lifted:
         note = f"--unsafe-cap lifts it to {lifted}"
     else:
         note = "already lifted by --unsafe-cap"

@@ -6,17 +6,29 @@ operators average over the branches x/(1+x) and x+1 of G (apply_letter
 0 and 1, the one branch step the package uses) with either fair weights
 (chain 0) or the weights 1/(1+x), x/(1+x) (chain 1), whose boundary
 values make 0 and infinity absorbing.
+
+The chain weights are integers over their sum: (1, 1) over 2 for MC0 and
+(q, p) over p+q for MC1 at x = p/q.  When every value f gives is exactly
+an int or a Fraction, markov_apply and averaging_apply put the weighted
+values over one denominator of Python ints and reduce once.  Any other
+value (bool, a numpy scalar, ExtRat, float, complex) takes the generic
+path: scale by the Fraction weight, then _sum_terms.  Both paths give
+the same value and type.  markov_power walks the 2^n branch words depth
+first and sums f as it goes, so it holds O(n) words, not 2^n.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import fsum
+from itertools import chain
+from math import fsum, inf, isfinite, nan
 
 from .core import CAPS, Caps, DomainError, ExtRat, check_cap
 
 TRANSFER_KINDS = ("G", "dyadic", "farey")
 CHAIN_KINDS = ("MC0", "MC1")
+_EXACT = (int, Fraction)  # value types the integer-weight path takes, by exact type
+_BLOCK = 4096  # terms a _Sum holds before it folds them into its float sums
 
 
 def _point(x):
@@ -52,14 +64,101 @@ def _value(v):
     return v
 
 
-def _sum_terms(terms: list):
-    terms = [_value(t) for t in terms]
-    if all(isinstance(t, (int, Fraction)) for t in terms):
-        return sum(terms, Fraction(0))
-    if any(isinstance(t, complex) for t in terms):
-        vals = [complex(t) for t in terms]
-        return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
-    return fsum(float(t) for t in terms)
+def _expansion(xs: list) -> list:
+    """A few floats with the math.fsum of xs: an exact expansion of the
+    finite floats, plus one each of the nan, inf and -inf among xs."""
+    try:
+        hi = fsum(xs)
+    except ValueError:  # inf + -inf
+        hi = nan
+    specials = []
+    if not isfinite(hi):
+        odd = [x for x in xs if not isfinite(x)]
+        specials = [v for v in (inf, -inf) if v in odd] + [nan] * any(x != x for x in odd)
+        xs = [x for x in xs if isfinite(x)]
+        hi = fsum(xs)
+    parts = []
+    while hi:  # each residual is below half an ulp of the part before it
+        parts.append(hi)
+        hi = fsum(chain(xs, [-p for p in parts]))
+    return parts + specials
+
+
+class _Sum:
+    """One-pass sum of terms: exact while every term is an int or a Fraction.
+
+    Terms are taken in blocks of _BLOCK.  A block adds to the exact sum
+    while every term so far is rational.  Its real parts (float(t), or
+    complex(t).real for complex t) and imaginary parts are folded into
+    exact float expansions, so a float or complex result is math.fsum of
+    all the parts, exactly rounded, in O(_BLOCK) memory.  A conversion or
+    overflow error waits until result() needs the float sums.  Partial
+    sums that leave the float range raise OverflowError as in math.fsum;
+    at that edge the two may differ in which term triggers it, or in
+    which of two due errors is raised.
+    """
+
+    __slots__ = ("exact", "is_complex", "pending", "re", "im", "error")
+
+    def __init__(self):
+        self.exact = Fraction(0)  # None once a term is not an int or a Fraction
+        self.is_complex = False
+        self.pending = []
+        self.re = []
+        self.im = []
+        self.error = None
+
+    def add(self, t) -> None:
+        if len(self.pending) == _BLOCK:
+            self._fold(last=False)
+        self.pending.append(_value(t))
+
+    def _fold(self, last: bool) -> None:
+        terms, self.pending = self.pending, []
+        if self.exact is not None:
+            if all(isinstance(t, (int, Fraction)) for t in terms):
+                self.exact += sum(terms)
+                if last:
+                    return
+            else:
+                self.exact = None
+        self.is_complex = self.is_complex or any(isinstance(t, complex) for t in terms)
+        if self.error is not None:
+            return
+        re, im = self.re, self.im
+        try:
+            for t in terms:
+                if isinstance(t, complex):
+                    t = complex(t)
+                    re.append(t.real)
+                    im.append(t.imag)
+                else:
+                    re.append(float(t))
+                    # numpy complex scalars are not complex instances
+                    if type(t) not in (int, Fraction, float) and hasattr(t, "__complex__"):
+                        im.append(complex(t).imag)
+            self.re, self.im = _expansion(re), _expansion(im)
+        except (OverflowError, TypeError, ValueError) as exc:
+            self.error = exc
+
+    def result(self):
+        """The exact sum (a Fraction) if every term was rational, else the
+        exactly rounded complex sum if a term was complex, else the float sum."""
+        self._fold(last=True)
+        if self.exact is not None:
+            return self.exact
+        if self.error is not None:
+            raise self.error
+        if self.is_complex:
+            return complex(fsum(self.re), fsum(self.im))
+        return fsum(self.re)
+
+
+def _sum_terms(terms):
+    acc = _Sum()
+    for t in terms:
+        acc.add(t)
+    return acc.result()
 
 
 def transfer_apply(kind: str, q, f, x):
@@ -108,18 +207,23 @@ def apply_letter(x: ExtRat, letter: int) -> ExtRat:
     return ExtRat._raw(x.num + x.den, x.den)
 
 
+def _int_weights(kind: str, p: int, q: int) -> tuple[int, int]:
+    """Branch weights (w0, w1) at p/q as integers over their sum w0 + w1."""
+    if kind == "MC0":
+        return 1, 1
+    if kind == "MC1":
+        return q, p
+    raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
+
+
 def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:
     """Exact branch weights (p(0,x), p(1,x)); they always sum to 1.
 
     Chain MC0 is the fair coin; MC1 weights 1/(1+x) and x/(1+x), which
     at the endpoints make 0 and infinity absorbing.
     """
-    if kind == "MC0":
-        return Fraction(1, 2), Fraction(1, 2)
-    if kind == "MC1":
-        p, q = x.num, x.den
-        return Fraction(q, p + q), Fraction(p, p + q)
-    raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
+    w0, w1 = _int_weights(kind, x.num, x.den)
+    return Fraction(w0, w0 + w1), Fraction(w1, w0 + w1)
 
 
 def _scale(w: Fraction, v):
@@ -131,66 +235,121 @@ def _scale(w: Fraction, v):
     return float(w) * v
 
 
+def _exact_mean(pairs, total: int):
+    """sum(w * v for w, v in pairs) / total as one Fraction reduced once,
+    or None when some v is not exactly an int or a Fraction."""
+    num, den = 0, 1
+    for w, v in pairs:
+        if type(v) not in _EXACT:
+            return None
+        b = v.denominator
+        num, den = num * b + w * v.numerator * den, den * b
+    return Fraction(num, den * total)
+
+
+def _markov_mean(w0: int, v0, w1: int, v1):
+    # the chain's mean of the branch values; a zero-weight branch's value is ignored
+    mean = _exact_mean(((w0, v0), (w1, v1)), w0 + w1)
+    if mean is None:
+        return _sum_terms([_scale(Fraction(w, w0 + w1), v) for w, v in ((w0, v0), (w1, v1)) if w])
+    return mean
+
+
+def _average(a, b):
+    mean = _exact_mean(((1, a), (1, b)), 2)
+    return _sum_terms([a, b]) / 2 if mean is None else mean
+
+
+def _branches(kind: str, f, x: ExtRat):
+    """(w0, v0, w1, v1): integer weight and f-value of each branch at x.
+    f is not called on a zero-weight branch, whose value is 0."""
+    w0, w1 = _int_weights(kind, x.num, x.den)
+    return w0, f(apply_letter(x, 0)) if w0 else 0, w1, f(apply_letter(x, 1)) if w1 else 0
+
+
 def markov_apply(kind: str, f, x: ExtRat):
     """One application of the chain's averaging operator at x.
 
     Zero-weight branches are skipped, so absorption at the endpoints
     needs no special casing in f.
     """
-    p0, p1 = transition_probs(kind, x)
-    terms = []
-    if p0:
-        terms.append(_scale(p0, f(apply_letter(x, 0))))
-    if p1:
-        terms.append(_scale(p1, f(apply_letter(x, 1))))
-    return _sum_terms(terms)
+    return _markov_mean(*_branches(kind, f, x))
+
+
+def _cw_leaves(p: int, q: int, n: int):
+    """Yield the end points (p', q') of the 2^n n-letter branch words from
+    p/q in word order (letter 0 first): the depth-n Calkin-Wilf subtree
+    rooted at p/q, walked depth first with one pending sibling a level."""
+    stack = [(p, q, n)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        p, q, k = pop()
+        while k:
+            k -= 1
+            s = p + q
+            push((s, q, k))
+            q = s
+        yield p, q
 
 
 def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
-    """Exact n-step expectation E_x[f(W_n)] over all 2^n branch words."""
+    """Exact n-step expectation E_x[f(W_n)] over all 2^n branch words.
+
+    The words are walked depth first and f is summed as they come, so
+    memory is O(n) words plus one _Sum.  An MC1 word's weight telescopes:
+    letter 0 keeps p and sends q to s = p+q with weight q/s, letter 1
+    keeps q and sends p to s with weight p/s, so each step weighs
+    p q / (p' q') and the word from x = p/q to p_n/q_n weighs
+    p q / (p_n q_n).  At 0 and infinity one word has all the weight.
+    """
     if n < 0:
         raise DomainError("n must be nonnegative")
     check_cap(caps, "power", n, "operator power")
+    acc = _Sum()
     if kind == "MC0":
-        frontier = [(x.num, x.den)]
-        for _ in range(n):
-            nxt = []
-            push = nxt.append
-            for p, q in frontier:
-                s = p + q
-                push((p, s))
-                push((s, q))
-            frontier = nxt
-        vals = [f(ExtRat._raw(p, q)) for p, q in frontier]
-        total = _sum_terms(vals)
+        for p, q in _cw_leaves(x.num, x.den, n):
+            acc.add(f(ExtRat._raw(p, q)))
+        total = acc.result()
         w = Fraction(1, 1 << n)
         return _scale(w, total) if not isinstance(total, float) else total / (1 << n)
     if kind != "MC1":
         raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
-    weighted = [(x, Fraction(1))]
-    for _ in range(n):
-        nxt = []
-        for y, w in weighted:
-            p0, p1 = transition_probs(kind, y)
-            if p0:
-                nxt.append((apply_letter(y, 0), w * p0))
-            if p1:
-                nxt.append((apply_letter(y, 1), w * p1))
-        weighted = nxt
-    return _sum_terms([_scale(w, f(y)) for y, w in weighted])
+    pq = x.num * x.den
+    if not pq:
+        return _sum_terms([_scale(Fraction(1), f(x))])
+    for p, q in _cw_leaves(x.num, x.den, n):
+        v = f(ExtRat._raw(p, q))
+        if type(v) in _EXACT:
+            acc.add(Fraction(pq * v.numerator, p * q * v.denominator))
+        else:
+            acc.add(_scale(Fraction(pq, p * q), v))
+    return acc.result()
 
 
 def averaging_apply(f, x: ExtRat):
     """(f(x) + f(1/x)) / 2, with 1/0 and 1/infinity the two endpoints."""
-    s = _sum_terms([f(x), f(x.reciprocal())])
-    return s / 2
+    return _average(f(x), f(x.reciprocal()))
 
 
 def commutator_residual(kind: str, f, x: ExtRat):
-    """(P A - A P) f at x; vanishes because the chains are 1/x-symmetric."""
-    pa = markov_apply(kind, lambda y: averaging_apply(f, y), x)
-    ap = averaging_apply(lambda y: markov_apply(kind, f, y), x)
-    return pa - ap
+    """(P A - A P) f at x; vanishes because the chains are 1/x-symmetric.
+
+    f is called as markov_apply and averaging_apply composed call it.
+    When every value is exact, both sides go over one denominator.
+    """
+    # P A f: at each branch y of x, the pair (f(y), f(1/y)) that A averages
+    w0, a0, w1, a1 = _branches(kind, lambda y: (f(y), f(y.reciprocal())), x)
+    a0, a1 = a0 or (0, 0), a1 or (0, 0)
+    # A P f: P f at x and at 1/x
+    px, prx = _branches(kind, f, x), _branches(kind, f, x.reciprocal())
+    s, t = w0 + w1, prx[0] + prx[2]
+    terms = [(w0 * t, a0[0]), (w0 * t, a0[1]), (w1 * t, a1[0]), (w1 * t, a1[1]),
+             (-w0 * t, px[1]), (-w1 * t, px[3]), (-prx[0] * s, prx[1]), (-prx[2] * s, prx[3])]
+    mean = _exact_mean(terms, 2 * s * t)
+    if mean is None:
+        lhs = _markov_mean(w0, _average(*a0), w1, _average(*a1))
+        return lhs - _average(_markov_mean(*px), _markov_mean(*prx))
+    return mean
 
 
 def harmonic_series_partial(kind: str, h, x: ExtRat, n_terms: int):

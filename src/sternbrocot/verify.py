@@ -685,10 +685,11 @@ def _c_p1_invariance(r, seed, workers):
 @_check("operators.harmonicity")
 def _c_harmonicity(r, seed, workers):
     pts = [ZERO, INF, ONE] + [_rand_rat(r, 20) for _ in range(10 ** 4)]
-    const = lambda y: Fraction(2, 3)
+    two_thirds = Fraction(2, 3)
+    const = lambda y: two_thirds
     for x in pts:
         for kind in ("MC0", "MC1"):
-            if operators.markov_apply(kind, const, x) != Fraction(2, 3):
+            if operators.markov_apply(kind, const, x) != two_thirds:
                 raise CheckFailure(f"constant not {kind}-harmonic at {x}")
             if operators.commutator_residual(kind, const, x) != 0:
                 raise CheckFailure(f"constant commutator nonzero at {x}")

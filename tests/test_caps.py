@@ -12,9 +12,6 @@ import pytest
 import sternbrocot
 from sternbrocot.core import CAPS, UNSAFE_CAPS
 
-# The hard memory limits, as the README lists them.
-HARD = {"power"}
-
 MODULES = [
     importlib.import_module(f"sternbrocot.{m.name}")
     for m in pkgutil.iter_modules(sternbrocot.__path__)
@@ -25,13 +22,9 @@ def _tree(mod):
     return ast.parse(Path(mod.__file__).read_text(), mod.__file__)
 
 
-def test_unsafe_lifts_every_field_but_the_hard_ones():
+def test_unsafe_lifts_every_field():
     for f in fields(CAPS):
-        default, lifted = getattr(CAPS, f.name), getattr(UNSAFE_CAPS, f.name)
-        if f.name in HARD:
-            assert lifted == default, f.name
-        else:
-            assert lifted > default, f.name
+        assert getattr(UNSAFE_CAPS, f.name) > getattr(CAPS, f.name), f.name
 
 
 def test_tables_are_frozen():

@@ -9,7 +9,7 @@ import pytest
 from sternbrocot import cli, verify
 from sternbrocot.cli import run
 from sternbrocot.minkowski import qmark, rho
-from sternbrocot.core import CAPS, UNSAFE_CAPS, Caps, ExtRat
+from sternbrocot.core import Caps, ExtRat
 
 
 def lines(capsys):
@@ -248,13 +248,9 @@ class TestPlumbing:
         assert "sternbrocot" in capsys.readouterr().out
 
 
-def _hard(name):
-    return getattr(CAPS, name) == getattr(UNSAFE_CAPS, name)
-
-
-# Tiny tables with the real tables' hard fields: each cap is hit at size 5.
+# Tiny tables: each cap is hit at size 5, and --unsafe-cap lifts every field.
 TINY = Caps(**{f.name: 4 for f in fields(Caps)})
-TINY_UNSAFE = Caps(**{f.name: 4 if _hard(f.name) else 8 for f in fields(Caps)})
+TINY_UNSAFE = Caps(**{f.name: 8 for f in fields(Caps)})
 
 
 # One invocation per cap field the CLI reaches, at size 5 of that field.
@@ -278,7 +274,4 @@ def test_each_cap_is_refused_then_lifted_or_hard(field, argv, capsys, monkeypatc
     assert f"caps.{field}" in captured.err and "--unsafe-cap" in captured.err
     code = run(argv + ["--unsafe-cap"])
     captured = capsys.readouterr()
-    if _hard(field):
-        assert code == 1 and "hard limit" in captured.err
-    else:
-        assert code == 0 and captured.out and not captured.err
+    assert code == 0 and captured.out and not captured.err

@@ -1,14 +1,25 @@
 """Transfer operators, Markov averaging operators, harmonic structure."""
 
+import hashlib
+import json
+import random
+import tracemalloc
+import warnings
 from dataclasses import replace
 from fractions import Fraction
+from math import fsum, inf, nan
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from sternbrocot.core import CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
+from sternbrocot.cli import run
+from sternbrocot.core import CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
 from sternbrocot.minkowski import rho
 from sternbrocot.operators import (
+    _BLOCK,
+    _sum_terms,
     apply_letter,
     averaging_apply,
     commutator_residual,
@@ -133,8 +144,29 @@ class TestChainStep:
         assert h1(ONE) == 0
 
     def test_unknown_chain(self):
-        with pytest.raises(DomainError):
-            transition_probs("MC2", ONE)
+        for call in (
+            lambda: transition_probs("MC2", ONE),
+            lambda: markov_apply("MC2", h1, ONE),
+            lambda: markov_power("MC2", h1, ONE, 3),
+            lambda: commutator_residual("MC2", h1, ONE),
+        ):
+            with pytest.raises(DomainError):
+                call()
+
+    @pytest.mark.parametrize("x", [ZERO, INF])
+    @pytest.mark.parametrize("value", [Fraction(1, 3), 0.25])
+    def test_weighted_chain_skips_zero_weight_branches(self, x, value):
+        # at 0 and at infinity the zero-weight branch leads to 1
+        seen = []
+
+        def f(y):
+            seen.append(y)
+            return value
+
+        markov_apply("MC1", f, x)
+        markov_power("MC1", f, x, 5)
+        commutator_residual("MC1", f, x)
+        assert seen and all(y in (ZERO, INF) for y in seen)
 
 
 class TestChainPower:
@@ -171,13 +203,27 @@ class TestChainPower:
         assert markov_power("MC1", h1, x, n) == h1(x)
 
     def test_caps(self):
-        with pytest.raises(CapExceeded):
+        with pytest.raises(CapExceeded, match=f"--unsafe-cap lifts it to {UNSAFE_CAPS.power}"):
             markov_power("MC0", lambda y: 1, ONE, 25)
         with pytest.raises(DomainError):
             markov_power("MC0", lambda y: 1, ONE, -1)
         with pytest.raises(CapExceeded):
             markov_power("MC1", lambda y: 1, ONE, 5, replace(CAPS, power=4))
         assert markov_power("MC0", lambda y: 1, ONE, 5, replace(CAPS, power=5)) == 1
+        # the cap is checked before any branch word is walked or f is called
+        with pytest.raises(CapExceeded, match="already lifted"):
+            markov_power("MC1", lambda y: 1 / 0, ONE, UNSAFE_CAPS.power + 1, UNSAFE_CAPS)
+
+    @pytest.mark.parametrize("kind,n", [("MC0", 20), ("MC1", 18)])
+    def test_memory_stays_flat(self, kind, n):
+        # holding all 2^n words at once takes 188 MB (MC0, n = 20) and 124 MB (MC1, n = 18)
+        tracemalloc.start()
+        try:
+            assert markov_power(kind, lambda y: 1, ONE, n) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSymmetry:
@@ -221,3 +267,172 @@ class TestHarmonicSeries:
             harmonic_series_partial("MC0", h1, ONE, 0)
         with pytest.raises(DomainError):
             harmonic_series_partial("MC7", h1, ONE, 4)
+
+
+# ---------------------------------------------------------------- references
+# The list-based operators that the integer-weight path and the streaming
+# power replaced: every term is scaled by a Fraction weight, every sum is
+# taken over a list, and markov_power holds all 2^n branch words.
+
+def _ref_value(v):
+    return v.as_fraction() if isinstance(v, ExtRat) else v
+
+
+def _ref_sum_terms(terms):
+    terms = [_ref_value(t) for t in terms]
+    if all(isinstance(t, (int, Fraction)) for t in terms):
+        return sum(terms, Fraction(0))
+    if any(isinstance(t, complex) for t in terms):
+        vals = [complex(t) for t in terms]
+        return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
+    return fsum(float(t) for t in terms)
+
+
+def _ref_probs(kind, x):
+    if kind == "MC0":
+        return Fraction(1, 2), Fraction(1, 2)
+    return Fraction(x.den, x.num + x.den), Fraction(x.num, x.num + x.den)
+
+
+def _ref_scale(w, v):
+    v = _ref_value(v)
+    if isinstance(v, (int, Fraction)):
+        return w * v
+    if isinstance(v, complex):
+        return complex(float(w)) * v
+    return float(w) * v
+
+
+def _ref_markov_apply(kind, f, x):
+    p0, p1 = _ref_probs(kind, x)
+    terms = []
+    if p0:
+        terms.append(_ref_scale(p0, f(apply_letter(x, 0))))
+    if p1:
+        terms.append(_ref_scale(p1, f(apply_letter(x, 1))))
+    return _ref_sum_terms(terms)
+
+
+def _ref_markov_power(kind, f, x, n):
+    if kind == "MC0":
+        frontier = [(x.num, x.den)]
+        for _ in range(n):
+            frontier = [c for p, q in frontier for c in ((p, p + q), (p + q, q))]
+        total = _ref_sum_terms([f(ExtRat(p, q)) for p, q in frontier])
+        w = Fraction(1, 1 << n)
+        return _ref_scale(w, total) if not isinstance(total, float) else total / (1 << n)
+    weighted = [(x, Fraction(1))]
+    for _ in range(n):
+        nxt = []
+        for y, w in weighted:
+            p0, p1 = _ref_probs(kind, y)
+            if p0:
+                nxt.append((apply_letter(y, 0), w * p0))
+            if p1:
+                nxt.append((apply_letter(y, 1), w * p1))
+        weighted = nxt
+    return _ref_sum_terms([_ref_scale(w, f(y)) for y, w in weighted])
+
+
+def _ref_averaging_apply(f, x):
+    return _ref_sum_terms([f(x), f(x.reciprocal())]) / 2
+
+
+def _ref_commutator_residual(kind, f, x):
+    pa = _ref_markov_apply(kind, lambda y: _ref_averaging_apply(f, y), x)
+    ap = _ref_averaging_apply(lambda y: _ref_markov_apply(kind, f, y), x)
+    return pa - ap
+
+
+def _outcome(fn, *args):
+    """(type, value) of the result, or the type of the exception raised.
+    Floats and complex compare by repr, so nan and the sign of zero count;
+    a Fraction by value, as its repr can pass the int-string limit."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            v = fn(*args)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            return type(exc)
+    return type(v), v if isinstance(v, Fraction) else repr(v)
+
+
+# Finite floats stay within 1e300 in magnitude, so no partial sum of up to
+# 3 * 4096 terms leaves the float range: there math.fsum raises at the term
+# that overflows and _Sum, which folds blocks, may raise at another.
+_floats = st.floats(-1e300, 1e300) | st.sampled_from([inf, -inf, nan])
+_values = st.one_of(
+    st.integers(-(1 << 70), 1 << 70),
+    st.integers(1 << 1100, 1 << 1200),  # past the float range
+    st.booleans(),
+    st.fractions(max_denominator=1 << 80),
+    st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+    _floats.map(np.float64),
+    st.tuples(st.integers(0, 1 << 40), st.integers(0, 1 << 40))
+    .filter(lambda a: a != (0, 0))
+    .map(lambda a: ExtRat(*a)),
+    _floats,
+    st.builds(complex, _floats, _floats),
+)
+_pools = st.lists(_values, min_size=1, max_size=4)
+_points = st.sampled_from([ZERO, INF, ONE]) | st.builds(
+    ExtRat, st.integers(1, 1 << 200), st.integers(1, 1 << 200)
+)
+
+
+def _from_pool(pool):
+    # a value of the pool picked by the point, so branches mix types
+    return lambda y: pool[(3 * y.num + y.den) % len(pool)]
+
+
+class TestAgainstReferences:
+    @pytest.mark.parametrize("kind", ["MC0", "MC1"])
+    @given(_pools, _points)
+    def test_markov_apply(self, kind, pool, x):
+        f = _from_pool(pool)
+        assert _outcome(markov_apply, kind, f, x) == _outcome(_ref_markov_apply, kind, f, x)
+
+    @given(_pools, _points)
+    def test_averaging_apply(self, pool, x):
+        f = _from_pool(pool)
+        assert _outcome(averaging_apply, f, x) == _outcome(_ref_averaging_apply, f, x)
+
+    @pytest.mark.parametrize("kind", ["MC0", "MC1"])
+    @given(_pools, _points)
+    def test_commutator_residual(self, kind, pool, x):
+        f = _from_pool(pool)
+        want = _outcome(_ref_commutator_residual, kind, f, x)
+        assert _outcome(commutator_residual, kind, f, x) == want
+
+    @pytest.mark.parametrize("kind", ["MC0", "MC1"])
+    @settings(max_examples=40, deadline=None)
+    @given(_pools, _points, st.integers(0, 12))
+    def test_markov_power(self, kind, pool, x, n):
+        f = _from_pool(pool)
+        assert _outcome(markov_power, kind, f, x, n) == _outcome(_ref_markov_power, kind, f, x, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_pools, st.integers(0, 3 * _BLOCK + 7), st.integers(0, 2 ** 32))
+    def test_sum_terms_across_blocks(self, pool, length, seed):
+        r = random.Random(seed)
+        terms = [r.choice(pool) for _ in range(length)]
+        assert _outcome(_sum_terms, terms) == _outcome(_ref_sum_terms, terms)
+
+    def test_sum_terms_keeps_every_rounding_error(self):
+        # a float sum folded block by block must not round at the folds:
+        # the first block's 1e16 + 1 is not a float, but the sum is 1
+        terms = [1e16, 1.0] + [0.0] * (_BLOCK - 2) + [-1e16]
+        assert _sum_terms(terms) == _ref_sum_terms(terms) == 1.0
+        terms = [0.1] * (3 * _BLOCK + 1) + [1j]
+        assert _sum_terms(terms) == _ref_sum_terms(terms)
+
+    def test_operators_suite_bytes_and_no_warnings(self, capsys):
+        # the verify-operators digest recorded in bench/golden.json (seed 7)
+        golden = json.loads((Path(__file__).parent.parent / "bench" / "golden.json").read_text())
+        want = next(e["sha256"] for e in golden.values() if e["label"] == "verify-operators")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--suite", "operators", "--seed", "7"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert hashlib.sha256(out.out.encode()).hexdigest() == want

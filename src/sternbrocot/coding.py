@@ -141,14 +141,10 @@ def parse_code(text: str) -> InfiniteCode:
         return InfiniteCode(s[:-7], "L")
     if s.endswith("(R)^inf"):
         return InfiniteCode(s[:-7], "R")
-    if s.endswith("..."):
-        s = s[:-3]
-        tail = None
-    else:
-        tail = None
+    s = s.removesuffix("...")
     if any(ch not in "LR" for ch in s):
         raise DomainError(f"bad code literal: {text!r}")
-    return InfiniteCode(s, tail)
+    return InfiniteCode(s, None)
 
 
 def pi_code(x: ExtRat) -> InfiniteCode:

@@ -8,18 +8,17 @@ counter-based per-walk keys, so a walk depends only on (seed, walk
 index, step) and any split of the walks reproduces the serial output
 bit for bit.
 
-``walk_blocks`` runs its walks as lanes of one batched numpy kernel, 4096
-walks at a time: it is vectorized over walks and loops over steps, with
-the SplitMix64 draws in uint64 and the states in int64.  A lane whose p + q reaches 2^62
-(sooner when an interval endpoint is large) leaves the kernel and is
-finished on Python integers from the same (key, step, state).  An MC1
-letter is decided by a float pre-screen; draws within 4 units of the
-53-bit threshold take the exact integer comparison.
+Every batched walk takes its letters from ``_letter_steps``, which
+yields one bool column per step.  ``walk_blocks`` runs its walks as lanes
+of one numpy kernel, 4096 walks at a time, vectorized over walks and
+looping over steps: it applies those letters to states held in int64
+until p + q reaches 2^62 (sooner when an interval endpoint is large), and
+after that in numpy object columns of Python ints, where the same step
+and interval test run exactly at any size.  ``martingale_check`` and the
+letter-counting ``verify`` checks use the letters alone.
 
-``martingale_check`` and the letter-counting ``verify`` checks need only
-the letters, which ``_letter_steps`` yields one step column at a time.
-MC1 lanes there carry no (p, q) at all but a float64 u = q/(p+q), the
-only thing the letter depends on: letter 0 iff the 53-bit draw d is
+MC1 lanes of ``_letter_steps`` carry no (p, q) but a float64 u = q/(p+q),
+the only thing the letter depends on: letter 0 iff the 53-bit draw d is
 below u*2^53, with u -> 1/(2-u) after letter 0 and u -> u/(1+u) after
 letter 1.  Both maps contract u, so after t steps u is within
 (3t+1)*2^-54 of its exact value however long p and q grow, and every
@@ -55,7 +54,6 @@ __all__ = [
     "walk_table",
     "count_hits",
     "curve_from_counts",
-    "hitting_curve",
     "hitting_experiment",
     "martingale_check",
     "mc0_limit_experiment",
@@ -159,29 +157,6 @@ def cylinder_prob(kind: str, x: ExtRat, word: Sequence[int], caps: Caps = CAPS) 
     return prob
 
 
-def _run_walk(
-    kind: str,
-    x: ExtRat,
-    step: int,
-    horizon: int,
-    key: int,
-    interval: Optional[Tuple[ExtRat, ExtRat]],
-) -> Tuple[int, int, int]:
-    """Finish one walk on Python ints from state x at time step.
-
-    Returns (hit_time, final_num, final_den).  With an interval the walk
-    stops at its first state strictly inside (x itself counts, at time
-    step) and reports that state as final.
-    """
-    if interval is not None and interval[0] < x < interval[1]:
-        return step, x.num, x.den
-    for k in range(step, horizon):
-        x = apply_letter(x, _draw_letter(kind, key, k, x))
-        if interval is not None and interval[0] < x < interval[1]:
-            return k + 1, x.num, x.den
-    return -1, x.num, x.den
-
-
 _LANE_SUM = 1 << 62
 _INT64_MAX = (1 << 63) - 1
 # Lanes per batch: enough to amortize numpy's per-call cost, while a
@@ -201,94 +176,92 @@ def _walk_batch(
 ) -> Tuple[List[int], List[int], List[int]]:
     """Walks first..stop-1 as lanes of one batch: columns (hit_times, nums, dens).
 
-    The columns hold Python ints and equal, lane by lane, what _run_walk
-    returns from the start at time 0.  Lanes are stepped together on
-    numpy arrays, one step at a time.
+    The columns hold Python ints.  Lane i applies, one step at a time,
+    the letters _letter_steps yields for walk first+i, so it ends where
+    simulate ends that walk; with an interval it stops at its first state
+    strictly inside (the start counts, at time 0) and reports that state.
+    A lane's (p, q) sits in int64 columns while p + q < lim and in numpy
+    object columns of Python ints after; both take the same steps and
+    interval test.
 
     Exactness:
 
-    * Overflow.  Every lane in the batch has p + q < lim <= 2^62.  One
-      step maps (p, q) to (p, p+q) or (p+q, q), so the new entries are at
-      most p + q < 2^62 and their sum at most 2(p + q) < 2^63: no int64
-      sum wraps.  A lane whose new sum reaches lim leaves the batch
-      before any further arithmetic on it; _run_walk resumes it from the
-      same (key, step, p, q) and, the draws being counter-based, yields
-      the letters it would have drawn in the batch.  A start with
-      p + q >= lim sends every lane there at time 0.
+    * Overflow.  lim <= 2^62.  One step maps (p, q) to (p, p+q) or
+      (p+q, q), so from p + q < lim the new entries are at most
+      p + q < 2^62 and their sum at most 2(p + q) < 2^63: no int64 sum
+      wraps.  A lane whose new sum reaches lim moves to the object
+      columns (the int64 values convert exactly) before any further
+      arithmetic on it, and there every sum and product is a Python int,
+      exact at any size.  A start with p + q >= lim puts every lane
+      there at time 0.
     * Interval tests.  lim <= (2^63 - 1) // m + 1 for m the largest
-      endpoint numerator or denominator, so max(p, q) * m <= (p + q) * m
-      <= 2^63 - 1 and the cross-products a_num*q < p*a_den and
-      p*b_den < b_num*q are exact in int64; this also covers b = 1/0
-      (p*0 < 1*q, i.e. q > 0).  Endpoints at or past 2^63 give lim = 1,
-      so all lanes take the exact path.
-    * MC1 letters.  The letter is 0 iff d*(p+q) < q*2^53 for the 53-bit
-      draw d, i.e. iff d < T = q*2^53/(p+q) <= 2^53.  The kernel forms
-      t = fl(fl(q)/fl(p+q))*2^53: three roundings of relative error
-      <= 2^-53 each, so |t - T| <= T*(3*2^-53 + 2^-104) < 3 + 2^-50.  d is
-      exact in float64 (d < 2^53), and g = fl(d - t) keeps the sign of
-      d - t with |g| > 4 only when |d - t| > 4(1 - 2^-53) > |t - T|.  So
-      g < -4 proves d < T (letter 0) and g > 4 proves d > T (letter 1);
-      lanes with |g| <= 4 take the exact integer test, where a tie
-      d*(p+q) == q*2^53 gives letter 1.
+      endpoint numerator or denominator, so an int64 lane has
+      max(p, q) * m <= (p + q) * m <= 2^63 - 1 and the cross-products
+      a_num*q < p*a_den and p*b_den < b_num*q are exact in int64; this
+      also covers b = 1/0 (p*0 < 1*q, i.e. q > 0).  Endpoints at or past
+      2^63 give lim = 1, so every lane is on Python ints.
     """
     walks = stop - first
-    keys = rng.walk_keys(seed, first, stop)
     lim = _LANE_SUM
     if interval is not None:
         lo, hi = interval
         lim = min(lim, _INT64_MAX // max(lo.num, lo.den, hi.num, hi.den) + 1)
     hits = np.full(walks, -1, dtype=np.int64)
-    nums = np.zeros(walks, dtype=np.int64)
-    dens = np.zeros(walks, dtype=np.int64)
-    exits: list = []  # (lane, step, p, q) finished by _run_walk
-    if start.num + start.den < lim:
-        lane, key = np.arange(walks), keys
-        p = np.full(walks, start.num, dtype=np.int64)
-        q = np.full(walks, start.den, dtype=np.int64)
-    else:
-        exits = [(w, 0, start.num, start.den) for w in range(walks)]
-        lane = key = p = q = np.zeros(0, dtype=np.int64)
+    nums = np.empty(walks, dtype=object)
+    dens = np.empty(walks, dtype=object)
+    # cols[0] holds the int64 lanes, cols[1] the Python-int lanes: [lane, p, q]
+    every = np.arange(walks)
+    cols = [[every[:0], np.zeros(0, np.int64), np.zeros(0, np.int64)],
+            [every[:0], np.zeros(0, object), np.zeros(0, object)]]
+    big = start.num + start.den >= lim
+    dtype = object if big else np.int64
+    cols[big] = [every, np.full(walks, start.num, dtype), np.full(walks, start.den, dtype)]
+    letters = _letter_steps(kind, start, first, stop, horizon, seed)
+    live, keep = every, None  # the lanes not yet hit, which letter columns cover
     t = 0
-    while lane.size:
-        # every lane holds its time-t state, with p + q < lim
+    while True:
+        # every lane holds its time-t state; int64 lanes have p + q < lim
         if interval is not None:
-            inside = (lo.num * q < p * lo.den) & (p * hi.den < hi.num * q)
-            if inside.any():
-                hit = lane[inside]
-                hits[hit] = t
-                nums[hit] = p[inside]
-                dens[hit] = q[inside]
-                keep = ~inside
-                lane, key, p, q = lane[keep], key[keep], p[keep], q[keep]
-        if t == horizon:
+            for c in cols:
+                lane, p, q = c
+                if not lane.size:  # endpoints past int64 meet no int64 column
+                    continue
+                inside = (lo.num * q < p * lo.den) & (p * hi.den < hi.num * q)
+                if inside.any():
+                    hit = lane[inside]
+                    hits[hit] = t
+                    nums[hit] = p[inside]
+                    dens[hit] = q[inside]
+                    c[:] = [a[~inside] for a in c]
+                    keep = hits[live] < 0
+            if keep is not None:
+                live = live[keep]
+        if t == horizon or not live.size:
             break
-        d = rng.draw_array(key, t)
-        s = p + q
-        if kind == "MC0":
-            letter = d >= np.uint64(1 << 63)
-        else:
-            d53 = d >> np.uint64(11)
-            g = d53.astype(np.float64) - q / s * 2.0 ** 53
-            letter = g > 0
-            for i in np.flatnonzero(np.abs(g) <= 4.0).tolist():
-                letter[i] = int(d53[i]) * int(s[i]) >= int(q[i]) << 53
-        p = np.where(letter, s, p)
-        q = np.where(letter, q, s)
+        # all lanes share the start, so a time-0 hit ends the batch and the
+        # first request sends None, as a fresh generator needs
+        letter = letters.send(keep)
+        keep = None
+        if live is not every:  # spread the column back over the batch
+            column = np.zeros(walks, dtype=bool)
+            column[live] = letter
+            letter = column
+        for c in cols:
+            lane, p, q = c
+            if lane.size:
+                b = letter if lane is every else letter[lane]  # no lane gone yet
+                s = p + q
+                c[1:] = np.where(b, s, p), np.where(b, q, s)
         t += 1
+        p, q = cols[0][1:]
         out = p + q >= lim
         if out.any():
-            exits.extend(zip(lane[out].tolist(), [t] * int(out.sum()),
-                             p[out].tolist(), q[out].tolist()))
-            keep = ~out
-            lane, key, p, q = lane[keep], key[keep], p[keep], q[keep]
-    nums[lane] = p
-    dens[lane] = q
-    hit_times, num_col, den_col = hits.tolist(), nums.tolist(), dens.tolist()
-    for w, step, a, b in exits:
-        hit_times[w], num_col[w], den_col[w] = _run_walk(
-            kind, ExtRat._raw(a, b), step, horizon, int(keys[w]), interval
-        )
-    return hit_times, num_col, den_col
+            cols[1] = [np.concatenate((a, b[out])) for a, b in zip(cols[1], cols[0])]
+            cols[0] = [a[~out] for a in cols[0]]
+    for lane, p, q in cols:
+        nums[lane] = p
+        dens[lane] = q
+    return hits.tolist(), nums.tolist(), dens.tolist()
 
 
 def _letter_steps(
@@ -344,11 +317,17 @@ def _letter_steps(
 
     ``margin`` overrides M; anything at least 1.5*horizon keeps the
     letters exact, and a larger one only forces more replays.
+
+    A consumer that no longer needs some walks may ``send`` a bool mask
+    over the lanes of the last column; the next columns cover only the
+    lanes it keeps, in order.
     """
     keys = rng.walk_keys(seed, first, stop)
     if kind == "MC0":
         for t in range(horizon):
-            yield rng.draw_array(keys, t) >= np.uint64(1 << 63)
+            keep = yield rng.draw_array(keys, t) >= np.uint64(1 << 63)
+            if keep is not None:
+                keys = keys[keep]
         return 0
     m = 2.0 * horizon if margin is None else margin
     u = np.full(stop - first, start.den / (start.num + start.den))
@@ -363,8 +342,10 @@ def _letter_steps(
                 x = apply_letter(x, _draw_letter(kind, key, k, x))
             letter[i] = _draw_letter(kind, key, t, x)
             replays += 1
-        yield letter
+        keep = yield letter
         u = np.where(letter, u, 1.0) / np.where(letter, 1.0 + u, 2.0 - u)
+        if keep is not None:
+            keys, u = keys[keep], u[keep]
     return replays
 
 
@@ -459,13 +440,6 @@ def curve_from_counts(counts: Sequence[int], walks: int) -> Tuple[Fraction, ...]
         cum += c
         curve.append(Fraction(cum, walks))
     return tuple(curve)
-
-
-def hitting_curve(hit_times: Sequence[int], horizon: int) -> Tuple[Fraction, ...]:
-    """curve[t]: exact fraction of walks with 0 <= hit_time <= t, t = 0..horizon."""
-    counts = [0] * (horizon + 1)
-    count_hits(counts, hit_times)
-    return curve_from_counts(counts, len(hit_times))
 
 
 def hitting_experiment(

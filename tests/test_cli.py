@@ -265,7 +265,7 @@ TINY_UNSAFE = Caps(**{f.name: 8 for f in fields(Caps)})
     ("horizon", ["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "5"]),
 ], ids=["level", "estimate", "orbit-enumerate", "orbit-ergodic", "exp", "exp-inverse",
         "walks", "horizon"])
-def test_each_cap_is_refused_then_lifted_or_hard(field, argv, capsys, monkeypatch):
+def test_each_cap_is_refused_then_lifted(field, argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "CAPS", TINY)
     monkeypatch.setattr(cli, "UNSAFE_CAPS", TINY_UNSAFE)
     assert run(argv) == 1

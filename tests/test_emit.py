@@ -183,7 +183,9 @@ def test_simulate_rows_then_curve(fmt, capsys, tmp_path):
              "interval": "2/5,3/5"}
     extra = None
     if fmt == "json":
-        curve = [str(c) for c in stochastic.hitting_curve([r[0] for r in table], horizon)]
+        hit_times = [r[0] for r in table]
+        curve = [str(Fraction(sum(0 <= h <= t for h in hit_times), walks))
+                 for t in range(horizon + 1)]
         extra = {"fraction": curve[-1], "curve": curve}
     argv = ["simulate", "--chain", "mc1", "--walks", str(walks), "--horizon", str(horizon),
             "--interval", "2/5,3/5", "--seed", "5", "--format", fmt]

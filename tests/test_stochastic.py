@@ -1,5 +1,6 @@
 """Random walks: exact cylinder weights, reproducible tables, hitting."""
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sternbrocot import rng
+from sternbrocot import rng, stochastic
 from sternbrocot.cli import run
 from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
 from sternbrocot.minkowski import rho
@@ -273,17 +274,20 @@ class TestKernel:
             assert rows[w] == reference_walk(kind, ONE, 120, 3, w, None)
 
     def test_mc1_letters_near_the_threshold(self):
+        # every start puts the exact threshold q*2^53/(p+q) within 4 units
+        # of walk 0's step-0 draw, where a float estimate of it can fall on
+        # the wrong side; the rule is d53*(p+q) < q*2^53, decided exactly
         seed = 5
         d53 = rng.draw(rng.walk_key(seed, 0), 0) >> 11
         # exact tie: q/(p+q) == d53/2^53, which must give letter 1
         g = math.gcd(d53, 1 << 53)
         tie = ExtRat(((1 << 53) - d53) // g, d53 // g)
-        # p+q = 2^53+1 rounds to 2^53, so the float estimate of the
-        # threshold is q while the exact one lies in (q-1, q)
+        # p+q = 2^53+1 rounds to 2^53 in float64, so fl(q)/fl(p+q)*2^53
+        # reads q while the exact threshold lies in (q-1, q)
         s = (1 << 53) + 1
         starts = [tie] + [ExtRat(s - d53 - off, d53 + off) for off in range(-3, 4)]
-        # p+q near 2^61: the float threshold lands one unit past d53 on
-        # the wrong side, so only the exact test gets these letters right
+        # p+q near 2^61: fl(q)/fl(p+q)*2^53 lands one unit past d53, on the
+        # wrong side of it
         starts += [
             ExtRat(67823619209512247, 3296671496688926273),
             ExtRat(67206011978046677, 3266651745754786218),
@@ -299,6 +303,23 @@ class TestKernel:
         assert walk_table("MC1", tie, 1, 1, seed)[0] == (
             -1, tie.num + tie.den, tie.den
         )
+
+    @pytest.mark.parametrize("kind", ["MC0", "MC1"])
+    def test_lanes_past_int64_keep_stepping_then_hit(self, kind):
+        # from FIB60 lanes pass 2^62 within a few steps; they go on, on
+        # Python-int columns, to states inside (3/2, 1/0)
+        interval, horizon, seed, walks = (ExtRat(3, 2), INF), 40, 0, 64
+        rows = walk_table(kind, FIB60, walks, horizon, seed, interval=interval)
+        assert rows == tuple(
+            reference_walk(kind, FIB60, horizon, seed, w, interval) for w in range(walks)
+        )
+        late = 0
+        for w, (t, num, den) in enumerate(rows):
+            if t > 0 and num + den >= 1 << 62:
+                states = simulate(ChainSpec(kind, FIB60, horizon, seed), walk=w).states
+                crossed = min(k for k, x in enumerate(states) if x.num + x.den >= 1 << 62)
+                late += crossed < t
+        assert late > 0
 
     def test_numpy_mix_matches_scalar(self):
         r = np.random.default_rng(11)
@@ -317,6 +338,23 @@ class TestKernel:
             walk_table("MC1", FIB60, 500, 60, seed=7, interval=KERNEL_INTERVALS[1])
             assert run(["verify", "--suite", "operators.power-vs-monte-carlo"]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_only_the_letter_rule_draws():
+    # one letter rule: _letter_steps draws for every batched walk and
+    # _draw_letter for one walk; the batched walk kernel uses no rng at all
+    tree = ast.parse(Path(stochastic.__file__).read_text())
+    uses = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            uses[fn.name] = {
+                n.attr for n in ast.walk(fn)
+                if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                and n.value.id == "rng"
+            }
+    drawers = {f for f, names in uses.items() if any(a.startswith("draw") for a in names)}
+    assert drawers == {"_letter_steps", "_draw_letter"}
+    assert uses["_walk_batch"] == set()
 
 
 def exact_letters(kind, x, horizon, seed, walk):

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, inf
+from sys import hash_info as _HASH
 
 
 class DomainError(ValueError):
@@ -34,7 +35,7 @@ class Caps:
     """
 
     level: int = 24  # tree level streamed in blocks; memory stays flat
-    estimate: int = 20  # tree levels held whole as arrays (~2^k * 64 B)
+    estimate: int = 20  # tree levels held whole as arrays (~2^k * 32 B at peak, 8 B cached)
     orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~32 B an iterate
     exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes
     word: int = 1 << 10  # letters of an {L, R} or 0/1 word
@@ -165,7 +166,12 @@ class ExtRat:
         return self.num * po[1] >= po[0] * self.den
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # Fraction's hash: num / den in the integers mod the hash modulus, so
+        # x == y gives hash(x) == hash(y) for int and Fraction y as well.  A
+        # den with no inverse there (1/0 among them) hashes as infinity.
+        if self.den % _HASH.modulus == 0:
+            return _HASH.inf
+        return hash(hash(self.num) * pow(self.den, -1, _HASH.modulus))
 
     def __bool__(self):
         return self.num != 0

@@ -147,7 +147,8 @@ def inverse_branches(m: str, x: ExtRat) -> tuple[ExtRat, ExtRat]:
         return ExtRat._raw(p, p + q), ExtRat._raw(q, 2 * q - p)
     if m == "D":
         _need_unit(x, m)
-        return ExtRat._raw(p, 2 * q), ExtRat._raw(p + q, 2 * q)
+        # p/(2q) and (p+q)/(2q) share a factor 2 when p, resp. p + q, is even
+        return ExtRat(p, 2 * q), ExtRat(p + q, 2 * q)
     raise DomainError(f"{m!r} is not a two-to-one map")
 
 

@@ -13,7 +13,8 @@ generated directly by the descendant rules
 Levels are streamed left to right in blocks of up to 4096 entries: a
 depth-first walk reaches each vertex 12 levels above the target and
 expands its subtree as int64 columns, exact up to level 62 (see
-level_blocks), so level 24 never needs the whole tree in memory.
+level_blocks), so level 24 never needs the whole tree in memory.  The
+estimators' level_arrays and level_floats hold levels joined from them.
 """
 
 from __future__ import annotations
@@ -77,6 +78,20 @@ def _values(s):
     return s
 
 
+def _cols(s, dtype):
+    return tuple(np.array([v], dtype=dtype) for v in s)
+
+
+def _child_cols(spec, cols):
+    out = []
+    for lc, rc in zip(*_children(spec, cols)):
+        col = np.empty(2 * lc.size, dtype=lc.dtype)
+        col[0::2] = lc
+        col[1::2] = rc
+        out.append(col)
+    return tuple(out)
+
+
 # Levels whose subtrees level_blocks expands at once: 2^12 entries a block.
 BLOCK_LEVELS = 12
 # The deepest level whose arithmetic level_blocks does in int64.
@@ -130,6 +145,8 @@ def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     """The two children of vertex x in the given tree."""
     if spec.kind != "sb" and not 0 < x < 1:
         raise DomainError(f"{spec.kind} vertices lie in (0,1)")
+    if spec.kind == "dyadic" and x.den & (x.den - 1):
+        raise DomainError("dyadic vertices have power-of-two denominators")
     if spec.permuted or spec.kind == "dyadic":
         (a, b), (c, d) = _children(spec, (x.num, x.den))
         return ExtRat._raw(a, b), ExtRat._raw(c, d)
@@ -137,36 +154,24 @@ def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     return mediant(lo, x), mediant(x, hi)
 
 
-# Vectorized level arrays for the numeric estimators.  Entries of any
-# level k <= 24 stay below 2^25 (Fibonacci growth for the mediant kinds,
-# 2^k for the dyadic ones), so int64 arithmetic is exact here.
+# Levels held whole and read-only for the estimators, keyed by (kind,
+# permuted, k).  _STATE_CACHE keeps the name the benchmark clears it by,
+# but holds the (num, den) values of a level, not parent states.
 
 _STATE_CACHE: dict = {}
 _FLOAT_CACHE: dict = {}
 
 
-def _cols(s, dtype=np.int64):
-    return tuple(np.array([v], dtype=dtype) for v in s)
-
-
-def _child_cols(spec, cols):
-    out = []
-    for lc, rc in zip(*_children(spec, cols)):
-        col = np.empty(2 * lc.size, dtype=lc.dtype)
-        col[0::2] = lc
-        col[1::2] = rc
-        out.append(col)
-    return tuple(out)
-
-
-def _state_cols(spec, k):
+def _held(cache, spec, k, caps, columns):
+    """The columns of level k, each joined from its blocks; level_blocks checks k."""
+    check_cap(caps, "estimate", k, "held level")
     key = (spec.kind, spec.permuted, k)
-    hit = _STATE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    cols = _cols(_root_state(spec)) if k == 1 else _child_cols(spec, _state_cols(spec, k - 1))
-    _STATE_CACHE[key] = cols
-    return cols
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = tuple(map(np.concatenate, columns(level_blocks(spec, k, caps))))
+        for a in hit:
+            a.flags.writeable = False
+    return hit
 
 
 def level_arrays(spec: TreeSpec, k: int, caps: Caps = CAPS):
@@ -174,22 +179,12 @@ def level_arrays(spec: TreeSpec, k: int, caps: Caps = CAPS):
 
     Cached per level; agrees entry for entry with level(spec, k).
     """
-    if k < 1:
-        raise DomainError("levels start at 1")
-    check_cap(caps, "estimate", k, "held level")
-    return _values(_state_cols(spec, k))
+    return _held(_STATE_CACHE, spec, k, caps, lambda blocks: zip(*blocks))
 
 
 def level_floats(spec: TreeSpec, k: int, caps: Caps = CAPS) -> np.ndarray:
     """Level k as double-precision values, cached."""
-    check_cap(caps, "estimate", k, "held level")
-    key = (spec.kind, spec.permuted, k)
-    hit = _FLOAT_CACHE.get(key)
-    if hit is None:
-        p, q = level_arrays(spec, k, caps)
-        hit = p / q
-        _FLOAT_CACHE[key] = hit
-    return hit
+    return _held(_FLOAT_CACHE, spec, k, caps, lambda blocks: [[p / q for p, q in blocks]])[0]
 
 
 def hyperbinary(n: int) -> int:

@@ -78,13 +78,9 @@ def select(suite: str) -> Tuple[str, ...]:
         if not matches:
             raise KeyError(f"no check or module named {token!r}")
         picked.extend(matches)
-    seen = set()
-    ordered = []
-    for n in names():
-        if n in picked and n not in seen:
-            seen.add(n)
-            ordered.append(n)
-    return tuple(ordered)
+    if not picked:
+        raise KeyError(f"suite {suite!r} names no check")
+    return tuple(n for n in names() if n in picked)
 
 
 def run_suite(suite: str = "all", seed: int = 7, workers: int = 1):

@@ -215,6 +215,13 @@ class TestVerify:
     def test_unknown_suite_is_usage(self, capsys):
         assert run(["verify", "--suite", "bogus"]) == 1
 
+    @pytest.mark.parametrize("suite", ["", ",", " , "])
+    def test_empty_suite_is_usage(self, suite, capsys):
+        assert run(["verify", "--suite", suite]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "names no check" in captured.err
+
     def test_failing_check_exits_two(self, capsys, monkeypatch):
         def bad(r, seed, workers):
             raise verify.CheckFailure("planted")

@@ -72,6 +72,19 @@ class TestExtRat:
     def test_float_of_infinity(self):
         assert float(INF) == float("inf")
 
+    @given(rationals)
+    def test_hash_agrees_with_fraction(self, a):
+        x = ExtRat(*a)
+        assert hash(x) == hash(Fraction(*a))
+        assert Fraction(*a) in {x} and x in {Fraction(*a)}
+
+    def test_hash_agrees_with_int_and_at_the_modulus(self):
+        assert 3 in {ExtRat(3)} and ZERO in {0}
+        m = 2**61 - 1  # the hash modulus on 64-bit builds
+        for num, den in ((1, m), (2, 3 * m), (m, 1), (5, m + 1), (1, 2**200)):
+            assert hash(ExtRat(num, den)) == hash(Fraction(num, den))
+        assert hash(INF) == hash(float("inf"))
+
 
 class TestMediant:
     def test_child_of_the_ancestors_is_one(self):

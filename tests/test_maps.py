@@ -143,6 +143,19 @@ class TestInverses:
             for y in inverse_branches(m, x):
                 assert apply(m, y) == x
 
+    @given(st.tuples(st.integers(0, 10**5), st.integers(1, 10**5)).filter(
+        lambda a: a[0] <= a[1]))
+    def test_F_and_D_branches_are_reduced(self, a):
+        x = ExtRat(*a)
+        for m in ("F", "D"):
+            for y in inverse_branches(m, x):
+                assert (y.num, y.den) == (frac(y).numerator, frac(y).denominator)
+
+    def test_D_branches_of_even_and_odd_sums(self):
+        assert [str(y) for y in inverse_branches("D", ExtRat(2, 3))] == ["1/3", "5/6"]
+        assert [str(y) for y in inverse_branches("D", ONE)] == ["1/2", "1/1"]
+        assert [str(y) for y in inverse_branches("D", ExtRat(1, 3))] == ["1/6", "2/3"]
+
 
 class TestOrbits:
     def test_R_enumerates_the_rationals(self):

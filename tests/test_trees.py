@@ -2,11 +2,13 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from sternbrocot.core import CapExceeded, DomainError, ExtRat, ONE
+from sternbrocot import trees
 from sternbrocot.coding import hat
 from sternbrocot.trees import (
     TreeSpec,
@@ -20,6 +22,8 @@ from sternbrocot.trees import (
 SB = TreeSpec("sb")
 FAREY = TreeSpec("farey")
 DYADIC = TreeSpec("dyadic")
+SPECS = tuple(TreeSpec(kind, permuted) for kind in ("sb", "farey", "dyadic")
+              for permuted in (False, True))
 
 
 def mediant_stage_oracle(k: int, ancestors) -> list[list[tuple[int, int]]]:
@@ -127,9 +131,7 @@ class TestDescendants:
         assert descendants(SB, ExtRat(2, 5)) == (ExtRat(3, 8), ExtRat(3, 7))
 
     def test_children_tile_the_next_level(self):
-        for spec in (SB, FAREY, DYADIC, TreeSpec("sb", permuted=True),
-                     TreeSpec("farey", permuted=True),
-                     TreeSpec("dyadic", permuted=True)):
+        for spec in SPECS:
             for k in range(1, 8):
                 spread = []
                 for v in level(spec, k):
@@ -139,22 +141,46 @@ class TestDescendants:
     def test_domain_is_guarded(self):
         with pytest.raises(DomainError):
             descendants(DYADIC, ExtRat(3, 2))
+        for spec in (DYADIC, TreeSpec("dyadic", permuted=True)):
+            for x in (ExtRat(1, 3), ExtRat(2, 3), ExtRat(5, 12)):
+                with pytest.raises(DomainError):
+                    descendants(spec, x)
 
 
 class TestLevelArrays:
     def test_agree_with_the_exact_levels(self):
-        for spec in (SB, TreeSpec("farey", permuted=True), DYADIC):
-            for k in (1, 2, 5, 11):
+        # level 14 spans two level_blocks blocks of 4096 entries
+        for spec in SPECS:
+            for k in (1, 2, 5, 11, 14):
                 p, q = level_arrays(spec, k)
                 exact = list(level(spec, k))
                 assert p.dtype == np.int64 and q.dtype == np.int64
                 assert [(a, b) for a, b in zip(p.tolist(), q.tolist())] == [
                     (v.num, v.den) for v in exact
                 ]
+                assert level_floats(spec, k).tolist() == [v.num / v.den for v in exact]
 
     def test_floats_are_the_quotients(self):
         p, q = level_arrays(SB, 9)
         assert np.array_equal(level_floats(SB, 9), p / q)
+
+    def test_cached_arrays_are_read_only(self):
+        p, q = level_arrays(FAREY, 5)
+        assert level_arrays(FAREY, 5)[0] is p
+        for a in (p, q, level_floats(FAREY, 5)):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_floats_hold_about_their_own_bytes(self):
+        trees._STATE_CACHE.clear()
+        trees._FLOAT_CACHE.clear()
+        tracemalloc.start()
+        try:
+            held = [level_floats(SB, j) for j in range(1, 19)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sum(a.nbytes for a in held)
 
     def test_caps(self):
         with pytest.raises(CapExceeded):
@@ -163,6 +189,10 @@ class TestLevelArrays:
             list(level(SB, 25))
         with pytest.raises(DomainError):
             list(level(SB, 0))
+        with pytest.raises(DomainError):
+            level_arrays(SB, 0)
+        with pytest.raises(DomainError):
+            level_floats(SB, 0)
 
 
 class TestHyperbinary:

@@ -37,6 +37,11 @@ class TestSelection:
         with pytest.raises(KeyError):
             verify.select("core.phi-mediant,bogus.check")
 
+    def test_empty_selection_raises(self):
+        for suite in ("", ",", " , "):
+            with pytest.raises(KeyError):
+                verify.select(suite)
+
 
 class TestRunning:
     def test_core_suite_passes_and_repeats_identically(self):

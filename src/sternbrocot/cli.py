@@ -228,7 +228,9 @@ def _cmd_enumerate(args, caps) -> int:
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
     orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, caps)
-    blocks = _primed(_indexed(0, orbit))
+    blocks = _primed(
+        (index, num.tolist(), den.tolist()) for index, num, den in _indexed(0, orbit)
+    )
     flags = {"map": args.map, "start": args.start, "count": args.count}
     return _emit_ints(args, ("i", "num", "den"), blocks, flags)
 

@@ -6,6 +6,17 @@ van der Corput map) the permuted dyadic tree.  G, F, D are their
 two-to-one genealogical counterparts: G the slow Euclid map on [0, inf],
 F the Farey map, D the doubling map.  Everything here is exact integer
 arithmetic on reduced fractions.
+
+orbit_blocks reads the orbits of R, S and T in bulk.  From a vertex at
+(level k, index i) of the permuted sb, Farey or dyadic tree, the orbit
+runs on through level k from index i and then through levels k+1, k+2,
+... (trees.level_blocks); R from 1/0 first gives 1/0, 0/1, and S and T
+from 1 give 1, 0/1.  T from a non-dyadic start is the 2-adic odometer:
+with x = (B + r)/2^M, T^N(x) = (rev(v + N mod 2^M) + T^c(r))/2^M for
+v = rev(B) and c = (v + N) // 2^M (see _odometer).  Both give int64
+columns; levels past INT64_LEVEL give object columns of Python ints.
+A start deeper than INT64_LEVEL, an odometer run that int64 cannot hold
+and every orbit of G, F and D take one scalar _STEPS step per entry.
 """
 
 from __future__ import annotations
@@ -20,8 +31,21 @@ from typing import Iterator
 
 import numpy as np
 
+from . import trees
 from .accum import fsum_array
-from .core import CAPS, INF, ONE, Caps, DomainError, ExtRat, check_cap, phi, phi_inv
+from .coding import word_from_cf
+from .core import (
+    CAPS,
+    INF,
+    ONE,
+    Caps,
+    DomainError,
+    ExtRat,
+    cf_from_rat,
+    check_cap,
+    phi,
+    phi_inv,
+)
 from .minkowski import Dyadic, qmark, qmark_inv
 from .operators import apply_letter
 
@@ -153,13 +177,18 @@ def inverse_branches(m: str, x: ExtRat) -> tuple[ExtRat, ExtRat]:
 
 
 ORBIT_BLOCK = 4096
+# Binary digits the T odometer counts through at once: runs of 2^12 entries.
+ODOMETER_DIGITS = 12
+_TREE_KINDS = ("sb", "farey", "dyadic")  # the permuted trees R, S and T walk
 
 
 def orbit_blocks(m: str, p: int, q: int, count: int,
-                 caps: Caps = CAPS) -> Iterator[tuple[list, list]]:
+                 caps: Caps = CAPS) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The orbit of p/q, count entries in all, as blocks (nums, dens).
 
-    Each block holds up to ORBIT_BLOCK reduced entries in orbit order.
+    Each block holds up to ORBIT_BLOCK reduced entries in orbit order, as
+    numpy columns: int64 where that is exact, else Python ints in object
+    columns.
     """
     if count < 0:
         raise DomainError("count must be nonnegative")
@@ -170,30 +199,100 @@ def orbit_blocks(m: str, p: int, q: int, count: int,
     # Each map sends its interval into itself, so only the start needs a
     # domain check.
     step = _step_for(m, x)
-    p, q = x.num, x.den
-    for done in range(0, count, ORBIT_BLOCK):
-        n = min(ORBIT_BLOCK, count - done)
-        nums, dens = [0] * n, [0] * n
-        for j in range(n):
+    for nums, dens in _orbit_cols(m, x.num, x.den, step):
+        if len(nums) >= count:
+            yield nums[:count], dens[:count]
+            return
+        yield nums, dens
+        count -= len(nums)
+
+
+def _orbit_cols(m, p, q, step):
+    """The endless orbit of the reduced p/q as column blocks."""
+    if m in INVERTIBLE:
+        # the starts off the tree: each leads to the next, the last to the root
+        head = ((1, 0), (0, 1)) if m == "R" else ((1, 1), (0, 1))
+        if (p, q) in head:
+            head = head[head.index((p, q)):]
+            yield np.array([h[0] for h in head]), np.array([h[1] for h in head])
+            pos = 1, 0
+        else:
+            pos = _tree_position(m, p, q)
+        if pos is not None:
+            k, i = pos
+            spec = trees.TreeSpec(_TREE_KINDS[INVERTIBLE.index(m)], permuted=True)
+            while True:
+                yield from trees._level_from(spec, k, i)
+                k, i = k + 1, 0
+        if m == "T" and q & (q - 1):
+            p, q = yield from _odometer(p, q)
+    while True:
+        nums, dens = [0] * ORBIT_BLOCK, [0] * ORBIT_BLOCK
+        for j in range(ORBIT_BLOCK):
             nums[j] = p
             dens[j] = q
             p, q = step(p, q)
-        yield nums, dens
+        yield np.array(nums, dtype=object), np.array(dens, dtype=object)
+
+
+def _tree_position(m, p, q):
+    """(level, index) of p/q in the permuted tree that m walks; None for a
+    point off the tree (a non-dyadic T start) or deeper than INT64_LEVEL.
+
+    The permuted tree puts at address w the vertex that the plain tree has
+    at the reversed word, so the index reads the word of p/q backwards
+    (L = 0, R = 1).  The Farey tree is the sb subtree under the letter L.
+    """
+    if m == "T":
+        k = q.bit_length() - 1
+        if q & (q - 1) or k > trees.INT64_LEVEL:
+            return None
+        return k, _bit_reverse(p >> 1, k - 1)  # plain index (p - 1)/2 of odd p
+    terms = cf_from_rat(ExtRat._raw(p, q))
+    k = sum(terms) - (m == "S")
+    if k > trees.INT64_LEVEL:
+        return None
+    word = word_from_cf(terms)[m == "S":]
+    return k, sum(1 << j for j, letter in enumerate(word) if letter == "R")
+
+
+def _odometer(p, q):
+    """T's orbit of a non-dyadic p/q in runs of int64 columns; returns the
+    first entry whose run would not be exact in int64.
+
+    With M = ODOMETER_DIGITS, p/q = (B + r)/2^M for an integer B < 2^M and
+    r = s/t in (0, 1).  T adds 1 to the binary digits read least
+    significant first, so T^N(p/q) = (rev(v + N mod 2^M) + T^c(r))/2^M with
+    v = rev(B) and c = (v + N) // 2^M: each run of 2^M entries shares one
+    tail, and the tail takes one scalar step per run.  An entry is
+    (u t + s)/(2^M t) with u < 2^M, exact in int64 while 2^M t < 2^62.
+    Its numerator n is positive and prime to t (gcd(n, t) = gcd(s, t) = 1),
+    so gcd(n, 2^M t) = gcd(n, 2^M), the lowest set bit of n capped at 2^M.
+    """
+    rev = np.zeros(1, dtype=np.int64)  # rev[u]: the M binary digits of u reversed
+    while rev.size < 1 << ODOMETER_DIGITS:
+        rev = np.concatenate([2 * rev, 2 * rev + 1])
+    b, s = divmod(p << ODOMETER_DIGITS, q)
+    s, t = _reduced(s, q)
+    j = _bit_reverse(b, ODOMETER_DIGITS)
+    while t >> (62 - ODOMETER_DIGITS) == 0:
+        nums = rev[j:] * t + s
+        g = np.minimum(nums & -nums, 1 << ODOMETER_DIGITS)
+        yield nums // g, (t << ODOMETER_DIGITS) // g
+        s, t = _step_T(s, t)
+        j = 0
+    return _reduced(int(rev[j]) * t + s, t << ODOMETER_DIGITS)
 
 
 def orbit_iter(m: str, start: ExtRat, count: int,
                caps: Caps = CAPS) -> Iterator[ExtRat]:
     """Yield start, map(start), ..., count entries in all."""
     for nums, dens in orbit_blocks(m, start.num, start.den, count, caps):
-        yield from map(ExtRat._raw, nums, dens)
+        yield from map(ExtRat._raw, nums.tolist(), dens.tolist())
 
 
 def orbit(m: str, start: ExtRat, count: int, caps: Caps = CAPS) -> list[ExtRat]:
     return list(orbit_iter(m, start, count, caps))
-
-
-def _dy_rat(d: Dyadic) -> ExtRat:
-    return ExtRat(d.num, 1 << d.exp)
 
 
 def conjugacy_residual(pair: str, x: ExtRat) -> Fraction:
@@ -207,11 +306,11 @@ def conjugacy_residual(pair: str, x: ExtRat) -> Fraction:
     if pair == "R-S":
         lhs, rhs = apply("S", phi(x)), phi(apply("R", x))
     elif pair == "S-T":
-        lhs, rhs = apply("T", _dy_rat(qmark(x))), _dy_rat(qmark(apply("S", x)))
+        lhs, rhs = apply("T", qmark(x).as_extrat()), qmark(apply("S", x)).as_extrat()
     elif pair == "G-F":
         lhs, rhs = apply("F", phi(x)), phi(apply("G", x))
     elif pair == "F-D":
-        lhs, rhs = apply("D", _dy_rat(qmark(x))), _dy_rat(qmark(apply("F", x)))
+        lhs, rhs = apply("D", qmark(x).as_extrat()), qmark(apply("F", x)).as_extrat()
     else:
         raise DomainError(f"unknown pair {pair!r}; one of {CONJUGACY_PAIRS}")
     if lhs == rhs:
@@ -259,7 +358,7 @@ def stack_interval(family: str, i: int, n: int, caps: Caps = CAPS) -> StackInter
     lo = Dyadic(_bit_reverse(i - 1, n), n)
     hi = Dyadic(_bit_reverse(i - 1, n) + 1, n)
     if family == "A":
-        return StackInterval(family, i, n, _dy_rat(lo), _dy_rat(hi))
+        return StackInterval(family, i, n, lo.as_extrat(), hi.as_extrat())
     blo, bhi = qmark_inv(lo, caps), qmark_inv(hi, caps)
     if family == "B":
         return StackInterval(family, i, n, blo, bhi)
@@ -293,7 +392,7 @@ def odometer_value(x: ExtRat, m: int, map: str = "T") -> int:
         bits = binary_digits(x, m)
     elif map == "S":
         d = qmark(x)
-        bits = binary_digits(_dy_rat(d), m)
+        bits = binary_digits(d.as_extrat(), m)
     else:
         raise DomainError("the odometer picture applies to T and S")
     return sum(b << j for j, b in enumerate(bits))
@@ -321,8 +420,14 @@ def _orbit_floats(m: str, num: int, den: int, count: int, caps: Caps) -> np.ndar
     out = np.empty(count, dtype=float)
     i = 0
     for nums, dens in orbit_blocks(m, num, den, count, caps):
-        out[i:i + len(nums)] = list(map(truediv, nums, dens))
-        i += len(nums)
+        n = len(nums)
+        # numpy divides the rounded operands, Python the exact integers; the
+        # two agree while both are below 2^53, where rounding is exact
+        if nums.dtype == object or max(nums.max(), dens.max()) >> 53:
+            out[i:i + n] = list(map(truediv, nums.tolist(), dens.tolist()))
+        else:
+            np.divide(nums, dens, out=out[i:i + n])
+        i += n
     return out
 
 

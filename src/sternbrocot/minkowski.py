@@ -89,6 +89,9 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
+    def as_extrat(self) -> ExtRat:
+        return ExtRat(self.num, 1 << self.exp)
+
     def __float__(self) -> float:
         return float(self.as_fraction())
 

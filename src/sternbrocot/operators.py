@@ -88,20 +88,26 @@ class _Sum:
     """One-pass sum of terms: exact while every term is an int or a Fraction.
 
     Terms are taken in blocks of _BLOCK.  A block adds to the exact sum
-    while every term so far is rational.  Its real parts (float(t), or
-    complex(t).real for complex t) and imaginary parts are folded into
-    exact float expansions, so a float or complex result is math.fsum of
-    all the parts, exactly rounded, in O(_BLOCK) memory.  A conversion or
-    overflow error waits until result() needs the float sums.  Partial
-    sums that leave the float range raise OverflowError as in math.fsum;
-    at that edge the two may differ in which term triggers it, or in
-    which of two due errors is raised.
+    while every term so far is rational.  The exact sum is a balanced
+    tree of additions in leaf order: a block sums its terms pairwise, and
+    the i-th block's subtotal merges with the subtotal of the 2^j blocks
+    before it for each trailing zero bit j of i, the earlier sibling
+    first.  So operands grow like a balanced tree's nodes, not like a
+    running sum, and at most log2(blocks) + 1 subtotals wait.  Its real
+    parts (float(t), or complex(t).real for complex t) and imaginary parts
+    are folded into exact float expansions, so a float or complex result
+    is math.fsum of all the parts, exactly rounded, in O(_BLOCK) memory.
+    A conversion or overflow error waits until result() needs the float
+    sums.  Partial sums that leave the float range raise OverflowError as
+    in math.fsum; at that edge the two may differ in which term triggers
+    it, or in which of two due errors is raised.
     """
 
-    __slots__ = ("exact", "is_complex", "pending", "re", "im", "error")
+    __slots__ = ("exact", "count", "is_complex", "pending", "re", "im", "error")
 
     def __init__(self):
-        self.exact = Fraction(0)  # None once a term is not an int or a Fraction
+        self.exact = []  # waiting subtotals; None once a term is not an int or a Fraction
+        self.count = 0
         self.is_complex = False
         self.pending = []
         self.re = []
@@ -117,7 +123,13 @@ class _Sum:
         terms, self.pending = self.pending, []
         if self.exact is not None:
             if all(isinstance(t, (int, Fraction)) for t in terms):
-                self.exact += sum(terms)
+                total = _pairwise(terms)
+                self.count += 1
+                i = self.count
+                while not i & 1:  # a binary counter over the blocks
+                    total = self.exact.pop() + total
+                    i >>= 1
+                self.exact.append(total)
                 if last:
                     return
             else:
@@ -146,12 +158,22 @@ class _Sum:
         exactly rounded complex sum if a term was complex, else the float sum."""
         self._fold(last=True)
         if self.exact is not None:
-            return self.exact
+            total = Fraction(0)
+            for s in reversed(self.exact):
+                total = s + total
+            return total
         if self.error is not None:
             raise self.error
         if self.is_complex:
             return complex(fsum(self.re), fsum(self.im))
         return fsum(self.re)
+
+
+def _pairwise(xs: list):
+    """Sum of xs, adding neighbours level by level."""
+    while len(xs) > 1:
+        xs = [a + b for a, b in zip(xs[0::2], xs[1::2])] + xs[len(xs) & ~1:]
+    return xs[0] if xs else 0
 
 
 def _sum_terms(terms):

@@ -11,10 +11,12 @@ generated directly by the descendant rules
     dyadic:  p/q -> p/(2q), (p+q)/(2q)
 
 Levels are streamed left to right in blocks of up to 4096 entries: a
-depth-first walk reaches each vertex 12 levels above the target and
-expands its subtree as int64 columns, exact up to level 62 (see
-level_blocks), so level 24 never needs the whole tree in memory.  The
-estimators' level_arrays and level_floats hold levels joined from them.
+depth-first walk reaches each vertex 13 levels above the target and
+expands its subtree, two blocks, as int64 columns, exact up to level 62
+(see level_blocks), so level 24 never needs the whole tree in memory.
+A level can also be streamed from any index, as the orbits of R, S and
+T are.  The estimators' level_arrays and level_floats hold levels joined
+from the blocks.
 """
 
 from __future__ import annotations
@@ -92,8 +94,11 @@ def _child_cols(spec, cols):
     return tuple(out)
 
 
-# Levels whose subtrees level_blocks expands at once: 2^12 entries a block.
+# Levels below each block's root: 2^12 entries a block.
 BLOCK_LEVELS = 12
+# Levels a batch adds above the block roots: 2 blocks expand together.  At 4
+# blocks the peak RSS of `tree --depth 19` rose by about 0.5 MB.
+BATCH_LEVELS = 1
 # The deepest level whose arithmetic level_blocks does in int64.
 INT64_LEVEL = 62
 
@@ -102,8 +107,10 @@ def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
     """Level k as (num, den) column blocks, left to right.
 
     A depth-first walk visits the vertices of level k - c, with
-    c = min(BLOCK_LEVELS, k - 1), and expands the subtree under each one
-    c levels at once; its 2^c leaves are the next block of level k.
+    c = min(BLOCK_LEVELS + BATCH_LEVELS, k - 1), and expands the subtree
+    under each one c levels at once, one _child_cols call a level for a
+    whole batch of block roots; its 2^c leaves are cut into blocks of up to
+    2^BLOCK_LEVELS entries, aligned to multiples of that size in the level.
 
     The arithmetic is exact in int64 up to level INT64_LEVEL.  Each child
     rule builds its entries from p + q, 2q, 2q - p and 2p +- 1 with p < q
@@ -119,12 +126,31 @@ def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
     if k < 1:
         raise DomainError("levels start at 1")
     check_cap(caps, "level", k, "level")
-    c = min(BLOCK_LEVELS, k - 1)
+    yield from _level_from(spec, k, 0)
+
+
+def _level_from(spec, k, start):
+    """level_blocks from index start (0 is the leftmost) of level k, unchecked,
+    for orbits that run past caps.level.  The walk is pruned to the path down
+    to the batch holding start, and the first block begins at start."""
+    c = min(BLOCK_LEVELS + BATCH_LEVELS, k - 1)
+    size = 1 << min(BLOCK_LEVELS, c)
     dtype = np.int64 if k <= INT64_LEVEL else object
-    stack = [(1, _root_state(spec))]
+    top = k - c  # the level of the batch roots
+    batch = start >> c
+    stack, s = [], _root_state(spec)
+    for d in range(1, top):  # down to the batch holding start; later siblings wait
+        left, right = _children(spec, s)
+        if batch >> (top - 1 - d) & 1:
+            s = right
+        else:
+            stack.append((d + 1, right))
+            s = left
+    stack.append((top, s))
+    lo = start & ((1 << c) - 1)
     while stack:
         d, s = stack.pop()
-        if d < k - c:
+        if d < top:
             left, right = _children(spec, s)
             stack.append((d + 1, right))
             stack.append((d + 1, left))
@@ -132,7 +158,12 @@ def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
         cols = _cols(s, dtype)
         for _ in range(c):
             cols = _child_cols(spec, cols)
-        yield _values(cols)
+        (num, den), cols = _values(cols), None  # the parent columns are not held
+        while lo < num.size:
+            hi = (lo | (size - 1)) + 1
+            yield num[lo:hi], den[lo:hi]
+            lo = hi
+        lo = 0
 
 
 def level(spec: TreeSpec, k: int, caps: Caps = CAPS) -> Iterator[ExtRat]:
@@ -163,14 +194,23 @@ _FLOAT_CACHE: dict = {}
 
 
 def _held(cache, spec, k, caps, columns):
-    """The columns of level k, each joined from its blocks; level_blocks checks k."""
+    """The columns of level k, copied block by block into arrays the
+    length of the level, so no list of blocks waits to be joined;
+    level_blocks checks k."""
     check_cap(caps, "estimate", k, "held level")
     key = (spec.kind, spec.permuted, k)
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = tuple(map(np.concatenate, columns(level_blocks(spec, k, caps))))
+        i = 0
+        for cols in map(columns, level_blocks(spec, k, caps)):
+            if not i:  # the first block: level_blocks has checked k
+                hit = tuple(np.empty(1 << (k - 1), col.dtype) for col in cols)
+            for a, col in zip(hit, cols):
+                a[i:i + len(col)] = col
+            i += len(cols[0])
         for a in hit:
             a.flags.writeable = False
+        cache[key] = hit
     return hit
 
 
@@ -179,12 +219,12 @@ def level_arrays(spec: TreeSpec, k: int, caps: Caps = CAPS):
 
     Cached per level; agrees entry for entry with level(spec, k).
     """
-    return _held(_STATE_CACHE, spec, k, caps, lambda blocks: zip(*blocks))
+    return _held(_STATE_CACHE, spec, k, caps, lambda block: block)
 
 
 def level_floats(spec: TreeSpec, k: int, caps: Caps = CAPS) -> np.ndarray:
     """Level k as double-precision values, cached."""
-    return _held(_FLOAT_CACHE, spec, k, caps, lambda blocks: [[p / q for p, q in blocks]])[0]
+    return _held(_FLOAT_CACHE, spec, k, caps, lambda block: (block[0] / block[1],))[0]
 
 
 def hyperbinary(n: int) -> int:

@@ -304,9 +304,17 @@ def _c_perm_hat(r, seed, workers):
     return f"permuted levels equal elementwise hat of plain levels ({n} nodes)"
 
 
+def _check_steps(name, orb):
+    # orbits are read from tree levels, so check them against the one-step map too
+    for i in range(1, len(orb)):
+        if maps.apply(name, orb[i - 1]) != orb[i]:
+            raise CheckFailure(f"{name} orbit entry {i} != {name}(entry {i - 1})")
+
+
 @_check("trees.calkin-wilf")
 def _c_calkin_wilf(r, seed, workers):
     orb = maps.orbit("R", INF, (1 << 16) + 1)
+    _check_steps("R", orb)
     for i in range(2, (1 << 16) + 1):
         x = orb[i]
         if x.num != trees.hyperbinary(i - 2) or x.den != trees.hyperbinary(i - 1):
@@ -503,6 +511,7 @@ def _c_counting(r, seed, workers):
     )
     for name, start, spec in jobs:
         orb = maps.orbit(name, start, (1 << 12) + 1)
+        _check_steps(name, orb)
         for k in range(1, 13):
             seg = orb[(1 << (k - 1)) + 1 : (1 << k) + 1]
             if seg != list(trees.level(spec, k)):

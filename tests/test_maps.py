@@ -3,7 +3,9 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import truediv
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,9 @@ from sternbrocot.core import (
     phi,
 )
 from sternbrocot.maps import (
+    _STEPS,
+    INVERTIBLE,
+    ORBIT_BLOCK,
     _orbit_floats,
     apply,
     apply_inverse,
@@ -28,10 +33,12 @@ from sternbrocot.maps import (
     inverse_branches,
     odometer_value,
     orbit,
+    orbit_blocks,
     orbit_iter,
     stack_interval,
 )
 from sternbrocot.minkowski import qmark
+from sternbrocot.trees import INT64_LEVEL, TreeSpec, descendants
 
 
 def frac(x: ExtRat) -> Fraction:
@@ -171,6 +178,88 @@ class TestOrbits:
 
     def test_empty_orbit(self):
         assert orbit("R", INF, 0) == []
+
+
+def scalar_orbit(m, x, count):
+    p, q = x.num, x.den
+    out = []
+    for _ in range(count):
+        out.append((p, q))
+        p, q = _STEPS[m](p, q)
+    return out
+
+
+def block_orbit(m, x, count):
+    out = []
+    for nums, dens in orbit_blocks(m, x.num, x.den, count):
+        assert 0 < len(nums) <= ORBIT_BLOCK
+        out += zip(nums.tolist(), dens.tolist())
+    return out
+
+
+def vertex(m, k, rng, tail):
+    """A vertex on level k of the permuted tree m walks: right turns, then
+    tail random turns, so tail = 12 lands within 4096 of the level's end."""
+    spec = TreeSpec({"R": "sb", "S": "farey", "T": "dyadic"}[m], permuted=True)
+    x = ONE if m == "R" else ExtRat(1, 2)
+    for d in range(k - 1):
+        x = descendants(spec, x)[1 if d < k - 1 - tail else rng.randrange(2)]
+    return x
+
+
+class TestOrbitBlocks:
+    """orbit_blocks reads R, S and T from tree levels and the odometer; the
+    scalar steps are the reference."""
+
+    @pytest.mark.parametrize("m", INVERTIBLE)
+    def test_level_starts_match_the_scalar_steps(self, m):
+        # levels 63..70 take the scalar path; starts near the end of level
+        # 62 run on into the object columns of level 63
+        rng = random.Random(ord(m))
+        for k in range(1, 71):
+            for tail, count in ((k, 4097), (12, 9000)):
+                x = vertex(m, k, rng, min(tail, k - 1))
+                assert block_orbit(m, x, count) == scalar_orbit(m, x, count), (k, x)
+
+    def test_last_vertex_of_the_int64_levels_runs_into_object_columns(self):
+        x = vertex("T", INT64_LEVEL, None, 0)
+        assert x == ExtRat((1 << INT64_LEVEL) - 1, 1 << INT64_LEVEL)
+        got = list(orbit_blocks("T", x.num, x.den, 3))
+        assert [c.dtype for c in got[0]] == [np.int64, np.int64]
+        assert [c.dtype for c in got[1]] == [object, object]
+        assert block_orbit("T", x, 3) == scalar_orbit("T", x, 3)
+
+    @pytest.mark.parametrize("m,start", [("R", INF), ("R", ZERO), ("R", ONE),
+                                         ("S", ONE), ("S", ZERO), ("T", ONE), ("T", ZERO)])
+    def test_counts_across_block_and_level_seams(self, m, start):
+        want = scalar_orbit(m, start, 3 * ORBIT_BLOCK + 5)
+        for count in (1, 2, 3, 4095, 4096, 4097, 8191, 8192, 8193, 3 * ORBIT_BLOCK + 5):
+            assert block_orbit(m, start, count) == want[:count], count
+
+    def test_odometer_matches_the_scalar_steps(self):
+        # runs are exact in int64 while 2^12 den < 2^62: denominators on
+        # both sides of 2^50, odd and even, and far past it
+        rng = random.Random(59)
+        for bits in (3, 20, 41, 49, 50, 51, 60, 200):
+            for q in ((1 << bits) + 2 * rng.randrange(1 << (bits - 1)) + 1,
+                      (1 << bits) - 2 * rng.randrange(1, 1 << (bits - 2)) - 1,
+                      3 << (bits - 1)):
+                x = ExtRat(rng.randrange(1, q), q)
+                count = rng.choice((5, 4097, 9000))
+                assert block_orbit("T", x, count) == scalar_orbit("T", x, count), x
+
+    def test_floats_divide_exactly_above_2_53(self):
+        a, b = 1, 1
+        for _ in range(80):
+            a, b = b, a + b
+        starts = [("T", vertex("T", 60, random.Random(61), 59)),  # int64 entries to 2^60
+                  ("T", ExtRat(1, 3 ** 29)),  # odometer denominators 2^12 * 3^29 > 2^53
+                  ("R", ExtRat(b, a))]  # level 80: the scalar path's object columns
+        for m, x in starts:
+            want = scalar_orbit(m, x, 5000)
+            assert any(max(p, q) >> 53 for p, q in want), (m, x)
+            got = _orbit_floats(m, x.num, x.den, 5000, CAPS)
+            assert got.tolist() == [truediv(p, q) for p, q in want], (m, x)
 
 
 class TestConjugacies:

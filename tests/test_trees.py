@@ -182,6 +182,20 @@ class TestLevelArrays:
             tracemalloc.stop()
         assert peak < 2 * sum(a.nbytes for a in held)
 
+    def test_blocks_from_a_start_index(self):
+        # level 16 is one batch of four 4096-entry blocks; start anywhere in it
+        rng = random.Random(17)
+        for spec in SPECS:
+            for k in (1, 2, 13, 16, 18):
+                whole = list(level(spec, k))
+                for start in {0, len(whole) - 1, rng.randrange(len(whole))}:
+                    blocks = list(trees._level_from(spec, k, start))
+                    got = [ExtRat._raw(p, q) for num, den in blocks
+                           for p, q in zip(num.tolist(), den.tolist())]
+                    assert got == whole[start:], (spec, k, start)
+                    # blocks after the first end on multiples of 4096
+                    assert all(len(num) == 4096 for num, _ in blocks[1:-1])
+
     def test_caps(self):
         with pytest.raises(CapExceeded):
             level_arrays(SB, 21)

@@ -31,6 +31,7 @@ every cap.  Library callers pass a larger ``Caps``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -100,6 +101,16 @@ def _cf_prefix(text: str) -> list[int]:
         ) from exc
 
 
+def _workers(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _primed(it):
     """Force a lazy iterator's validation before any output is written."""
     sentinel = object()
@@ -112,8 +123,9 @@ def _primed(it):
 # ---------------------------------------------------------------- output
 
 def _open_out(args):
+    """The output stream as a context manager; it closes only a file."""
     if args.output is None:
-        return sys.stdout, False
+        return contextlib.nullcontext(sys.stdout)
     path = args.output
     outdir = os.environ.get(OUTDIR_ENV)
     if outdir and not os.path.isabs(path):
@@ -121,7 +133,7 @@ def _open_out(args):
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    return open(path, "w", encoding="utf-8", newline=""), True
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _doc(args, columns, flags, rows, extra=None):
@@ -137,8 +149,7 @@ def _doc(args, columns, flags, rows, extra=None):
 
 def _emit(args, columns, rows, flags) -> int:
     """Write one table as CSV rows or as a JSON document with metadata."""
-    stream, close = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         if args.format == "csv":
             w = csv.writer(stream, lineterminator="\n")
             w.writerow(columns)
@@ -147,9 +158,6 @@ def _emit(args, columns, rows, flags) -> int:
             doc = _doc(args, columns, flags, [list(r) for r in rows])
             json.dump(doc, stream, indent=2)
             stream.write("\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -178,8 +186,7 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     else:
         head = ",".join(columns) + "\n"
         row = ",".join(["%d"] * width) + "\n"
-    stream, close = _open_out(args)
-    try:
+    with _open_out(args) as stream:
         stream.write(head)
         count = 0
         for cols in blocks:
@@ -194,9 +201,6 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
         if as_json:
             rest = json_parts(extra and extra())[1]
             stream.write(("\n  ]" if count else "]") + rest + "\n")
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -281,8 +285,6 @@ def _cmd_fourier(args, caps) -> int:
 
 
 def _cmd_simulate(args, caps) -> int:
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     if args.chain == "rw":
         if args.start not in (None, "1", "1/1"):
             raise UsageError("the rw chain always starts at 1/1")
@@ -316,19 +318,13 @@ def _cmd_simulate(args, caps) -> int:
 
 
 def _cmd_verify(args, caps) -> int:
-    if args.workers < 1:
-        raise UsageError("--workers must be at least 1")
     if args.list:
-        stream, close = _open_out(args)
-        try:
+        with _open_out(args) as stream:
             for name in verify.names():
                 stream.write(name + "\n")
-        finally:
-            if close:
-                stream.close()
         return 0
     try:
-        results = verify.run_suite(args.suite, seed=args.seed, workers=args.workers)
+        results = verify.run_suite(args.suite, seed=args.seed)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
     rows = [(r.name, "ok" if r.ok else "FAIL", r.detail) for r in results]
@@ -356,6 +352,11 @@ def _build_parser() -> _Parser:
     common.add_argument(
         "--unsafe-cap", action="store_true",
         help="lift every size cap to its UNSAFE_CAPS value",
+    )
+    workers = _Parser(add_help=False)
+    workers.add_argument(
+        "--workers", type=_workers, default=1,
+        help="at least 1; starts no threads and never changes results",
     )
 
     p = _Parser(prog="sternbrocot", description=__doc__.splitlines()[0])
@@ -420,7 +421,7 @@ def _build_parser() -> _Parser:
     f.set_defaults(func=_cmd_fourier)
 
     s = sub.add_parser(
-        "simulate", parents=[common], help="run the mediant random walks"
+        "simulate", parents=[common, workers], help="run the mediant random walks"
     )
     s.add_argument("--chain", choices=("mc0", "mc1", "rw"), required=True,
                    help="mc0: fair coin; mc1: denominator-weighted; "
@@ -433,22 +434,16 @@ def _build_parser() -> _Parser:
                    help="steps per walk (default 100)")
     s.add_argument("--interval", default=None, metavar="a/b,c/d",
                    help="record first entry into this open interval")
-    s.add_argument("--workers", type=int, default=1,
-                   help="at least 1; starts no threads (the walks run as "
-                        "one batched kernel) and never changes results")
     s.set_defaults(func=_cmd_simulate)
 
     v = sub.add_parser(
-        "verify", parents=[common], help="run the internal invariant suite"
+        "verify", parents=[common, workers], help="run the internal invariant suite"
     )
     v.add_argument("--suite", default="all",
                    help="'all', or a comma list of check names or module "
                         "prefixes (default all)")
     v.add_argument("--list", action="store_true",
                    help="list check names and exit")
-    v.add_argument("--workers", type=int, default=1,
-                   help="at least 1; starts no threads and never changes "
-                        "results")
     v.set_defaults(func=_cmd_verify)
 
     return p
@@ -479,10 +474,7 @@ def _dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args, UNSAFE_CAPS if args.unsafe_cap else CAPS)
-    except UsageError as exc:
-        print(f"sternbrocot: error: {exc}", file=sys.stderr)
-        return 1
-    except (DomainError, CapExceeded) as exc:
+    except (UsageError, DomainError, CapExceeded) as exc:
         print(f"sternbrocot: error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -179,7 +179,6 @@ def inverse_branches(m: str, x: ExtRat) -> tuple[ExtRat, ExtRat]:
 ORBIT_BLOCK = 4096
 # Binary digits the T odometer counts through at once: runs of 2^12 entries.
 ODOMETER_DIGITS = 12
-_TREE_KINDS = ("sb", "farey", "dyadic")  # the permuted trees R, S and T walk
 
 
 def orbit_blocks(m: str, p: int, q: int, count: int,
@@ -220,7 +219,8 @@ def _orbit_cols(m, p, q, step):
             pos = _tree_position(m, p, q)
         if pos is not None:
             k, i = pos
-            spec = trees.TreeSpec(_TREE_KINDS[INVERTIBLE.index(m)], permuted=True)
+            # R, S and T walk the permuted trees of trees.KINDS, in that order
+            spec = trees.TreeSpec(trees.KINDS[INVERTIBLE.index(m)], permuted=True)
             while True:
                 yield from trees._level_from(spec, k, i)
                 k, i = k + 1, 0

@@ -67,6 +67,11 @@ def _draw_letter(kind: str, key: int, step: int, x: ExtRat) -> int:
     return 0 if rng.draw_below(key, step, x.den, x.num + x.den) else 1
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("MC0", "MC1"):
+        raise ValueError(f"unknown chain kind: {kind!r}")
+
+
 def _check_sizes(walks: int, horizon: int, caps: Caps) -> None:
     for what, size in (("walks", walks), ("horizon", horizon)):
         if size < 1:
@@ -85,8 +90,7 @@ class ChainSpec:
     caps: Caps = CAPS
 
     def __post_init__(self) -> None:
-        if self.kind not in ("MC0", "MC1"):
-            raise ValueError(f"unknown chain kind: {self.kind!r}")
+        _check_kind(self.kind)
         if not isinstance(self.start, ExtRat):
             raise TypeError("start must be an ExtRat")
         _check_sizes(1, self.horizon, self.caps)
@@ -367,8 +371,7 @@ def walk_blocks(
     walk index).  The arguments are checked here, before the first block
     is asked for.
     """
-    if kind not in ("MC0", "MC1"):
-        raise ValueError(f"unknown chain kind: {kind!r}")
+    _check_kind(kind)
     _check_sizes(walks, horizon, caps)
     if interval is not None:
         a, b = interval
@@ -380,11 +383,6 @@ def walk_blocks(
         _walk_batch(kind, start, first, min(first + _BATCH, walks), horizon, seed, interval)
         for first in range(0, walks, _BATCH)
     )
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
 
 
 def walk_table(
@@ -403,7 +401,8 @@ def walk_table(
     threads: the walks run as lanes of one batched kernel, so it never
     changes the rows.
     """
-    _check_workers(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     rows: list = []
     for columns in walk_blocks(kind, start, walks, horizon, seed, interval, caps):
         rows.extend(zip(*columns))
@@ -449,17 +448,14 @@ def hitting_experiment(
     seed: int,
     kind: str = "MC0",
     start: ExtRat = ONE,
-    workers: int = 1,
     caps: Caps = CAPS,
 ) -> HittingResult:
     """Fraction of walks entering the open interval within the horizon.
 
     Comparisons are exact rational comparisons; the cumulative curve is
     nondecreasing by construction and its monotone growth toward 1 is
-    the observable content of almost-sure hitting.  ``workers`` is
-    accepted as in walk_table.
+    the observable content of almost-sure hitting.
     """
-    _check_workers(workers)
     counts = [0] * (horizon + 1)
     hit_times: list = []
     finals: list = []
@@ -546,8 +542,7 @@ def martingale_check(
     longest run, prefix-cell code, prefix node), so memory is O(batch +
     cells + distinct early prefixes), never O(walks * horizon).
     """
-    if kind not in ("MC0", "MC1"):
-        raise ValueError(f"unknown chain kind: {kind!r}")
+    _check_kind(kind)
     _check_sizes(walks, horizon, caps)
     if min_cell < 1:
         raise ValueError(f"min_cell must be at least 1, got {min_cell}")

@@ -4,7 +4,7 @@ Each check is addressable by name (module-prefixed, kebab-case) and
 returns a one-line detail string; the CLI ``verify`` subcommand runs a
 selection and reports ok/FAIL per check.  All sampling is driven by a
 per-check generator seeded from (seed, check name), so the full report
-is byte-identical across runs and worker configurations.
+is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def select(suite: str) -> Tuple[str, ...]:
     return tuple(n for n in names() if n in picked)
 
 
-def run_suite(suite: str = "all", seed: int = 7, workers: int = 1):
+def run_suite(suite: str = "all", seed: int = 7):
     """Run the selected checks; every failure is caught and reported."""
     results = []
     for name in select(suite):
         r = random.Random(f"{seed}:{name}")
         try:
-            detail = _REGISTRY[name](r, seed, workers)
+            detail = _REGISTRY[name](r, seed)
             results.append(CheckResult(name, True, detail))
         except CheckFailure as exc:
             results.append(CheckResult(name, False, str(exc)))
@@ -111,6 +111,19 @@ def _rand_unit(r: random.Random, top: int = 10 ** 6) -> ExtRat:
 
 def _rand_word(r: random.Random, n: int) -> str:
     return "".join(r.choice("LR") for _ in range(n))
+
+
+def _stages(last):
+    """Mediant-construction stages 1..last, ancestors included: each puts
+    the mediant between every consecutive pair of the one before, and
+    stage 0 is [0/1, 1/0]."""
+    stage = [ZERO, INF]
+    for _ in range(last):
+        nxt = [stage[0]]
+        for a, b in zip(stage, stage[1:]):
+            nxt += (mediant(a, b), b)
+        stage = nxt
+        yield stage
 
 
 def _extend_cf(prefix, budget):
@@ -135,7 +148,7 @@ def _all_canonical(total: int):
 # ---------------------------------------------------------------- exact-core
 
 @_check("core.cf-roundtrip-exhaustive")
-def _c_roundtrip(r, seed, workers):
+def _c_roundtrip(r, seed):
     n = 0
     for cf in _all_canonical(14):
         if cf_from_rat(rat_from_cf(cf)) != cf:
@@ -145,7 +158,7 @@ def _c_roundtrip(r, seed, workers):
 
 
 @_check("core.depth-vs-tree")
-def _c_depth_tree(r, seed, workers):
+def _c_depth_tree(r, seed):
     spec = trees.TreeSpec("sb", permuted=False)
     n = 0
     for k in range(1, 13):
@@ -157,7 +170,7 @@ def _c_depth_tree(r, seed, workers):
 
 
 @_check("core.floor-rank-depth")
-def _c_floor_rank(r, seed, workers):
+def _c_floor_rank(r, seed):
     hits = 0
     while hits < 10 ** 4:
         x = ExtRat(r.getrandbits(63) + 1, r.getrandbits(63) + 1)
@@ -177,7 +190,7 @@ def _c_floor_rank(r, seed, workers):
 
 
 @_check("core.phi-mediant")
-def _c_phi_mediant(r, seed, workers):
+def _c_phi_mediant(r, seed):
     for _ in range(10 ** 4):
         m = coding.matrix_from_word(_rand_word(r, r.randrange(0, 24)))
         a = ExtRat(m[0], m[2])
@@ -188,7 +201,7 @@ def _c_phi_mediant(r, seed, workers):
 
 
 @_check("core.complement-involution")
-def _c_complement(r, seed, workers):
+def _c_complement(r, seed):
     one = Fraction(1)
     for _ in range(4000):
         x = _rand_unit(r)
@@ -204,7 +217,7 @@ def _c_complement(r, seed, workers):
 # ---------------------------------------------------------------- lr-coding
 
 @_check("coding.word-determinant")
-def _c_word_det(r, seed, workers):
+def _c_word_det(r, seed):
     for _ in range(10 ** 4):
         w = _rand_word(r, r.randrange(0, 17))
         if coding.mat_det(coding.matrix_from_word(w)) != 1:
@@ -213,7 +226,7 @@ def _c_word_det(r, seed, workers):
 
 
 @_check("coding.word-roundtrip")
-def _c_word_roundtrip(r, seed, workers):
+def _c_word_roundtrip(r, seed):
     spec = trees.TreeSpec("sb", permuted=False)
     n = 0
     for k in range(1, 13):
@@ -226,7 +239,7 @@ def _c_word_roundtrip(r, seed, workers):
 
 
 @_check("coding.hat-involution")
-def _c_hat(r, seed, workers):
+def _c_hat(r, seed):
     spec = trees.TreeSpec("sb", permuted=False)
     n = 0
     for k in range(1, 13):
@@ -239,17 +252,11 @@ def _c_hat(r, seed, workers):
 
 
 @_check("coding.neighbor-unimodular")
-def _c_neighbors(r, seed, workers):
+def _c_neighbors(r, seed):
     # consecutive fractions of each mediant-construction stage, ancestors
     # included, satisfy q*p' - p*q' = 1
-    stage = [ZERO, INF]
     checked = 0
-    for k in range(1, 13):
-        nxt = [stage[0]]
-        for a, b in zip(stage, stage[1:]):
-            nxt.append(mediant(a, b))
-            nxt.append(b)
-        stage = nxt
+    for k, stage in enumerate(_stages(12), 1):
         for a, b in zip(stage, stage[1:]):
             if a.den * b.num - a.num * b.den != 1:
                 raise CheckFailure(f"stage {k} neighbors {a}, {b} not unimodular")
@@ -258,7 +265,7 @@ def _c_neighbors(r, seed, workers):
 
 
 @_check("coding.pi-prefix")
-def _c_pi_prefix(r, seed, workers):
+def _c_pi_prefix(r, seed):
     spec = trees.TreeSpec("sb", permuted=False)
     n = 0
     for k in range(1, 9):
@@ -279,7 +286,7 @@ def _c_pi_prefix(r, seed, workers):
 
 
 @_check("coding.code-compare")
-def _c_code_cmp(r, seed, workers):
+def _c_code_cmp(r, seed):
     for _ in range(10 ** 4):
         x, y = _rand_rat(r, 16), _rand_rat(r, 16)
         want = (x > y) - (x < y)
@@ -291,7 +298,7 @@ def _c_code_cmp(r, seed, workers):
 # ---------------------------------------------------------------- tree-gen
 
 @_check("trees.permuted-is-hat")
-def _c_perm_hat(r, seed, workers):
+def _c_perm_hat(r, seed):
     plain = trees.TreeSpec("sb", permuted=False)
     perm = trees.TreeSpec("sb", permuted=True)
     n = 0
@@ -312,7 +319,7 @@ def _check_steps(name, orb):
 
 
 @_check("trees.calkin-wilf")
-def _c_calkin_wilf(r, seed, workers):
+def _c_calkin_wilf(r, seed):
     orb = maps.orbit("R", INF, (1 << 16) + 1)
     _check_steps("R", orb)
     for i in range(2, (1 << 16) + 1):
@@ -338,7 +345,7 @@ def _brute_hyperbinary(n: int) -> int:
 
 
 @_check("trees.neighbor-denominator-chain")
-def _c_den_chain(r, seed, workers):
+def _c_den_chain(r, seed):
     spec = trees.TreeSpec("sb", permuted=True)
     prev = None
     n = 0
@@ -352,7 +359,7 @@ def _c_den_chain(r, seed, workers):
 
 
 @_check("trees.qmark-farey-to-dyadic")
-def _c_qmark_levels(r, seed, workers):
+def _c_qmark_levels(r, seed):
     fa = trees.TreeSpec("farey", permuted=False)
     dy = trees.TreeSpec("dyadic", permuted=False)
     for k in range(1, 13):
@@ -364,7 +371,7 @@ def _c_qmark_levels(r, seed, workers):
 
 
 @_check("trees.bijection")
-def _c_bijection(r, seed, workers):
+def _c_bijection(r, seed):
     spec = trees.TreeSpec("sb", permuted=False)
     seen = set()
     for k in range(1, 13):
@@ -384,7 +391,7 @@ def _c_bijection(r, seed, workers):
 # ---------------------------------------------------------------- minkowski
 
 @_check("minkowski.qmark-reflection")
-def _c_qmark_reflect(r, seed, workers):
+def _c_qmark_reflect(r, seed):
     one = minkowski.DY_ONE
     caps = replace(CAPS, exp=10 ** 6)  # ?(p/q) has fewer than q bits, q < 10^6
     for _ in range(10 ** 4):
@@ -396,7 +403,7 @@ def _c_qmark_reflect(r, seed, workers):
 
 
 @_check("minkowski.rho-reflection")
-def _c_rho_reflect(r, seed, workers):
+def _c_rho_reflect(r, seed):
     one = minkowski.DY_ONE
     caps = replace(CAPS, exp=1 << 25)  # rho(p/q) has fewer than p + q bits
     if minkowski.rho(ZERO) + minkowski.rho(INF) != one:
@@ -409,25 +416,20 @@ def _c_rho_reflect(r, seed, workers):
 
 
 @_check("minkowski.mediant-average")
-def _c_mediant_avg(r, seed, workers):
-    stage = [ZERO, INF]
+def _c_mediant_avg(r, seed):
+    # each stage's odd entries are the mediants of their two neighbors
     n = 0
-    for k in range(1, 13):
-        nxt = [stage[0]]
-        for a, b in zip(stage, stage[1:]):
-            m = mediant(a, b)
+    for stage in _stages(12):
+        for a, m, b in zip(stage[::2], stage[1::2], stage[2::2]):
             lhs = minkowski.rho(m) + minkowski.rho(m)
             if lhs != minkowski.rho(a) + minkowski.rho(b):
                 raise CheckFailure(f"mediant average broke at {a}, {b}")
-            nxt.append(m)
-            nxt.append(b)
             n += 1
-        stage = nxt
     return f"rho(mediant) == average of rho at {n} unimodular stage pairs"
 
 
 @_check("minkowski.monotone")
-def _c_monotone(r, seed, workers):
+def _c_monotone(r, seed):
     fa = trees.TreeSpec("farey", permuted=False)
     pts = [ZERO]
     for k in range(1, 11):
@@ -442,7 +444,7 @@ def _c_monotone(r, seed, workers):
 
 
 @_check("minkowski.farey-measure-invariance")
-def _c_farey_measure(r, seed, workers):
+def _c_farey_measure(r, seed):
     def q(x: ExtRat) -> Fraction:
         return minkowski.qmark(x).as_fraction()
 
@@ -468,7 +470,7 @@ def _c_farey_measure(r, seed, workers):
 
 
 @_check("minkowski.dilation")
-def _c_dilation(r, seed, workers):
+def _c_dilation(r, seed):
     x = ExtRat(2, 5)
     if minkowski.rho(x).as_fraction() != Fraction(3, 16):
         raise CheckFailure("rho(2/5) != 3/16")
@@ -489,7 +491,7 @@ def _c_dilation(r, seed, workers):
 # ---------------------------------------------------------------- interval-maps
 
 @_check("maps.invertible-roundtrip")
-def _c_inv_roundtrip(r, seed, workers):
+def _c_inv_roundtrip(r, seed):
     for _ in range(10 ** 4):
         x = _rand_rat(r, 24)
         if maps.apply_inverse("R", maps.apply("R", x)) != x:
@@ -503,7 +505,7 @@ def _c_inv_roundtrip(r, seed, workers):
 
 
 @_check("maps.counting-rows")
-def _c_counting(r, seed, workers):
+def _c_counting(r, seed):
     jobs = (
         ("R", INF, trees.TreeSpec("sb", permuted=True)),
         ("S", ONE, trees.TreeSpec("farey", permuted=True)),
@@ -520,7 +522,7 @@ def _c_counting(r, seed, workers):
 
 
 @_check("maps.log-diffusion")
-def _c_log_diffusion(r, seed, workers):
+def _c_log_diffusion(r, seed):
     orb = maps.orbit("R", INF, (1 << 16) + 1)
     best = ZERO
     for i in range(1, (1 << 16) + 1):
@@ -533,7 +535,7 @@ def _c_log_diffusion(r, seed, workers):
 
 
 @_check("maps.conjugacy-residuals")
-def _c_conjugacies(r, seed, workers):
+def _c_conjugacies(r, seed):
     sb = trees.TreeSpec("sb", permuted=False)
     fa = trees.TreeSpec("farey", permuted=False)
     n = 0
@@ -552,7 +554,7 @@ def _c_conjugacies(r, seed, workers):
 
 
 @_check("maps.esse2")
-def _c_esse2(r, seed, workers):
+def _c_esse2(r, seed):
     # the case-split expansion assumes a successor term exists when a
     # subtraction empties one, which fails only at x = 1/2
     half = ExtRat(1, 2)
@@ -576,7 +578,7 @@ def _c_esse2(r, seed, workers):
 
 
 @_check("maps.g-retrace")
-def _c_g_retrace(r, seed, workers):
+def _c_g_retrace(r, seed):
     sb = trees.TreeSpec("sb", permuted=False)
     n = 0
     for k in range(2, 13):
@@ -595,7 +597,7 @@ def _c_g_retrace(r, seed, workers):
 
 
 @_check("maps.indifferent-fixed-points")
-def _c_indifferent(r, seed, workers):
+def _c_indifferent(r, seed):
     if maps.apply("F", ZERO) != ZERO or maps.apply("F", ONE) != ONE:
         raise CheckFailure("F does not fix 0 and 1")
     prev0 = prev1 = None
@@ -621,7 +623,7 @@ def _c_indifferent(r, seed, workers):
 # ---------------------------------------------------------------- operators
 
 @_check("operators.row-stochastic")
-def _c_row_stochastic(r, seed, workers):
+def _c_row_stochastic(r, seed):
     one = Fraction(1)
     pts = [ZERO, INF, ONE] + [_rand_rat(r, 24) for _ in range(10 ** 4)]
     for kind in ("MC0", "MC1"):
@@ -632,7 +634,7 @@ def _c_row_stochastic(r, seed, workers):
 
 
 @_check("operators.p0-invariance")
-def _c_p0_invariance(r, seed, workers):
+def _c_p0_invariance(r, seed):
     import numpy as np
 
     f = lambda a: np.exp(2j * np.pi * a)
@@ -656,7 +658,7 @@ def _c_p0_invariance(r, seed, workers):
 
 
 @_check("operators.p1-dxx-invariance")
-def _c_p1_invariance(r, seed, workers):
+def _c_p1_invariance(r, seed):
     from scipy.integrate import quad
 
     worst = 0.0
@@ -688,7 +690,7 @@ def _c_p1_invariance(r, seed, workers):
 
 
 @_check("operators.harmonicity")
-def _c_harmonicity(r, seed, workers):
+def _c_harmonicity(r, seed):
     pts = [ZERO, INF, ONE] + [_rand_rat(r, 20) for _ in range(10 ** 4)]
     two_thirds = Fraction(2, 3)
     const = lambda y: two_thirds
@@ -707,7 +709,7 @@ def _c_harmonicity(r, seed, workers):
 
 
 @_check("operators.power-vs-monte-carlo")
-def _c_power_mc(r, seed, workers):
+def _c_power_mc(r, seed):
     n, walks = 12, 10 ** 5
     report = []
     for kind in ("MC0", "MC1"):
@@ -734,7 +736,7 @@ def _c_power_mc(r, seed, workers):
 # ---------------------------------------------------------------- stochastic
 
 @_check("stochastic.symme")
-def _c_symme(r, seed, workers):
+def _c_symme(r, seed):
     for _ in range(10 ** 3):
         x = ExtRat(r.randrange(0, 50), r.randrange(1, 50))
         m = r.randrange(1, 13)
@@ -749,7 +751,7 @@ def _c_symme(r, seed, workers):
 
 
 @_check("stochastic.letter-frequencies")
-def _c_letter_freq(r, seed, workers):
+def _c_letter_freq(r, seed):
     walks, horizon = 2000, 32
     ones = sum(int(letters.sum()) for letters in
                stochastic._letter_steps("MC0", ONE, 0, walks, horizon, seed))
@@ -778,7 +780,7 @@ def _c_letter_freq(r, seed, workers):
 
 
 @_check("stochastic.worker-determinism")
-def _c_worker_det(r, seed, workers):
+def _c_worker_det(r, seed):
     iv = (ExtRat(2, 5), ExtRat(3, 5))
     base = stochastic.walk_table("MC0", ONE, 2500, 200, seed, interval=iv, workers=1)
     for w in (2, 8):
@@ -790,10 +792,8 @@ def _c_worker_det(r, seed, workers):
 
 
 @_check("stochastic.hitting")
-def _c_hitting(r, seed, workers):
-    res = stochastic.hitting_experiment(
-        (ExtRat(2, 5), ExtRat(3, 5)), 10 ** 4, 10 ** 3, seed, workers=workers
-    )
+def _c_hitting(r, seed):
+    res = stochastic.hitting_experiment((ExtRat(2, 5), ExtRat(3, 5)), 10 ** 4, 10 ** 3, seed)
     for a, b in zip(res.curve, res.curve[1:]):
         if b < a:
             raise CheckFailure("hitting curve decreased")
@@ -803,7 +803,7 @@ def _c_hitting(r, seed, workers):
 
 
 @_check("stochastic.no-atoms-window")
-def _c_no_atoms(r, seed, workers):
+def _c_no_atoms(r, seed):
     walks, horizon, window = 1000, 1 << 10, 64
     rep = stochastic.martingale_check(
         "MC1",
@@ -845,7 +845,7 @@ def _c_no_atoms(r, seed, workers):
 # ---------------------------------------------------------------- cli
 
 @_check("cli.deterministic")
-def _c_cli_deterministic(r, seed, workers):
+def _c_cli_deterministic(r, seed):
     import io
     from contextlib import redirect_stdout
 
@@ -871,7 +871,7 @@ def _c_cli_deterministic(r, seed, workers):
 
 
 @_check("cli.verify-coverage")
-def _c_coverage(r, seed, workers):
+def _c_coverage(r, seed):
     prefixes = {n.split(".")[0] for n in names()}
     want = {"core", "coding", "trees", "minkowski", "maps", "operators", "stochastic", "cli"}
     missing = want - prefixes

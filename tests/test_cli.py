@@ -223,7 +223,7 @@ class TestVerify:
         assert "names no check" in captured.err
 
     def test_failing_check_exits_two(self, capsys, monkeypatch):
-        def bad(r, seed, workers):
+        def bad(r, seed):
             raise verify.CheckFailure("planted")
 
         monkeypatch.setitem(verify._REGISTRY, "core.phi-mediant", bad)
@@ -248,6 +248,16 @@ class TestPlumbing:
 
     def test_unknown_flag_is_usage(self, capsys):
         assert run(["qmark", "1/3", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "2"],
+        ["verify", "--suite", "core.phi-mediant"],
+    ], ids=["simulate", "verify"])
+    def test_zero_workers_is_usage(self, argv, capsys):
+        assert run(argv + ["--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers" in captured.err and "at least 1" in captured.err
 
     def test_version_exits_zero(self, capsys):
         with_code = run(["--version"])

@@ -51,14 +51,8 @@ class TestRunning:
         assert all(r.ok for r in a)
         assert all(r.detail for r in a)
 
-    def test_workers_do_not_change_stochastic_details(self):
-        name = "stochastic.worker-determinism"
-        one = verify.run_suite(name, seed=7, workers=1)
-        two = verify.run_suite(name, seed=7, workers=2)
-        assert one == two
-
     def test_failures_are_reported_not_raised(self, monkeypatch):
-        def bad(r, seed, workers):
+        def bad(r, seed):
             raise verify.CheckFailure("expected 3, got 4")
 
         monkeypatch.setitem(verify._REGISTRY, "core.phi-mediant", bad)
@@ -67,7 +61,7 @@ class TestRunning:
         assert res.detail == "expected 3, got 4"
 
     def test_crashes_count_as_failures(self, monkeypatch):
-        def crash(r, seed, workers):
+        def crash(r, seed):
             raise ZeroDivisionError("boom")
 
         monkeypatch.setitem(verify._REGISTRY, "core.phi-mediant", crash)

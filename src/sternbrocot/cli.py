@@ -36,7 +36,6 @@ import csv
 import json
 import os
 import sys
-from itertools import chain
 
 from . import __version__, maps, stochastic, trees, verify
 from .core import CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, ONE, parse_cf
@@ -109,15 +108,6 @@ def _workers(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
     return n
-
-
-def _primed(it):
-    """Force a lazy iterator's validation before any output is written."""
-    sentinel = object()
-    first = next(it, sentinel)
-    if first is sentinel:
-        return iter(())
-    return chain([first], it)
 
 
 # ---------------------------------------------------------------- output
@@ -217,7 +207,7 @@ def _indexed(first, blocks):
 def _cmd_tree(args, caps) -> int:
     spec = TreeSpec(args.kind, permuted=args.permuted)
     k = args.depth
-    blocks = _primed(
+    blocks = (
         ([k] * len(num), index, num.tolist(), den.tolist())
         for index, num, den in _indexed(1, trees.level_blocks(spec, k, caps))
     )
@@ -227,14 +217,8 @@ def _cmd_tree(args, caps) -> int:
 
 def _cmd_enumerate(args, caps) -> int:
     start = _rat(args.start)
-    try:  # reject starts outside the map's interval before any output
-        maps.apply(args.map, start)
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
     orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, caps)
-    blocks = _primed(
-        (index, num.tolist(), den.tolist()) for index, num, den in _indexed(0, orbit)
-    )
+    blocks = ((index, num.tolist(), den.tolist()) for index, num, den in _indexed(0, orbit))
     flags = {"map": args.map, "start": args.start, "count": args.count}
     return _emit_ints(args, ("i", "num", "den"), blocks, flags)
 
@@ -414,7 +398,7 @@ def _build_parser() -> _Parser:
                    help="tree levels averaged by the tree method (default 18)")
     f.add_argument("--iters", type=int, default=1 << 18, metavar="N",
                    help="orbit length for the ergodic method (default 2^18)")
-    f.add_argument("--map", choices=maps.MAPS, default="R",
+    f.add_argument("--map", choices=maps.INVERTIBLE, default="R",
                    help="map iterated by the ergodic method (default R)")
     f.add_argument("--start", default="1/1", metavar="p/q",
                    help="orbit start for the ergodic method (default 1/1)")

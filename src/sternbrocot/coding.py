@@ -24,7 +24,6 @@ from .core import (
 
 L = (1, 0, 1, 1)
 R = (1, 1, 0, 1)
-U = (0, 1, 1, 0)
 IDENT = (1, 0, 0, 1)
 
 

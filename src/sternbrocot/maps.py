@@ -17,6 +17,8 @@ v = rev(B) and c = (v + N) // 2^M (see _odometer).  Both give int64
 columns; levels past INT64_LEVEL give object columns of Python ints.
 A start deeper than INT64_LEVEL, an odometer run that int64 cannot hold
 and every orbit of G, F and D take one scalar _STEPS step per entry.
+orbit_blocks and orbit_iter check the map, the start and the count when
+called, before any block is asked for.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .operators import apply_letter
 
 MAPS = ("R", "S", "T", "G", "F", "D")
 INVERTIBLE = ("R", "S", "T")
-FOLDING = ("G", "F", "D")
 ODOMETER_CAP = 12
 
 CONJUGACY_PAIRS = ("R-S", "S-T", "G-F", "F-D")
@@ -187,22 +188,24 @@ def orbit_blocks(m: str, p: int, q: int, count: int,
 
     Each block holds up to ORBIT_BLOCK reduced entries in orbit order, as
     numpy columns: int64 where that is exact, else Python ints in object
-    columns.
+    columns.  The map, the start's domain, count >= 0 and caps.orbit are
+    checked here, in that order, when orbit_blocks is called.
     """
-    if count < 0:
-        raise DomainError("count must be nonnegative")
-    check_cap(caps, "orbit", count, "orbit length")
-    if count == 0:
-        return
     x = ExtRat(p, q)
     # Each map sends its interval into itself, so only the start needs a
     # domain check.
     step = _step_for(m, x)
-    for nums, dens in _orbit_cols(m, x.num, x.den, step):
-        if len(nums) >= count:
-            yield nums[:count], dens[:count]
-            return
-        yield nums, dens
+    if count < 0:
+        raise DomainError("count must be nonnegative")
+    check_cap(caps, "orbit", count, "orbit length")
+    return _take(_orbit_cols(m, x.num, x.den, step), count)
+
+
+def _take(blocks, count):
+    """The endless column blocks cut down to count entries."""
+    while count > 0:
+        nums, dens = next(blocks)
+        yield nums[:count], dens[:count]
         count -= len(nums)
 
 
@@ -286,9 +289,9 @@ def _odometer(p, q):
 
 def orbit_iter(m: str, start: ExtRat, count: int,
                caps: Caps = CAPS) -> Iterator[ExtRat]:
-    """Yield start, map(start), ..., count entries in all."""
-    for nums, dens in orbit_blocks(m, start.num, start.den, count, caps):
-        yield from map(ExtRat._raw, nums.tolist(), dens.tolist())
+    """start, map(start), ..., count entries in all, checked as orbit_blocks."""
+    return (x for nums, dens in orbit_blocks(m, start.num, start.den, count, caps)
+            for x in map(ExtRat._raw, nums.tolist(), dens.tolist()))
 
 
 def orbit(m: str, start: ExtRat, count: int, caps: Caps = CAPS) -> list[ExtRat]:
@@ -417,9 +420,10 @@ def eigenfunction_check(m: int, x: ExtRat, map: str = "T") -> tuple[complex, com
 
 @lru_cache(maxsize=4)
 def _orbit_floats(m: str, num: int, den: int, count: int, caps: Caps) -> np.ndarray:
+    blocks = orbit_blocks(m, num, den, count, caps)  # checks count before the allocation
     out = np.empty(count, dtype=float)
     i = 0
-    for nums, dens in orbit_blocks(m, num, den, count, caps):
+    for nums, dens in blocks:
         n = len(nums)
         # numpy divides the rounded operands, Python the exact integers; the
         # two agree while both are below 2^53, where rounding is exact
@@ -440,7 +444,6 @@ def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R",
         raise DomainError("start must be finite")
     if iters < 1:
         raise DomainError("need at least one iterate")
-    check_cap(caps, "orbit", iters, "orbit length")  # before _orbit_floats allocates
     vals = _orbit_floats(map, start.num, start.den, iters, caps)
     osc = (2j * pi * n) * vals
     np.exp(osc, out=osc)  # in place: one complex array at the orbit cap, not two

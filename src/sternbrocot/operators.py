@@ -229,13 +229,15 @@ def apply_letter(x: ExtRat, letter: int) -> ExtRat:
     return ExtRat._raw(x.num + x.den, x.den)
 
 
+def _check_chain(kind: str) -> None:
+    if kind not in CHAIN_KINDS:
+        raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
+
+
 def _int_weights(kind: str, p: int, q: int) -> tuple[int, int]:
     """Branch weights (w0, w1) at p/q as integers over their sum w0 + w1."""
-    if kind == "MC0":
-        return 1, 1
-    if kind == "MC1":
-        return q, p
-    raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
+    _check_chain(kind)
+    return (1, 1) if kind == "MC0" else (q, p)
 
 
 def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:
@@ -327,6 +329,7 @@ def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
     if n < 0:
         raise DomainError("n must be nonnegative")
     check_cap(caps, "power", n, "operator power")
+    _check_chain(kind)
     acc = _Sum()
     if kind == "MC0":
         for p, q in _cw_leaves(x.num, x.den, n):
@@ -334,8 +337,6 @@ def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
         total = acc.result()
         w = Fraction(1, 1 << n)
         return _scale(w, total) if not isinstance(total, float) else total / (1 << n)
-    if kind != "MC1":
-        raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
     pq = x.num * x.den
     if not pq:
         return _sum_terms([_scale(Fraction(1), f(x))])
@@ -386,8 +387,7 @@ def harmonic_series_partial(kind: str, h, x: ExtRat, n_terms: int):
         raise DomainError("the series expands around finite x")
     if n_terms < 1:
         raise DomainError("need at least one term")
-    if kind not in CHAIN_KINDS:
-        raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
+    _check_chain(kind)
     p, q = x.num, x.den
     terms = []
     for k in range(n_terms):

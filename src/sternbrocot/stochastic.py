@@ -40,7 +40,9 @@ import numpy as np
 from . import rng
 from .core import CAPS, CapExceeded, Caps, DomainError, ExtRat, ONE, check_cap
 from .minkowski import stieltjes_mean
-from .operators import _value, apply_letter, markov_apply, markov_power, transition_probs
+from .operators import (
+    _check_chain, _value, apply_letter, markov_apply, markov_power, transition_probs,
+)
 
 __all__ = [
     "ChainSpec",
@@ -67,11 +69,6 @@ def _draw_letter(kind: str, key: int, step: int, x: ExtRat) -> int:
     return 0 if rng.draw_below(key, step, x.den, x.num + x.den) else 1
 
 
-def _check_kind(kind: str) -> None:
-    if kind not in ("MC0", "MC1"):
-        raise ValueError(f"unknown chain kind: {kind!r}")
-
-
 def _check_sizes(walks: int, horizon: int, caps: Caps) -> None:
     for what, size in (("walks", walks), ("horizon", horizon)):
         if size < 1:
@@ -90,7 +87,7 @@ class ChainSpec:
     caps: Caps = CAPS
 
     def __post_init__(self) -> None:
-        _check_kind(self.kind)
+        _check_chain(self.kind)
         if not isinstance(self.start, ExtRat):
             raise TypeError("start must be an ExtRat")
         _check_sizes(1, self.horizon, self.caps)
@@ -371,7 +368,7 @@ def walk_blocks(
     walk index).  The arguments are checked here, before the first block
     is asked for.
     """
-    _check_kind(kind)
+    _check_chain(kind)
     _check_sizes(walks, horizon, caps)
     if interval is not None:
         a, b = interval
@@ -542,7 +539,7 @@ def martingale_check(
     longest run, prefix-cell code, prefix node), so memory is O(batch +
     cells + distinct early prefixes), never O(walks * horizon).
     """
-    _check_kind(kind)
+    _check_chain(kind)
     _check_sizes(walks, horizon, caps)
     if min_cell < 1:
         raise ValueError(f"min_cell must be at least 1, got {min_cell}")

@@ -15,8 +15,9 @@ depth-first walk reaches each vertex 13 levels above the target and
 expands its subtree, two blocks, as int64 columns, exact up to level 62
 (see level_blocks), so level 24 never needs the whole tree in memory.
 A level can also be streamed from any index, as the orbits of R, S and
-T are.  The estimators' level_arrays and level_floats hold levels joined
-from the blocks.
+T are.  level_blocks and level check their arguments when called, before
+any block is asked for.  The estimators' level_arrays and level_floats
+hold levels joined from the blocks.
 """
 
 from __future__ import annotations
@@ -122,11 +123,14 @@ def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
     every integer computed for level k is at most 2^k, below 2^(k+1) and
     within int64 for k <= 62.  Deeper levels, reachable only past the
     default caps.level, use numpy object columns of Python ints.
+
+    k is checked against 1 and caps.level here, when level_blocks is
+    called, not when the first block is asked for.
     """
     if k < 1:
         raise DomainError("levels start at 1")
     check_cap(caps, "level", k, "level")
-    yield from _level_from(spec, k, 0)
+    return _level_from(spec, k, 0)
 
 
 def _level_from(spec, k, start):
@@ -167,9 +171,9 @@ def _level_from(spec, k, start):
 
 
 def level(spec: TreeSpec, k: int, caps: Caps = CAPS) -> Iterator[ExtRat]:
-    """Yield level k (the root is level 1) left to right."""
-    for num, den in level_blocks(spec, k, caps):
-        yield from map(ExtRat._raw, num.tolist(), den.tolist())
+    """Level k (the root is level 1) left to right, checked as level_blocks."""
+    return (x for num, den in level_blocks(spec, k, caps)
+            for x in map(ExtRat._raw, num.tolist(), den.tolist()))
 
 
 def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:

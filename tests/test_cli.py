@@ -158,6 +158,13 @@ class TestFourier:
         got = lines(capsys)
         assert len(got) == 2 and got[1].endswith("tree,16")
 
+    @pytest.mark.parametrize("method", ["both", "tree"])
+    def test_folding_map_is_refused_at_parse_time(self, method, capsys):
+        assert run(["fourier", "--map", "G", "--method", method, "--depth", "20"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--map" in captured.err
+
 
 class TestSimulate:
     def test_csv_is_deterministic_across_workers(self, capsys):
@@ -237,6 +244,17 @@ class TestPlumbing:
         assert run(["qmark", "1/3", "--output", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().splitlines()[1] == "1/3,1/2^2,0.25"
+
+    @pytest.mark.parametrize("argv", [
+        ["tree", "--kind", "sb", "--depth", "0"],
+        ["enumerate", "--map", "S", "--start", "3/2", "--count", "0"],
+    ], ids=["tree", "enumerate"])
+    def test_rejected_stream_creates_no_file(self, argv, tmp_path, capsys):
+        target = tmp_path / "out.csv"
+        assert run(argv + ["--output", str(target)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error" in captured.err
+        assert not target.exists()
 
     def test_outdir_env_redirects_relative_paths(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("STERNBROCOT_OUTDIR", str(tmp_path))

@@ -17,7 +17,7 @@ import pytest
 
 from sternbrocot import __version__, maps, stochastic, trees
 from sternbrocot.cli import run
-from sternbrocot.core import CAPS, ExtRat
+from sternbrocot.core import CAPS, CapExceeded, DomainError, ExtRat, ONE
 
 SPECS = [(kind, permuted) for kind in trees.KINDS for permuted in (False, True)]
 TREE_COLUMNS = ("level", "index", "num", "den")
@@ -226,3 +226,23 @@ def test_deep_level_blocks_match_lazy_walk(kind, permuted, k):
     assert len(got) == 2 << trees.BLOCK_LEVELS
     assert got == list(islice(reference_level(kind, permuted, k), len(got)))
     assert all(type(v) is int for pair in got for v in pair)
+
+
+SB = trees.TreeSpec("sb")
+
+
+@pytest.mark.parametrize("call,error", [
+    (lambda: trees.level_blocks(SB, 0), DomainError),
+    (lambda: trees.level_blocks(SB, 25), CapExceeded),
+    (lambda: trees.level(SB, 0), DomainError),
+    (lambda: maps.orbit_blocks("S", 3, 2, 5), DomainError),
+    (lambda: maps.orbit_blocks("S", 3, 2, 0), DomainError),
+    (lambda: maps.orbit_blocks("R", 1, 1, -1), DomainError),
+    (lambda: maps.orbit_iter("S", ExtRat(3, 2), 5), DomainError),
+    (lambda: stochastic.walk_blocks("MC3", ONE, 10, 10, 0), DomainError),
+], ids=["level-0", "level-cap", "level-iter-0", "orbit-domain", "orbit-domain-empty",
+        "orbit-negative", "orbit-iter-domain", "walk-chain"])
+def test_streams_check_their_arguments_when_called(call, error):
+    # no next(): the error must come from the call itself, before any block
+    with pytest.raises(error):
+        call()

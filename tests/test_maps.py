@@ -179,6 +179,10 @@ class TestOrbits:
     def test_empty_orbit(self):
         assert orbit("R", INF, 0) == []
 
+    def test_empty_orbit_still_checks_the_start(self):
+        with pytest.raises(DomainError):
+            orbit("S", ExtRat(3, 2), 0)
+
 
 def scalar_orbit(m, x, count):
     p, q = x.num, x.den

@@ -37,7 +37,7 @@ import json
 import os
 import sys
 
-from . import __version__, maps, stochastic, trees, verify
+from . import __version__, maps, stochastic, trees
 from .core import CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, ONE, parse_cf
 from .minkowski import (
     Dyadic,
@@ -302,6 +302,8 @@ def _cmd_simulate(args, caps) -> int:
 
 
 def _cmd_verify(args, caps) -> int:
+    from . import verify  # only this command loads the suite
+
     if args.list:
         with _open_out(args) as stream:
             for name in verify.names():

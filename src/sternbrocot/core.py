@@ -261,13 +261,20 @@ def cf_from_rat(x: ExtRat) -> list[int]:
     return terms
 
 
-def rat_from_cf(terms: list[int]) -> ExtRat:
-    """Value of a canonical continued fraction."""
-    _check_canonical(terms)
+def _cf_value(terms) -> ExtRat:
+    """Value of [a0; a1, ..., an] by the continuant recurrence, zero terms
+    and a final 1 allowed.  (p, q) is the first column of a product of
+    steps [[a, 1], [1, 0]], each of determinant -1, so p and q are coprime."""
     p, q = 1, 0
     for a in reversed(terms):
         p, q = a * p + q, p
-    return ExtRat(p, q)
+    return ExtRat._raw(p, q)
+
+
+def rat_from_cf(terms: list[int]) -> ExtRat:
+    """Value of a canonical continued fraction."""
+    _check_canonical(terms)
+    return _cf_value(terms)
 
 
 def _check_canonical(terms) -> None:
@@ -284,33 +291,19 @@ def _check_canonical(terms) -> None:
 
 
 def canonicalize_cf(terms: list[int]) -> list[int]:
-    """Normalize a loose expansion (zeros allowed) to the canonical one.
+    """Normalize a loose expansion (zeros anywhere, a final 1) to the canonical one.
 
-    Uses [..., a, 0, b, ...] = [..., a+b, ...], the tail identities
-    [..., a, 0] = [...] and [..., a, 1] = [..., a+1].  The input must
-    still denote a finite nonnegative rational.
+    The terms must be nonnegative integers denoting a finite value: the
+    continuant recurrence gives that value, and cf_from_rat expands it again.
     """
-    t = list(terms)
-    if not t:
+    if not terms:
         raise DomainError("empty continued fraction")
-    while True:
-        # internal zero: merge its neighbours
-        idx = next((i for i in range(1, len(t) - 1) if t[i] == 0), None)
-        if idx is not None:
-            t[idx - 1: idx + 2] = [t[idx - 1] + t[idx + 1]]
-            continue
-        if len(t) > 1 and t[-1] == 0:
-            # [..., a, 0] = [...]; a trailing 0 right after a0 would mean infinity
-            if len(t) == 2:
-                raise DomainError("expansion collapses to infinity")
-            t = t[:-2]
-            continue
-        if len(t) > 1 and t[-1] == 1:
-            t[-2:] = [t[-2] + 1]
-            continue
-        break
-    _check_canonical(t)
-    return t
+    if any(not isinstance(a, int) or a < 0 for a in terms):
+        raise DomainError("loose expansion terms must be nonnegative integers")
+    x = _cf_value(terms)
+    if x.is_infinite:
+        raise DomainError("expansion collapses to infinity")
+    return cf_from_rat(x)
 
 
 def depth(x: ExtRat) -> int:

@@ -49,7 +49,6 @@ from .core import (
     phi_inv,
 )
 from .minkowski import Dyadic, qmark, qmark_inv
-from .operators import apply_letter
 
 MAPS = ("R", "S", "T", "G", "F", "D")
 INVERTIBLE = ("R", "S", "T")
@@ -163,18 +162,19 @@ def apply_inverse(m: str, x: ExtRat) -> ExtRat:
 
 
 def inverse_branches(m: str, x: ExtRat) -> tuple[ExtRat, ExtRat]:
-    """The two preimages (left, right) under G, F or D, tree-ordered."""
-    p, q = x.num, x.den
-    if m == "G":
-        return apply_letter(x, 0), apply_letter(x, 1)
-    if m == "F":
+    """The two preimages (left, right) under G, F or D, tree-ordered.
+
+    They are the children of x by the permuted sb, Farey or dyadic tree
+    rule, reduced: D's p/(2q) and (p+q)/(2q) share a factor 2 when p,
+    resp. p + q, is even.
+    """
+    kind = {"G": "sb", "F": "farey", "D": "dyadic"}.get(m)
+    if kind is None:
+        raise DomainError(f"{m!r} is not a two-to-one map")
+    if m != "G":
         _need_unit(x, m)
-        return ExtRat._raw(p, p + q), ExtRat._raw(q, 2 * q - p)
-    if m == "D":
-        _need_unit(x, m)
-        # p/(2q) and (p+q)/(2q) share a factor 2 when p, resp. p + q, is even
-        return ExtRat(p, 2 * q), ExtRat(p + q, 2 * q)
-    raise DomainError(f"{m!r} is not a two-to-one map")
+    left, right = trees._children(trees.TreeSpec(kind, permuted=True), (x.num, x.den))
+    return ExtRat(*left), ExtRat(*right)
 
 
 ORBIT_BLOCK = 4096

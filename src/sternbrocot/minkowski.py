@@ -30,12 +30,11 @@ from .core import (
     Caps,
     DomainError,
     ExtRat,
-    canonicalize_cf,
+    _cf_value,
     cf_from_rat,
     check_cap,
     phi,
     phi_inv,
-    rat_from_cf,
 )
 from .trees import TreeSpec
 
@@ -260,10 +259,6 @@ def qmark(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
     return rho(phi_inv(x), caps)
 
 
-def _cf_from_runs(runs: list[int]) -> ExtRat:
-    return rat_from_cf(canonicalize_cf(runs))
-
-
 def _rho_runs(bits: tuple[int, ...]) -> list[int]:
     # runs alternate starting with the count of leading ones
     runs = [0] if bits and bits[0] == 0 else []
@@ -279,8 +274,8 @@ def rho_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
         return ZERO
     if d == DY_ONE:
         return INF
-    a = _cf_from_runs(_rho_runs(binary_word(d, "zeros").bits))
-    b = _cf_from_runs(_rho_runs(binary_word(d, "ones").bits))
+    a = _cf_value(_rho_runs(binary_word(d, "zeros").bits))
+    b = _cf_value(_rho_runs(binary_word(d, "ones").bits))
     if a != b:
         raise RuntimeError(f"binary readings of {d} disagree: {a} vs {b}")
     return a
@@ -301,14 +296,11 @@ def qmark_enclosure(prefix: Sequence[int], caps: Caps = CAPS) -> tuple[Dyadic, D
     """
     if not prefix:
         raise DomainError("empty prefix")
-    if prefix[0] < 0 or any(a < 1 for a in prefix[1:]):
+    if (any(not isinstance(a, int) for a in prefix)
+            or prefix[0] < 0 or any(a < 1 for a in prefix[1:])):
         raise DomainError("prefix terms must be a0 >= 0, ai >= 1")
-    pp, qq = 1, 0  # convergent before the first
-    p, q = prefix[0], 1
-    for a in prefix[1:]:
-        p, pp = a * p + pp, p
-        q, qq = a * q + qq, q
-    ends = sorted([ExtRat(p, q), ExtRat(p + pp, q + qq)])
+    # [..., an, 1] = [..., an + 1] has the value (pn + pn-1)/(qn + qn-1)
+    ends = sorted([_cf_value(prefix), _cf_value([*prefix, 1])])
     value = qmark if prefix[0] == 0 else rho
     return value(ends[0], caps), value(ends[1], caps)
 

@@ -41,7 +41,8 @@ from . import rng
 from .core import CAPS, CapExceeded, Caps, DomainError, ExtRat, ONE, check_cap
 from .minkowski import stieltjes_mean
 from .operators import (
-    _check_chain, _value, apply_letter, markov_apply, markov_power, transition_probs,
+    _check_chain, _int_weights, _value, apply_letter, markov_apply, markov_power,
+    transition_probs,
 )
 
 __all__ = [
@@ -63,10 +64,10 @@ __all__ = [
 
 
 def _draw_letter(kind: str, key: int, step: int, x: ExtRat) -> int:
-    if kind == "MC0":
-        return rng.draw_bit(key, step)
-    # MC1: letter 0 with probability den/(num+den), exact 53-bit threshold
-    return 0 if rng.draw_below(key, step, x.den, x.num + x.den) else 1
+    # letter 0 with probability w0/(w0+w1), exact 53-bit threshold; MC0's
+    # (1, 1) makes it the top bit of the draw
+    w0, w1 = _int_weights(kind, x.num, x.den)
+    return 0 if rng.draw_below(key, step, w0, w0 + w1) else 1
 
 
 def _check_sizes(walks: int, horizon: int, caps: Caps) -> None:

@@ -113,6 +113,14 @@ def _rand_word(r: random.Random, n: int) -> str:
     return "".join(r.choice("LR") for _ in range(n))
 
 
+def _vertices(kind, first=1, last=12, permuted=False):
+    """(k, x) for each vertex x of levels first..last of a tree, in level order."""
+    spec = trees.TreeSpec(kind, permuted)
+    for k in range(first, last + 1):
+        for x in trees.level(spec, k):
+            yield k, x
+
+
 def _stages(last):
     """Mediant-construction stages 1..last, ancestors included: each puts
     the mediant between every consecutive pair of the one before, and
@@ -159,13 +167,9 @@ def _c_roundtrip(r, seed):
 
 @_check("core.depth-vs-tree")
 def _c_depth_tree(r, seed):
-    spec = trees.TreeSpec("sb", permuted=False)
-    n = 0
-    for k in range(1, 13):
-        for x in trees.level(spec, k):
-            if depth(x) != k or sum(cf_from_rat(x)) != k:
-                raise CheckFailure(f"depth({x}) != level {k}")
-            n += 1
+    for n, (k, x) in enumerate(_vertices("sb"), 1):
+        if depth(x) != k or sum(cf_from_rat(x)) != k:
+            raise CheckFailure(f"depth({x}) != level {k}")
     return f"depth == term sum == level on {n} tree nodes (levels 1..12)"
 
 
@@ -227,27 +231,19 @@ def _c_word_det(r, seed):
 
 @_check("coding.word-roundtrip")
 def _c_word_roundtrip(r, seed):
-    spec = trees.TreeSpec("sb", permuted=False)
-    n = 0
-    for k in range(1, 13):
-        for x in trees.level(spec, k):
-            w = coding.word_from_cf(cf_from_rat(x))
-            if coding.rat_from_matrix(coding.matrix_from_word(w)) != x:
-                raise CheckFailure(f"word round trip broke at {x}")
-            n += 1
+    for n, (_, x) in enumerate(_vertices("sb"), 1):
+        w = coding.word_from_cf(cf_from_rat(x))
+        if coding.rat_from_matrix(coding.matrix_from_word(w)) != x:
+            raise CheckFailure(f"word round trip broke at {x}")
     return f"word/matrix round trip identity on {n} nodes (levels 1..12)"
 
 
 @_check("coding.hat-involution")
 def _c_hat(r, seed):
-    spec = trees.TreeSpec("sb", permuted=False)
-    n = 0
-    for k in range(1, 13):
-        for x in trees.level(spec, k):
-            h = coding.hat(x)
-            if coding.hat(h) != x or depth(h) != depth(x):
-                raise CheckFailure(f"hat misbehaved at {x}")
-            n += 1
+    for n, (_, x) in enumerate(_vertices("sb"), 1):
+        h = coding.hat(x)
+        if coding.hat(h) != x or depth(h) != depth(x):
+            raise CheckFailure(f"hat misbehaved at {x}")
     return f"hat involutive and depth-preserving on {n} nodes"
 
 
@@ -266,23 +262,13 @@ def _c_neighbors(r, seed):
 
 @_check("coding.pi-prefix")
 def _c_pi_prefix(r, seed):
-    spec = trees.TreeSpec("sb", permuted=False)
-    n = 0
-    for k in range(1, 9):
-        for x in trees.level(spec, k):
-            code = coding.pi_code(x)
-            w = coding.word_from_cf(cf_from_rat(x))
-            if "".join(code.letter(i) for i in range(len(w))) != w:
-                raise CheckFailure(f"pi prefix mismatch at {x}")
-            n += 1
-    for _ in range(500):
-        x = _rand_rat(r, 16)
+    pts = [x for _, x in _vertices("sb", last=8)] + [_rand_rat(r, 16) for _ in range(500)]
+    for x in pts:
         code = coding.pi_code(x)
         w = coding.word_from_cf(cf_from_rat(x))
         if "".join(code.letter(i) for i in range(len(w))) != w:
             raise CheckFailure(f"pi prefix mismatch at {x}")
-        n += 1
-    return f"pi-code prefix equals tree word on {n} rationals"
+    return f"pi-code prefix equals tree word on {len(pts)} rationals"
 
 
 @_check("coding.code-compare")
@@ -346,16 +332,11 @@ def _brute_hyperbinary(n: int) -> int:
 
 @_check("trees.neighbor-denominator-chain")
 def _c_den_chain(r, seed):
-    spec = trees.TreeSpec("sb", permuted=True)
-    prev = None
-    n = 0
-    for k in range(1, 13):
-        for x in trees.level(spec, k):
-            if prev is not None and prev.den != x.num:
-                raise CheckFailure(f"chain broke between {prev} and {x}")
-            prev = x
-            n += 1
-    return f"den(x_i) == num(x_(i+1)) across {n} flattened permuted-tree entries"
+    xs = [x for _, x in _vertices("sb", permuted=True)]
+    for a, b in zip(xs, xs[1:]):
+        if a.den != b.num:
+            raise CheckFailure(f"chain broke between {a} and {b}")
+    return f"den(x_i) == num(x_(i+1)) across {len(xs)} flattened permuted-tree entries"
 
 
 @_check("trees.qmark-farey-to-dyadic")
@@ -372,13 +353,11 @@ def _c_qmark_levels(r, seed):
 
 @_check("trees.bijection")
 def _c_bijection(r, seed):
-    spec = trees.TreeSpec("sb", permuted=False)
     seen = set()
-    for k in range(1, 13):
-        for x in trees.level(spec, k):
-            if x in seen:
-                raise CheckFailure(f"{x} appears twice")
-            seen.add(x)
+    for _, x in _vertices("sb"):
+        if x in seen:
+            raise CheckFailure(f"{x} appears twice")
+        seen.add(x)
     want = (1 << 12) - 1
     if len(seen) != want:
         raise CheckFailure(f"{len(seen)} nodes != {want}")
@@ -430,12 +409,7 @@ def _c_mediant_avg(r, seed):
 
 @_check("minkowski.monotone")
 def _c_monotone(r, seed):
-    fa = trees.TreeSpec("farey", permuted=False)
-    pts = [ZERO]
-    for k in range(1, 11):
-        pts.extend(trees.level(fa, k))
-    pts.append(ONE)
-    pts.sort()
+    pts = sorted([ZERO, ONE, *(x for _, x in _vertices("farey", last=10))])
     vals = [minkowski.qmark(x) for x in pts]
     for a, b in zip(vals, vals[1:]):
         if not a < b:
@@ -448,23 +422,19 @@ def _c_farey_measure(r, seed):
     def q(x: ExtRat) -> Fraction:
         return minkowski.qmark(x).as_fraction()
 
-    def phi0(x: ExtRat) -> ExtRat:
-        return ExtRat(x.num, x.num + x.den)
+    def pulled(a: ExtRat, b: ExtRat) -> tuple[Fraction, Fraction]:
+        # d? of each F-branch image of (a, b)
+        (a0, a1), (b0, b1) = maps.inverse_branches("F", a), maps.inverse_branches("F", b)
+        return q(b0) - q(a0), q(b1) - q(a1)
 
-    def phi1(x: ExtRat) -> ExtRat:
-        return ExtRat(x.den, 2 * x.den - x.num)
-
-    third, two3 = ExtRat(1, 3), ExtRat(2, 3)
-    lhs0 = q(phi0(two3)) - q(phi0(third))
-    lhs1 = q(phi1(two3)) - q(phi1(third))
+    lhs0, lhs1 = pulled(ExtRat(1, 3), ExtRat(2, 3))
     if (lhs0, lhs1) != (Fraction(1, 4), Fraction(1, 4)):
         raise CheckFailure(f"desk instance gave {lhs0} + {lhs1}")
     for _ in range(100):
         a, b = sorted((_rand_unit(r, 5000), _rand_unit(r, 5000)))
         if a == b:
             continue
-        total = (q(phi0(b)) - q(phi0(a))) + (q(phi1(b)) - q(phi1(a)))
-        if total != q(b) - q(a):
+        if sum(pulled(a, b)) != q(b) - q(a):
             raise CheckFailure(f"branch measure identity broke on ({a}, {b})")
     return "branch pullback of d? matches d? on 100 random intervals + desk case"
 
@@ -493,14 +463,10 @@ def _c_dilation(r, seed):
 @_check("maps.invertible-roundtrip")
 def _c_inv_roundtrip(r, seed):
     for _ in range(10 ** 4):
-        x = _rand_rat(r, 24)
-        if maps.apply_inverse("R", maps.apply("R", x)) != x:
-            raise CheckFailure(f"R roundtrip broke at {x}")
-        u = _rand_unit(r)
-        if maps.apply_inverse("S", maps.apply("S", u)) != u:
-            raise CheckFailure(f"S roundtrip broke at {u}")
-        if maps.apply_inverse("T", maps.apply("T", u)) != u:
-            raise CheckFailure(f"T roundtrip broke at {u}")
+        x, u = _rand_rat(r, 24), _rand_unit(r)
+        for m, y in (("R", x), ("S", u), ("T", u)):
+            if maps.apply_inverse(m, maps.apply(m, y)) != y:
+                raise CheckFailure(f"{m} roundtrip broke at {y}")
     return "inverse(map(x)) == x for R, S, T on 10^4 random points each"
 
 
@@ -536,21 +502,12 @@ def _c_log_diffusion(r, seed):
 
 @_check("maps.conjugacy-residuals")
 def _c_conjugacies(r, seed):
-    sb = trees.TreeSpec("sb", permuted=False)
-    fa = trees.TreeSpec("farey", permuted=False)
-    n = 0
-    for k in range(1, 13):
-        for x in trees.level(sb, k):
-            for pair in ("R-S", "G-F"):
-                if maps.conjugacy_residual(pair, x) != 0:
-                    raise CheckFailure(f"{pair} residual nonzero at {x}")
-                n += 1
-        for u in trees.level(fa, k):
-            for pair in ("S-T", "F-D"):
-                if maps.conjugacy_residual(pair, u) != 0:
-                    raise CheckFailure(f"{pair} residual nonzero at {u}")
-                n += 1
-    return f"all four conjugacy squares commute exactly at {n} checks"
+    jobs = [(pair, x) for kind, pairs in (("sb", ("R-S", "G-F")), ("farey", ("S-T", "F-D")))
+            for _, x in _vertices(kind) for pair in pairs]
+    for pair, x in jobs:
+        if maps.conjugacy_residual(pair, x) != 0:
+            raise CheckFailure(f"{pair} residual nonzero at {x}")
+    return f"all four conjugacy squares commute exactly at {len(jobs)} checks"
 
 
 @_check("maps.esse2")
@@ -579,20 +536,16 @@ def _c_esse2(r, seed):
 
 @_check("maps.g-retrace")
 def _c_g_retrace(r, seed):
-    sb = trees.TreeSpec("sb", permuted=False)
-    n = 0
-    for k in range(2, 13):
-        for x in trees.level(sb, k):
-            word = []
-            y = x
-            for _ in range(k - 1):
-                word.append("L" if y < ONE else "R")
-                y = maps.apply("G", y)
-            if y != ONE:
-                raise CheckFailure(f"G did not land on 1 from {x}")
-            if "".join(word) != coding.word_from_cf(cf_from_rat(x)):
-                raise CheckFailure(f"retraced word wrong at {x}")
-            n += 1
+    for n, (k, x) in enumerate(_vertices("sb", first=2), 1):
+        word = []
+        y = x
+        for _ in range(k - 1):
+            word.append("L" if y < ONE else "R")
+            y = maps.apply("G", y)
+        if y != ONE:
+            raise CheckFailure(f"G did not land on 1 from {x}")
+        if "".join(word) != coding.word_from_cf(cf_from_rat(x)):
+            raise CheckFailure(f"retraced word wrong at {x}")
     return f"G-iterate letters rebuild the tree word on {n} nodes, landing at 1"
 
 

@@ -133,6 +133,29 @@ class TestContinuedFractions:
 
         assert fold([0, 2, 0, 3]) == fold([0, 5]) == Fraction(1, 5)
 
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=10), st.booleans())
+    def test_canonicalize_matches_a_fraction_fold(self, terms, final_one):
+        # zeros anywhere and, half the time, a final 1
+        terms = terms + [1] if final_one else terms
+        v = None  # the value of the empty tail, infinity
+        for a in reversed(terms):
+            if v is None:
+                v = Fraction(a)
+            elif v == 0:
+                v = None
+            else:
+                v = a + 1 / v
+        if v is None:
+            with pytest.raises(DomainError, match="collapses to infinity"):
+                canonicalize_cf(terms)
+        else:
+            assert canonicalize_cf(terms) == cf_from_rat(ExtRat(v.numerator, v.denominator))
+
+    @pytest.mark.parametrize("terms", [[], [1, 0], [0, 0], [0, 2, -1], [0, 2.0]])
+    def test_canonicalize_refuses(self, terms):
+        with pytest.raises(DomainError):
+            canonicalize_cf(terms)
+
     def test_parse_and_format_are_inverse(self):
         for text in ["[2;3,4]", "[0;1,7]", "[5]"]:
             assert format_cf(parse_cf(text)) == text

@@ -38,7 +38,7 @@ from sternbrocot.maps import (
     stack_interval,
 )
 from sternbrocot.minkowski import qmark
-from sternbrocot.trees import INT64_LEVEL, TreeSpec, descendants
+from sternbrocot.trees import INT64_LEVEL, TreeSpec, descendants, level
 
 
 def frac(x: ExtRat) -> Fraction:
@@ -157,6 +157,14 @@ class TestInverses:
         for m in ("F", "D"):
             for y in inverse_branches(m, x):
                 assert (y.num, y.den) == (frac(y).numerator, frac(y).denominator)
+
+    @pytest.mark.parametrize("m, kind", [("G", "sb"), ("F", "farey"), ("D", "dyadic")])
+    def test_branches_are_permuted_tree_children(self, m, kind):
+        spec = TreeSpec(kind, permuted=True)
+        for k in range(1, 11):
+            for x in level(spec, k):
+                got, want = inverse_branches(m, x), descendants(spec, x)
+                assert [(y.num, y.den) for y in got] == [(y.num, y.den) for y in want]
 
     def test_D_branches_of_even_and_odd_sums(self):
         assert [str(y) for y in inverse_branches("D", ExtRat(2, 3))] == ["1/3", "5/6"]

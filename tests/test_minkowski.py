@@ -219,6 +219,11 @@ class TestEnclosure:
         with pytest.raises(DomainError):
             qmark_enclosure([])
 
+    @pytest.mark.parametrize("prefix", [[-1, 2], [0, 0], [0, 2.5]])
+    def test_rejects_bad_terms(self, prefix):
+        with pytest.raises(DomainError, match="prefix terms"):
+            qmark_enclosure(prefix)
+
 
 class TestBinaryWords:
     def test_two_readings_of_the_same_value(self):

@@ -1,8 +1,16 @@
 """The named check registry: selection, isolation, and report format."""
 
+import hashlib
+import json
+import warnings
+from pathlib import Path
+
 import pytest
 
 from sternbrocot import verify
+from sternbrocot.cli import run
+
+MODULES = ("core", "coding", "trees", "minkowski", "maps", "operators", "stochastic", "cli")
 
 
 class TestSelection:
@@ -68,3 +76,16 @@ class TestRunning:
         (res,) = verify.run_suite("core.phi-mediant", seed=7)
         assert not res.ok
         assert res.detail == "ZeroDivisionError: boom"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_suite_bytes_and_no_warnings(module, capsys):
+    # each module's report at seed 7 is the verify-<module> digest in bench/golden.json
+    golden = json.loads((Path(__file__).parent.parent / "bench" / "golden.json").read_text())
+    want = next(e["sha256"] for e in golden.values() if e["label"] == f"verify-{module}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["verify", "--suite", module, "--seed", "7"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert hashlib.sha256(out.out.encode()).hexdigest() == want

@@ -219,7 +219,6 @@ def _walk_batch(
     dtype = object if big else np.int64
     cols[big] = [every, np.full(walks, start.num, dtype), np.full(walks, start.den, dtype)]
     letters = _letter_steps(kind, start, first, stop, horizon, seed)
-    live, keep = every, None  # the lanes not yet hit, which letter columns cover
     t = 0
     while True:
         # every lane holds its time-t state; int64 lanes have p + q < lim
@@ -235,19 +234,9 @@ def _walk_batch(
                     nums[hit] = p[inside]
                     dens[hit] = q[inside]
                     c[:] = [a[~inside] for a in c]
-                    keep = hits[live] < 0
-            if keep is not None:
-                live = live[keep]
-        if t == horizon or not live.size:
+        if t == horizon or not (cols[0][0].size or cols[1][0].size):
             break
-        # all lanes share the start, so a time-0 hit ends the batch and the
-        # first request sends None, as a fresh generator needs
-        letter = letters.send(keep)
-        keep = None
-        if live is not every:  # spread the column back over the batch
-            column = np.zeros(walks, dtype=bool)
-            column[live] = letter
-            letter = column
+        letter = next(letters)
         for c in cols:
             lane, p, q = c
             if lane.size:
@@ -319,17 +308,11 @@ def _letter_steps(
 
     ``margin`` overrides M; anything at least 1.5*horizon keeps the
     letters exact, and a larger one only forces more replays.
-
-    A consumer that no longer needs some walks may ``send`` a bool mask
-    over the lanes of the last column; the next columns cover only the
-    lanes it keeps, in order.
     """
     keys = rng.walk_keys(seed, first, stop)
     if kind == "MC0":
         for t in range(horizon):
-            keep = yield rng.draw_array(keys, t) >= np.uint64(1 << 63)
-            if keep is not None:
-                keys = keys[keep]
+            yield rng.draw_array(keys, t) >= np.uint64(1 << 63)
         return 0
     m = 2.0 * horizon if margin is None else margin
     u = np.full(stop - first, start.den / (start.num + start.den))
@@ -344,10 +327,8 @@ def _letter_steps(
                 x = apply_letter(x, _draw_letter(kind, key, k, x))
             letter[i] = _draw_letter(kind, key, t, x)
             replays += 1
-        keep = yield letter
+        yield letter
         u = np.where(letter, u, 1.0) / np.where(letter, 1.0 + u, 2.0 - u)
-        if keep is not None:
-            keys, u = keys[keep], u[keep]
     return replays
 
 

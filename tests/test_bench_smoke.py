@@ -14,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["emit", "walks", "estimators"])
+@pytest.mark.parametrize("workload", ["emit", "walks", "estimators", "verify"])
 def test_tiny_bench_run_is_correct(workload):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", "11",

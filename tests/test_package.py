@@ -1,0 +1,50 @@
+"""The package namespace: each public name listed once and loaded on first use."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import sternbrocot
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    code = ("import sys, sternbrocot; "
+            "print(sorted(m for m in sys.modules if m.startswith('sternbrocot.') or m == 'numpy'))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_all_lists_each_name_once():
+    assert len(sternbrocot.__all__) == len(set(sternbrocot.__all__))
+
+
+@pytest.mark.parametrize("module,names", sternbrocot._EXPORTS,
+                         ids=[module for module, _ in sternbrocot._EXPORTS])
+def test_names_resolve_to_their_home_module(module, names):
+    home = importlib.import_module(f"sternbrocot.{module}")
+    for name in names:
+        assert getattr(sternbrocot, name) is getattr(home, name), name
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from sternbrocot import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(sternbrocot.__all__)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sternbrocot.no_such_name
+
+
+def test_dir_lists_every_public_name():
+    assert set(sternbrocot.__all__) <= set(dir(sternbrocot))

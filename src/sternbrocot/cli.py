@@ -37,8 +37,10 @@ import json
 import os
 import sys
 
-from . import __version__, maps, stochastic, trees
-from .core import CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, ONE, parse_cf
+from . import __version__, trees
+from .core import (
+    CAPS, INVERTIBLE, KINDS, MAPS, ONE, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, parse_cf,
+)
 from .minkowski import (
     Dyadic,
     fourier_tree_mean,
@@ -216,6 +218,8 @@ def _cmd_tree(args, caps) -> int:
 
 
 def _cmd_enumerate(args, caps) -> int:
+    from . import maps
+
     start = _rat(args.start)
     orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, caps)
     blocks = ((index, num.tolist(), den.tolist()) for index, num, den in _indexed(0, orbit))
@@ -246,6 +250,8 @@ def _cmd_qmark(args, caps) -> int:
 
 
 def _cmd_fourier(args, caps) -> int:
+    from . import maps
+
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     start = _rat(args.start)
@@ -269,6 +275,8 @@ def _cmd_fourier(args, caps) -> int:
 
 
 def _cmd_simulate(args, caps) -> int:
+    from . import stochastic
+
     if args.chain == "rw":
         if args.start not in (None, "1", "1/1"):
             raise UsageError("the rw chain always starts at 1/1")
@@ -352,7 +360,7 @@ def _build_parser() -> _Parser:
     t = sub.add_parser(
         "tree", parents=[common], help="emit one level of a mediant tree"
     )
-    t.add_argument("--kind", choices=trees.KINDS, required=True,
+    t.add_argument("--kind", choices=KINDS, required=True,
                    help="which tree: sb, farey, or dyadic")
     t.add_argument("--permuted", action="store_true",
                    help="use the permuted descendant rule")
@@ -364,7 +372,7 @@ def _build_parser() -> _Parser:
         "enumerate", parents=[common],
         help="iterate an interval map from a start point",
     )
-    e.add_argument("--map", choices=maps.MAPS, required=True,
+    e.add_argument("--map", choices=MAPS, required=True,
                    help="which map to iterate")
     e.add_argument("--start", required=True, metavar="p/q",
                    help="starting point (1/0 is the point at infinity)")
@@ -400,7 +408,7 @@ def _build_parser() -> _Parser:
                    help="tree levels averaged by the tree method (default 18)")
     f.add_argument("--iters", type=int, default=1 << 18, metavar="N",
                    help="orbit length for the ergodic method (default 2^18)")
-    f.add_argument("--map", choices=maps.INVERTIBLE, default="R",
+    f.add_argument("--map", choices=INVERTIBLE, default="R",
                    help="map iterated by the ergodic method (default R)")
     f.add_argument("--start", default="1/1", metavar="p/q",
                    help="orbit start for the ergodic method (default 1/1)")

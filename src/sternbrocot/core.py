@@ -35,8 +35,8 @@ class Caps:
     """
 
     level: int = 24  # tree level streamed in blocks; memory stays flat
-    estimate: int = 20  # tree levels held whole as arrays (~2^k * 32 B at peak, 8 B cached)
-    orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~32 B an iterate
+    estimate: int = 20  # tree levels held whole as arrays (~2^k * 8 B, cached)
+    orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~8 B an iterate
     exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes
     word: int = 1 << 10  # letters of an {L, R} or 0/1 word
     walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)
@@ -48,6 +48,13 @@ class Caps:
 CAPS = Caps()
 UNSAFE_CAPS = Caps(level=1 << 10, estimate=23, orbit=1 << 25, exp=1 << 20,
                    word=1 << 16, walks=10 ** 7, horizon=1 << 22, power=26, stack=1 << 10)
+
+# The trees and maps by name, here so the CLI parser needs no numpy module.
+# R, S and T (INVERTIBLE) walk the permuted trees of KINDS, in that order;
+# G, F and D are their two-to-one counterparts.
+KINDS = ("sb", "farey", "dyadic")
+MAPS = ("R", "S", "T", "G", "F", "D")
+INVERTIBLE = ("R", "S", "T")
 
 
 def check_cap(caps: Caps, field: str, size: int, what: str) -> None:

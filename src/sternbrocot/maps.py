@@ -34,11 +34,13 @@ from typing import Iterator
 import numpy as np
 
 from . import trees
-from .accum import fsum_array
+from .accum import cis_sums
 from .coding import word_from_cf
 from .core import (
     CAPS,
     INF,
+    INVERTIBLE,
+    MAPS,
     ONE,
     Caps,
     DomainError,
@@ -50,8 +52,6 @@ from .core import (
 )
 from .minkowski import Dyadic, qmark, qmark_inv
 
-MAPS = ("R", "S", "T", "G", "F", "D")
-INVERTIBLE = ("R", "S", "T")
 ODOMETER_CAP = 12
 
 CONJUGACY_PAIRS = ("R-S", "S-T", "G-F", "F-D")
@@ -437,14 +437,17 @@ def _orbit_floats(m: str, num: int, den: int, count: int, caps: Caps) -> np.ndar
 
 def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R",
                     caps: Caps = CAPS) -> complex:
-    """Fourier mean (1/N) sum of e^(2 pi i n x_k) along the exact orbit."""
+    """Fourier mean (1/N) sum of e^(2 pi i n x_k) along the exact orbit.
+
+    The orbit is rounded to floats once and cached, 8 B an iterate; the
+    real and imaginary parts are the cos and sin sums of accum.cis_sums,
+    made and summed 4096 entries at a time.
+    """
     if map not in INVERTIBLE:
         raise DomainError("ergodic means run along R, S or T orbits")
     if start.is_infinite:
         raise DomainError("start must be finite")
     if iters < 1:
         raise DomainError("need at least one iterate")
-    vals = _orbit_floats(map, start.num, start.den, iters, caps)
-    osc = (2j * pi * n) * vals
-    np.exp(osc, out=osc)  # in place: one complex array at the orbit cap, not two
-    return complex(fsum_array(osc.real) / iters, fsum_array(osc.imag) / iters)
+    re, im = cis_sums(_orbit_floats(map, start.num, start.den, iters, caps), 2 * pi * n)
+    return complex(re / iters, im / iters)

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import trees
-from .accum import fsum_array
+from .accum import cis_sums, fsum_array
 from .core import (
     CAPS,
     INF,
@@ -338,21 +338,26 @@ def stieltjes_mean(
     Either way the accumulation is compensated, so the result does not
     depend on how the work is split.
     """
+    if vectorized:
+        def level_sums(j):
+            vals = np.asarray(f(trees.level_floats(spec, j, caps)))
+            return fsum_array(vals.real), (fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
+    else:
+        def level_sums(j):
+            vals = [complex(f(v)) for v in trees.level(spec, j, caps)]
+            return fsum(v.real for v in vals), fsum(v.imag for v in vals)
+    return _level_mean(k, caps, level_sums)
+
+
+def _level_mean(k: int, caps: Caps, level_sums: Callable):
+    """The fsum over levels 1..k of level_sums(j), a (re, im) pair, over 2^k.
+
+    A zero imaginary part gives a float, so -0.0 never reaches the caller.
+    """
     if k < 1:
         raise DomainError("levels start at 1")
     check_cap(caps, "estimate", k, "Stieltjes mean level")
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    if vectorized:
-        for j in range(1, k + 1):
-            vals = np.asarray(f(trees.level_floats(spec, j, caps)))
-            re_parts.append(fsum_array(vals.real))
-            im_parts.append(fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
-    else:
-        for j in range(1, k + 1):
-            vals = [complex(f(v)) for v in trees.level(spec, j, caps)]
-            re_parts.append(fsum(v.real for v in vals))
-            im_parts.append(fsum(v.imag for v in vals))
+    re_parts, im_parts = zip(*(level_sums(j) for j in range(1, k + 1)))
     scale = float(2 ** -k)
     re = fsum(re_parts) * scale
     im = fsum(im_parts) * scale
@@ -360,11 +365,9 @@ def stieltjes_mean(
 
 
 def fourier_tree_mean(n: int, k: int, spec: TreeSpec = _SB, caps: Caps = CAPS) -> complex:
-    """Tree estimate of the n-th Fourier coefficient of the limit measure."""
-    two_pi_n = 2.0 * np.pi * n
+    """Tree estimate of the n-th Fourier coefficient of the limit measure.
 
-    def osc(vals: np.ndarray) -> np.ndarray:
-        return np.exp(1j * two_pi_n * vals)
-
-    out = stieltjes_mean(osc, k, spec, vectorized=True, caps=caps)
-    return complex(out)
+    Each level contributes the cos and sin sums of accum.cis_sums.
+    """
+    w = 2.0 * np.pi * n
+    return complex(_level_mean(k, caps, lambda j: cis_sums(trees.level_floats(spec, j, caps), w)))

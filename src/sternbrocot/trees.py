@@ -27,10 +27,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import CAPS, Caps, DomainError, ExtRat, check_cap, mediant
+from .core import CAPS, KINDS, Caps, DomainError, ExtRat, check_cap, mediant
 from . import coding
-
-KINDS = ("sb", "farey", "dyadic")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,26 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv,loaded,absent", [
+    (["qmark", "2/5"], {"minkowski"}, {"maps", "stochastic", "operators", "rng", "verify"}),
+    (["fourier", "--n-max", "1", "--depth", "4", "--iters", "64"], {"maps"},
+     {"stochastic", "operators", "rng", "verify"}),
+    (["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "3"], {"stochastic"},
+     {"maps", "verify"}),
+], ids=["qmark", "fourier", "simulate"])
+def test_each_command_loads_only_the_modules_it_runs(argv, loaded, absent):
+    code = ("import sys; from sternbrocot.cli import run; code = run(sys.argv[1:]); "
+            "print(*sorted(m for m in sys.modules if m.startswith('sternbrocot.')), file=sys.stderr); "
+            "sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = {m.removeprefix("sternbrocot.") for m in proc.stderr.split()}
+    assert loaded <= modules
+    assert not absent & modules
+
+
 def test_all_lists_each_name_once():
     assert len(sternbrocot.__all__) == len(set(sternbrocot.__all__))
 

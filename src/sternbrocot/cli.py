@@ -41,15 +41,6 @@ from . import __version__, trees
 from .core import (
     CAPS, INVERTIBLE, KINDS, MAPS, ONE, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, parse_cf,
 )
-from .minkowski import (
-    Dyadic,
-    fourier_tree_mean,
-    qmark,
-    qmark_enclosure,
-    qmark_inv,
-    rho,
-    rho_inv,
-)
 from .trees import TreeSpec
 
 DEFAULT_SEED = 7
@@ -76,7 +67,9 @@ def _rat(text: str) -> ExtRat:
         raise UsageError(f"malformed fraction {text!r}: {exc}") from exc
 
 
-def _dyadic(text: str) -> Dyadic:
+def _dyadic(text: str):
+    from .minkowski import Dyadic
+
     try:
         return Dyadic.from_string(text)
     except (ValueError, DomainError) as exc:
@@ -228,6 +221,8 @@ def _cmd_enumerate(args, caps) -> int:
 
 
 def _cmd_qmark(args, caps) -> int:
+    from .minkowski import qmark, qmark_enclosure, qmark_inv, rho, rho_inv
+
     if args.enclosure:
         prefix = _cf_prefix(args.value)
         lo, hi = qmark_enclosure(prefix, caps)
@@ -251,6 +246,7 @@ def _cmd_qmark(args, caps) -> int:
 
 def _cmd_fourier(args, caps) -> int:
     from . import maps
+    from .minkowski import fourier_tree_mean
 
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")

@@ -17,21 +17,9 @@ from .core import (
     Caps,
     DomainError,
     ExtRat,
-    cf_from_rat,
     check_cap,
     _check_canonical,
 )
-
-L = (1, 0, 1, 1)
-R = (1, 1, 0, 1)
-IDENT = (1, 0, 0, 1)
-
-
-def mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
 
 def mat_det(m) -> int:
     return m[0] * m[3] - m[1] * m[2]
@@ -44,15 +32,17 @@ def rat_from_matrix(m) -> ExtRat:
 
 def matrix_from_word(word: str, caps: Caps = CAPS):
     check_cap(caps, "word", len(word), "word length")
-    m = IDENT
+    a, b, c, d = 1, 0, 0, 1  # matrices (a b; c d) as row-major tuples
     for ch in word:
-        if ch == "L":
-            m = mat_mul(m, L)
-        elif ch == "R":
-            m = mat_mul(m, R)
+        if ch == "L":  # m L adds the second column to the first
+            a += b
+            c += d
+        elif ch == "R":  # m R adds the first column to the second
+            b += a
+            d += c
         else:
             raise DomainError(f"bad letter {ch!r}")
-    return m
+    return a, b, c, d
 
 
 def _blocks(exps) -> str:
@@ -71,8 +61,29 @@ def word_from_cf(terms: list[int]) -> str:
     return _blocks([*terms[:-1], terms[-1] - 1])
 
 
+def _path(x: ExtRat) -> tuple[str, str]:
+    """(R^a0 L^a1 R^a2 ... X^an, X) for x = [a0; a1, ..., an] > 0: the full
+    blocks, read off the quotients as one Euclid pass yields them."""
+    if x.is_infinite:
+        raise DomainError("infinity has no continued fraction")
+    if x.is_zero:
+        raise DomainError("zero is an ancestor, not a vertex")
+    p, q = x.num, x.den
+    blocks = []
+    while True:
+        a, p = divmod(p, q)
+        blocks.append("R" * a)
+        if not p:
+            return "".join(blocks), "R"
+        a, q = divmod(q, p)
+        blocks.append("L" * a)
+        if not q:
+            return "".join(blocks), "L"
+
+
 def word_from_rat(x: ExtRat) -> str:
-    return word_from_cf(cf_from_rat(x))
+    """The word of word_from_cf: the full blocks, the last one short one."""
+    return _path(x)[0][:-1]
 
 
 def rat_from_word(word: str) -> ExtRat:
@@ -86,8 +97,37 @@ def parents(x: ExtRat) -> tuple[ExtRat, ExtRat]:
 
 
 def hat(x: ExtRat) -> ExtRat:
-    """Vertex addressed by the reversed word (the permuted-tree image)."""
-    return rat_from_word(word_from_rat(x)[::-1])
+    """Vertex addressed by the reversed word (the permuted-tree image).
+
+    The word of x = [a0; a1, ..., an] has the blocks a0, a1, ...,
+    a(n-1), an - 1 from the letter R.  Reversed, its blocks are an - 1,
+    a(n-1), ..., a1, a0 from the letter of the last block, so it addresses
+    [an - 1; a(n-1), ..., a1, a0 + 1] when n is even and the reciprocal of
+    that when n is odd.  The continuant recurrence reads an expansion from
+    its end, here a0 + 1 first: it takes the quotients as one Euclid pass
+    yields them, and the last step's an becomes an - 1 by subtracting the
+    column before.  The word is not built, but its length, depth(x) - 1,
+    is held to caps.word as rat_from_word holds it.
+    """
+    if x.is_infinite:
+        raise DomainError("infinity has no continued fraction")
+    if x.is_zero:
+        raise DomainError("zero is an ancestor, not a vertex")
+    p, q = x.num, x.den
+    a, r = divmod(p, q)
+    total = a
+    h, k = a + 1, 1  # (h, k): first column of the continuant product
+    p, q = q, r
+    odd = False  # n odd
+    while q:
+        a, r = divmod(p, q)
+        total += a
+        h, k = a * h + k, h
+        p, q = q, r
+        odd = not odd
+    check_cap(CAPS, "word", total - 1, "word length")
+    h -= k  # gcd(h - k, k) = gcd(h, k) = 1
+    return ExtRat._raw(k, h) if odd else ExtRat._raw(h, k)
 
 
 def swap_letters(word: str) -> str:
@@ -157,9 +197,8 @@ def pi_code(x: ExtRat) -> InfiniteCode:
         return InfiniteCode("", "R")
     if x.is_zero:
         return InfiniteCode("", "L")
-    terms = cf_from_rat(x)
-    tail = "L" if (len(terms) - 1) % 2 == 0 else "R"
-    return InfiniteCode(_blocks(terms), tail)
+    prefix, last = _path(x)
+    return InfiniteCode(prefix, "L" if last == "R" else "R")
 
 
 def cf_prefix_code(terms: list[int]) -> InfiniteCode:
@@ -175,13 +214,21 @@ def cf_prefix_code(terms: list[int]) -> InfiniteCode:
 
 
 def code_compare(c1: InfiniteCode, c2: InfiniteCode) -> int | None:
-    """Lexicographic order with L < R; None when the prefixes cannot decide."""
+    """Lexicographic order with L < R; None when the prefixes cannot decide.
+
+    Codes that agree on one letter past the longer prefix agree forever.
+    Each code is spelled out to that length, or to its prefix when its tail
+    is undecided, and the common length is compared as strings ("L" < "R").
+    """
     span = max(len(c1.prefix), len(c2.prefix)) + 1
-    for i in range(span):
-        a = c1.letter(i)
-        b = c2.letter(i)
-        if a is None or b is None:
-            return None
-        if a != b:
-            return -1 if a == "L" else 1
-    return 0
+    s1, s2 = _spelled(c1, span), _spelled(c2, span)
+    m = min(len(s1), len(s2))
+    if s1[:m] != s2[:m]:
+        return -1 if s1[:m] < s2[:m] else 1
+    return 0 if m == span else None
+
+
+def _spelled(c: InfiniteCode, span: int) -> str:
+    if c.tail is None:
+        return c.prefix
+    return c.prefix + c.tail * (span - len(c.prefix))

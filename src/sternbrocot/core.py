@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, inf
 from sys import hash_info as _HASH
 
@@ -141,32 +142,45 @@ class ExtRat:
             return other.numerator, other.denominator
         return None
 
+    # Each comparison takes another ExtRat without _pair: both are reduced,
+    # so equal values have equal fields.
+
     def __eq__(self, other):
+        if type(other) is ExtRat:
+            return self.num == other.num and self.den == other.den
         po = self._pair(other)
         if po is None:
             return NotImplemented
         return self.num * po[1] == po[0] * self.den
 
     def __lt__(self, other):
+        if type(other) is ExtRat:
+            # cross multiplication covers 1/0 as well: 1/0 compares above everything
+            return self.num * other.den < other.num * self.den
         po = self._pair(other)
         if po is None:
             return NotImplemented
-        # cross multiplication covers 1/0 as well: 1/0 compares above everything
         return self.num * po[1] < po[0] * self.den
 
     def __le__(self, other):
+        if type(other) is ExtRat:
+            return self.num * other.den <= other.num * self.den
         po = self._pair(other)
         if po is None:
             return NotImplemented
         return self.num * po[1] <= po[0] * self.den
 
     def __gt__(self, other):
+        if type(other) is ExtRat:
+            return self.num * other.den > other.num * self.den
         po = self._pair(other)
         if po is None:
             return NotImplemented
         return self.num * po[1] > po[0] * self.den
 
     def __ge__(self, other):
+        if type(other) is ExtRat:
+            return self.num * other.den >= other.num * self.den
         po = self._pair(other)
         if po is None:
             return NotImplemented
@@ -287,14 +301,15 @@ def rat_from_cf(terms: list[int]) -> ExtRat:
 def _check_canonical(terms) -> None:
     if not terms:
         raise DomainError("empty continued fraction")
-    if any(not isinstance(a, int) for a in terms):
+    if not all(map(isinstance, terms, repeat(int))):
         raise DomainError("continued fraction terms must be integers")
     if terms[0] < 0:
         raise DomainError("a0 must be nonnegative")
-    if any(a < 1 for a in terms[1:]):
-        raise DomainError("partial quotients must be positive")
-    if len(terms) > 1 and terms[-1] == 1:
-        raise DomainError("canonical expansions do not end in 1")
+    if len(terms) > 1:
+        if min(terms[1:]) < 1:
+            raise DomainError("partial quotients must be positive")
+        if terms[-1] == 1:
+            raise DomainError("canonical expansions do not end in 1")
 
 
 def canonicalize_cf(terms: list[int]) -> list[int]:
@@ -305,7 +320,7 @@ def canonicalize_cf(terms: list[int]) -> list[int]:
     """
     if not terms:
         raise DomainError("empty continued fraction")
-    if any(not isinstance(a, int) or a < 0 for a in terms):
+    if not all(map(isinstance, terms, repeat(int))) or min(terms) < 0:
         raise DomainError("loose expansion terms must be nonnegative integers")
     x = _cf_value(terms)
     if x.is_infinite:
@@ -313,20 +328,32 @@ def canonicalize_cf(terms: list[int]) -> list[int]:
     return cf_from_rat(x)
 
 
+def _quotient_sum(p: int, q: int) -> int:
+    """Sum of the quotients Euclid's algorithm takes on p/q; 0 when q = 0."""
+    total = 0
+    while q:  # two steps a turn, so the pair is never swapped
+        a, p = divmod(p, q)
+        total += a
+        if not p:
+            break
+        a, q = divmod(q, p)
+        total += a
+    return total
+
+
 def depth(x: ExtRat) -> int:
     """Sum of the partial quotients; 0 for the ancestors 0/1 and 1/0."""
-    if x.is_infinite or x.is_zero:
-        return 0
-    return sum(cf_from_rat(x))
+    return _quotient_sum(x.num, x.den)
 
 
 def rank(x: ExtRat) -> int:
     """Level in the Farey tree for x in (0,1); 0 for the ancestors 0 and 1."""
-    if x.is_infinite or x > 1:
+    p, q = x.num, x.den
+    if p > q:  # infinity as well
         raise DomainError("rank is defined on [0, 1]")
-    if x.is_zero or x == 1:
+    if p == 0 or p == q:
         return 0
-    return depth(x) - 1
+    return _quotient_sum(p, q) - 1
 
 
 def complement_cf(terms: list[int]) -> list[int]:

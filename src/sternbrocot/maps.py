@@ -58,7 +58,7 @@ CONJUGACY_PAIRS = ("R-S", "S-T", "G-F", "F-D")
 
 
 def _need_unit(x: ExtRat, m: str):
-    if x.is_infinite or x > ONE:
+    if x.num > x.den:  # infinity as well
         raise DomainError(f"{m} lives on [0, 1], got {x}")
 
 

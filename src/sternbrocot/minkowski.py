@@ -2,9 +2,12 @@
 
 On rationals both functions take exact dyadic values.  rho maps the
 whole nonnegative ray onto the dyadics in [0, 1] by reading the {L,R}
-path code (the continued fraction's run lengths) as binary digits.  The
-question mark is not computed a second time: since rho(x) = ?(x/(1+x)),
-? = rho o phi^-1 and ?^-1 = phi o rho^-1, with phi(x) = x/(1+x).
+path code (the continued fraction's run lengths) as binary digits: one
+Euclid pass appends a run of a_k ones or zeros per quotient, with no list
+of quotients, and hands the odd numerator to Dyadic._raw unnormalized.
+The question mark is not computed a second time: since
+rho(x) = ?(x/(1+x)), ? = rho o phi^-1 and ?^-1 = phi o rho^-1, with
+phi(x) = x/(1+x).
 
 The module also carries the estimators built on tree levels: the
 distribution counts whose limit is rho, Stieltjes means against the
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import groupby
 from math import fsum
 from typing import Callable, Sequence
 
@@ -31,7 +34,7 @@ from .core import (
     DomainError,
     ExtRat,
     _cf_value,
-    cf_from_rat,
+    _quotient_sum,
     check_cap,
     phi,
     phi_inv,
@@ -42,7 +45,12 @@ _SB = TreeSpec("sb")
 
 
 class Dyadic:
-    """Exact dyadic rational num/2^exp, kept with num odd or exp = 0."""
+    """Exact dyadic rational num/2^exp, kept with num odd or exp = 0.
+
+    Dyadic(num, exp) brings any integers to that form; Dyadic._raw trusts
+    its caller to pass it already.  Sums and equality of two Dyadics skip
+    the generic paths.
+    """
 
     __slots__ = ("num", "exp")
 
@@ -58,8 +66,17 @@ class Dyadic:
             drop = min(twos, exp)
             num >>= drop
             exp -= drop
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        _SET_NUM(self, num)
+        _SET_EXP(self, exp)
+
+    @classmethod
+    def _raw(cls, num: int, exp: int) -> "Dyadic":
+        # trusted constructor: the caller guarantees integers with exp >= 0
+        # and num odd or exp == 0, the form __init__ normalizes to
+        self = object.__new__(cls)
+        _SET_NUM(self, num)
+        _SET_EXP(self, exp)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic is immutable")
@@ -113,6 +130,8 @@ class Dyadic:
         return NotImplemented
 
     def __eq__(self, other):
+        if type(other) is Dyadic:
+            return self.num == other.num and self.exp == other.exp
         po = self._pair(other)
         if po is NotImplemented:
             return NotImplemented
@@ -153,6 +172,14 @@ class Dyadic:
         return Dyadic((self.num << (m - self.exp)) + sign * (on << (m - oe)), m)
 
     def __add__(self, other):
+        if type(other) is Dyadic:
+            a, e, b, f = self.num, self.exp, other.num, other.exp
+            # with unequal exponents, the numerator of the larger one is odd, so the sum's is
+            if e > f:
+                return Dyadic._raw(a + (b << (e - f)), e)
+            if f > e:
+                return Dyadic._raw((a << (f - e)) + b, f)
+            return Dyadic(a + b, e)
         return self._combine(other, 1)
 
     __radd__ = __add__
@@ -179,6 +206,8 @@ class Dyadic:
         return Dyadic(self.num, self.exp + n)
 
 
+_SET_NUM = Dyadic.num.__set__  # the slots, written past the immutability guard
+_SET_EXP = Dyadic.exp.__set__
 DY_ZERO = Dyadic(0)
 DY_ONE = Dyadic(1)
 
@@ -232,19 +261,41 @@ def _check_unit(d: Dyadic):
 
 
 def rho(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
-    """Binary reading of the {L,R} path code; exact on all of [0, inf]."""
-    if x.is_infinite:
+    """Binary reading of the {L,R} path code; exact on all of [0, inf].
+
+    For x = [a0; a1, ..., an] the code pi(x) is R^a0 L^a1 ... X^an followed
+    by the other letter forever.  Read with R = 1 and L = 0:
+
+        rho(x) = 0.1^a0 0^a1 1^a2 ... (1 or 0)^an + (2^-N if n is odd),
+
+    N = a0 + ... + an, since a tail of ones after a last run of zeros adds
+    one unit in the last place.  For 0 < x < inf the numerator is odd and
+    the exponent is N.  One Euclid pass appends each run as its quotient comes, and
+    caps.exp is checked before a run is appended, so no integer past the
+    cap is built; past it the rest of N is summed for the message only.
+    """
+    p, q = x.num, x.den
+    if not q:
         return DY_ONE
-    cf = cf_from_rat(x)
-    if cf == [0]:
+    if not p:
         return DY_ZERO
-    sums = list(accumulate(cf))
-    total = sums[-1]
-    check_cap(caps, "exp", total, "dyadic bits")
-    num = (1 << total) - sum(
-        (-1 if k % 2 else 1) << (total - s) for k, s in enumerate(sums)
-    )
-    return Dyadic(num, total)
+    cap = caps.exp
+    num = total = 0
+    while True:
+        a, p = divmod(p, q)  # a run of a ones; q/p is left
+        total += a
+        if total > cap:
+            check_cap(caps, "exp", total + _quotient_sum(q, p), "dyadic bits")  # raises
+        num = (num << a) | ((1 << a) - 1)
+        if not p:
+            return Dyadic._raw(num, total)
+        a, q = divmod(q, p)  # a run of a zeros; p/q is left
+        total += a
+        if total > cap:
+            check_cap(caps, "exp", total + _quotient_sum(p, q), "dyadic bits")  # raises
+        num <<= a
+        if not q:
+            return Dyadic._raw(num + 1, total)
 
 
 def qmark(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
@@ -254,7 +305,7 @@ def qmark(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
     that of x, which is the exponent of ?(x): rho's caps.exp check counts
     the bits of the result.
     """
-    if x.is_infinite or x > 1:
+    if x.num > x.den:  # infinity as well
         raise DomainError("the question mark lives on [0, 1]")
     return rho(phi_inv(x), caps)
 

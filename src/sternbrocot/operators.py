@@ -236,8 +236,10 @@ def _check_chain(kind: str) -> None:
 
 def _int_weights(kind: str, p: int, q: int) -> tuple[int, int]:
     """Branch weights (w0, w1) at p/q as integers over their sum w0 + w1."""
+    if kind == "MC1":
+        return q, p
     _check_chain(kind)
-    return (1, 1) if kind == "MC0" else (q, p)
+    return 1, 1
 
 
 def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:
@@ -259,36 +261,22 @@ def _scale(w: Fraction, v):
     return float(w) * v
 
 
-def _exact_mean(pairs, total: int):
-    """sum(w * v for w, v in pairs) / total as one Fraction reduced once,
-    or None when some v is not exactly an int or a Fraction."""
-    num, den = 0, 1
-    for w, v in pairs:
-        if type(v) not in _EXACT:
-            return None
-        b = v.denominator
-        num, den = num * b + w * v.numerator * den, den * b
-    return Fraction(num, den * total)
-
-
 def _markov_mean(w0: int, v0, w1: int, v1):
-    # the chain's mean of the branch values; a zero-weight branch's value is ignored
-    mean = _exact_mean(((w0, v0), (w1, v1)), w0 + w1)
-    if mean is None:
-        return _sum_terms([_scale(Fraction(w, w0 + w1), v) for w, v in ((w0, v0), (w1, v1)) if w])
-    return mean
+    """(w0 v0 + w1 v1) / (w0 + w1); a zero-weight branch's value is ignored.
+
+    Two values that are exactly ints or Fractions go over one denominator
+    and make one Fraction, reduced once.
+    """
+    if type(v0) in _EXACT and type(v1) in _EXACT:
+        b0, b1 = v0.denominator, v1.denominator
+        return Fraction(w0 * v0.numerator * b1 + w1 * v1.numerator * b0, b0 * b1 * (w0 + w1))
+    return _sum_terms([_scale(Fraction(w, w0 + w1), v) for w, v in ((w0, v0), (w1, v1)) if w])
 
 
 def _average(a, b):
-    mean = _exact_mean(((1, a), (1, b)), 2)
-    return _sum_terms([a, b]) / 2 if mean is None else mean
-
-
-def _branches(kind: str, f, x: ExtRat):
-    """(w0, v0, w1, v1): integer weight and f-value of each branch at x.
-    f is not called on a zero-weight branch, whose value is 0."""
-    w0, w1 = _int_weights(kind, x.num, x.den)
-    return w0, f(apply_letter(x, 0)) if w0 else 0, w1, f(apply_letter(x, 1)) if w1 else 0
+    if type(a) in _EXACT and type(b) in _EXACT:
+        return _markov_mean(1, a, 1, b)
+    return _sum_terms([a, b]) / 2
 
 
 def markov_apply(kind: str, f, x: ExtRat):
@@ -297,7 +285,12 @@ def markov_apply(kind: str, f, x: ExtRat):
     Zero-weight branches are skipped, so absorption at the endpoints
     needs no special casing in f.
     """
-    return _markov_mean(*_branches(kind, f, x))
+    p, q = x.num, x.den
+    w0, w1 = _int_weights(kind, p, q)
+    # the branches of apply_letter: p/(p+q) and (p+q)/q
+    v0 = f(ExtRat._raw(p, p + q)) if w0 else 0
+    v1 = f(ExtRat._raw(p + q, q)) if w1 else 0
+    return _markov_mean(w0, v0, w1, v1)
 
 
 def _cw_leaves(p: int, q: int, n: int):
@@ -357,22 +350,36 @@ def averaging_apply(f, x: ExtRat):
 def commutator_residual(kind: str, f, x: ExtRat):
     """(P A - A P) f at x; vanishes because the chains are 1/x-symmetric.
 
-    f is called as markov_apply and averaging_apply composed call it.
-    When every value is exact, both sides go over one denominator.
+    f is called as markov_apply and averaging_apply composed call it, on
+    the branches y0 = p/(p+q), y1 = (p+q)/q of x = p/q and z0 = q/(p+q),
+    z1 = (p+q)/p of 1/x, skipping zero-weight branches.  When every value
+    is exact, the eight weighted values go over one denominator, 2 s t,
+    where the weights w0, w1 at x sum to s and u0, u1 at 1/x to t.
     """
+    p, q = x.num, x.den
+    w0, w1 = _int_weights(kind, p, q)
+    u0, u1 = _int_weights(kind, q, p)
+    r = p + q
     # P A f: at each branch y of x, the pair (f(y), f(1/y)) that A averages
-    w0, a0, w1, a1 = _branches(kind, lambda y: (f(y), f(y.reciprocal())), x)
-    a0, a1 = a0 or (0, 0), a1 or (0, 0)
+    a0 = (f(ExtRat._raw(p, r)), f(ExtRat._raw(r, p))) if w0 else (0, 0)
+    a1 = (f(ExtRat._raw(r, q)), f(ExtRat._raw(q, r))) if w1 else (0, 0)
     # A P f: P f at x and at 1/x
-    px, prx = _branches(kind, f, x), _branches(kind, f, x.reciprocal())
-    s, t = w0 + w1, prx[0] + prx[2]
-    terms = [(w0 * t, a0[0]), (w0 * t, a0[1]), (w1 * t, a1[0]), (w1 * t, a1[1]),
-             (-w0 * t, px[1]), (-w1 * t, px[3]), (-prx[0] * s, prx[1]), (-prx[2] * s, prx[3])]
-    mean = _exact_mean(terms, 2 * s * t)
-    if mean is None:
-        lhs = _markov_mean(w0, _average(*a0), w1, _average(*a1))
-        return lhs - _average(_markov_mean(*px), _markov_mean(*prx))
-    return mean
+    v0 = f(ExtRat._raw(p, r)) if w0 else 0
+    v1 = f(ExtRat._raw(r, q)) if w1 else 0
+    z0 = f(ExtRat._raw(q, r)) if u0 else 0
+    z1 = f(ExtRat._raw(r, p)) if u1 else 0
+    s, t = w0 + w1, u0 + u1
+    weights = (w0 * t, w0 * t, w1 * t, w1 * t, -w0 * t, -w1 * t, -u0 * s, -u1 * s)
+    num, den = 0, 1
+    for w, v in zip(weights, (*a0, *a1, v0, v1, z0, z1)):
+        if type(v) not in _EXACT:
+            break
+        b = v.denominator
+        num, den = num * b + w * v.numerator * den, den * b
+    else:
+        return Fraction(num, 2 * s * t * den)
+    lhs = _markov_mean(w0, _average(*a0), w1, _average(*a1))
+    return lhs - _average(_markov_mean(w0, v0, w1, v1), _markov_mean(u0, z0, u1, z1))
 
 
 def harmonic_series_partial(kind: str, h, x: ExtRat, n_terms: int):

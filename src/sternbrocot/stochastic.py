@@ -39,7 +39,6 @@ import numpy as np
 
 from . import rng
 from .core import CAPS, CapExceeded, Caps, DomainError, ExtRat, ONE, check_cap
-from .minkowski import stieltjes_mean
 from .operators import (
     _check_chain, _int_weights, _value, apply_letter, markov_apply, markov_power,
     transition_probs,
@@ -618,6 +617,8 @@ def mc0_limit_experiment(f: Callable[[ExtRat], object], x: ExtRat, n: int, caps:
     Both numbers approximate the same limit integral; the difference is
     the convergence gap at depth n.
     """
+    from .minkowski import stieltjes_mean  # loaded here, so simulate never loads it
+
     if n < 1:
         raise ValueError("n must be at least 1")
     check_cap(caps, "estimate", n, "tree mean level")  # before markov_power runs

@@ -24,12 +24,17 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
 
 
 @pytest.mark.parametrize("argv,loaded,absent", [
+    (["--version"], {"cli"}, {"minkowski", "accum", "maps", "stochastic", "operators", "verify"}),
+    (["tree", "--kind", "sb", "--depth", "3"], {"trees"},
+     {"minkowski", "accum", "maps", "stochastic", "operators", "verify"}),
     (["qmark", "2/5"], {"minkowski"}, {"maps", "stochastic", "operators", "rng", "verify"}),
-    (["fourier", "--n-max", "1", "--depth", "4", "--iters", "64"], {"maps"},
+    (["qmark", "3/2^3", "--inverse"], {"minkowski"},
+     {"maps", "stochastic", "operators", "rng", "verify"}),
+    (["fourier", "--n-max", "1", "--depth", "4", "--iters", "64"], {"maps", "minkowski", "accum"},
      {"stochastic", "operators", "rng", "verify"}),
     (["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "3"], {"stochastic"},
-     {"maps", "verify"}),
-], ids=["qmark", "fourier", "simulate"])
+     {"minkowski", "accum", "maps", "verify"}),
+], ids=["version", "tree", "qmark", "qmark-inverse", "fourier", "simulate"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded, absent):
     code = ("import sys; from sternbrocot.cli import run; code = run(sys.argv[1:]); "
             "print(*sorted(m for m in sys.modules if m.startswith('sternbrocot.')), file=sys.stderr); "
@@ -41,6 +46,17 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded, absent):
     modules = {m.removeprefix("sternbrocot.") for m in proc.stderr.split()}
     assert loaded <= modules
     assert not absent & modules
+
+
+def test_cli_import_loads_numpy():
+    # the trees module stays eager in cli, so numpy's import time is part of
+    # `import sternbrocot.cli`, where bench/run.py's import_times reads it
+    code = "import sys, sternbrocot.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
 
 
 def test_all_lists_each_name_once():

@@ -27,12 +27,12 @@ _EXPORTS = (
     ("trees", ("TreeSpec", "descendants", "hyperbinary", "level", "level_arrays")),
     ("minkowski", (
         "BinaryWord", "Dyadic", "binary_word", "distribution_estimate",
-        "fourier_tree_mean", "qmark", "qmark_enclosure", "qmark_inv", "rho",
-        "rho_inv", "stieltjes_mean")),
+        "fourier_tree_mean", "fourier_tree_means", "qmark", "qmark_enclosure",
+        "qmark_inv", "rho", "rho_inv", "stieltjes_mean")),
     ("maps", (
         "StackInterval", "apply", "apply_inverse", "binary_digits",
         "conjugacy_residual", "eigenfunction_check", "ergodic_fourier",
-        "inverse_branches", "odometer_value", "orbit", "orbit_iter",
+        "ergodic_fourier_means", "inverse_branches", "odometer_value", "orbit", "orbit_iter",
         "stack_interval")),
     ("operators", (
         "averaging_apply", "commutator_residual", "h1", "harmonic_series_partial",

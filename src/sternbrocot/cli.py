@@ -246,19 +246,20 @@ def _cmd_qmark(args, caps) -> int:
 
 def _cmd_fourier(args, caps) -> int:
     from . import maps
-    from .minkowski import fourier_tree_mean
+    from .minkowski import fourier_tree_means
 
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     start = _rat(args.start)
-    rows = []
-    for n in range(1, args.n_max + 1):
-        if args.method in ("tree", "both"):
-            z = fourier_tree_mean(n, args.depth, caps=caps)
-            rows.append((n, z.real, z.imag, "tree", 1 << args.depth))
-        if args.method in ("ergodic", "both"):
-            z = maps.ergodic_fourier(n, start, args.iters, map=args.map, caps=caps)
-            rows.append((n, z.real, z.imag, "ergodic", args.iters))
+    ns = range(1, args.n_max + 1)
+    runs = []  # one list of rows a method, each estimate made for all n at once
+    if args.method in ("tree", "both"):
+        zs = fourier_tree_means(ns, args.depth, caps=caps)
+        runs.append([(n, z.real, z.imag, "tree", 1 << args.depth) for n, z in zip(ns, zs)])
+    if args.method in ("ergodic", "both"):
+        zs = maps.ergodic_fourier_means(ns, start, args.iters, map=args.map, caps=caps)
+        runs.append([(n, z.real, z.imag, "ergodic", args.iters) for n, z in zip(ns, zs)])
+    rows = [row for rows_of_n in zip(*runs) for row in rows_of_n]
     flags = {
         "n_max": args.n_max,
         "method": args.method,

@@ -36,8 +36,9 @@ class Caps:
     """
 
     level: int = 24  # tree level streamed in blocks; memory stays flat
-    estimate: int = 20  # tree levels held whole as arrays (~2^k * 8 B, cached)
-    orbit: int = 1 << 24  # orbit length; the ergodic mean holds ~8 B an iterate
+    estimate: int = 20  # tree levels of an estimate: time for fourier, which streams
+    # them; level_arrays/level_floats hold them whole (~2^k * 8 B, cached)
+    orbit: int = 1 << 24  # orbit length: time for enumerate and fourier, which stream it
     exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes
     word: int = 1 << 10  # letters of an {L, R} or 0/1 word
     walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)

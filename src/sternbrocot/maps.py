@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, pi
 from operator import truediv
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -418,30 +418,42 @@ def eigenfunction_check(m: int, x: ExtRat, map: str = "T") -> tuple[complex, com
     return cmath.exp(1j * unit * vy), cmath.exp(1j * unit) * cmath.exp(1j * unit * vx)
 
 
+def _orbit_float_blocks(m: str, num: int, den: int, count: int, caps: Caps):
+    """The orbit of num/den, count entries, as float blocks in orbit order;
+    orbit_blocks checks the arguments when this is called."""
+    return map(_block_floats, orbit_blocks(m, num, den, count, caps))
+
+
+def _block_floats(block):
+    nums, dens = block
+    # numpy divides the rounded operands, Python the exact integers; the
+    # two agree while both are below 2^53, where rounding is exact
+    if nums.dtype == object or max(nums.max(), dens.max()) >> 53:
+        return np.array(list(map(truediv, nums.tolist(), dens.tolist())))
+    return nums / dens
+
+
 @lru_cache(maxsize=4)
 def _orbit_floats(m: str, num: int, den: int, count: int, caps: Caps) -> np.ndarray:
-    blocks = orbit_blocks(m, num, den, count, caps)  # checks count before the allocation
+    """The whole orbit as one float array, cached: _orbit_float_blocks joined."""
+    blocks = _orbit_float_blocks(m, num, den, count, caps)  # checks count before the allocation
     out = np.empty(count, dtype=float)
     i = 0
-    for nums, dens in blocks:
-        n = len(nums)
-        # numpy divides the rounded operands, Python the exact integers; the
-        # two agree while both are below 2^53, where rounding is exact
-        if nums.dtype == object or max(nums.max(), dens.max()) >> 53:
-            out[i:i + n] = list(map(truediv, nums.tolist(), dens.tolist()))
-        else:
-            np.divide(nums, dens, out=out[i:i + n])
-        i += n
+    for x in blocks:
+        out[i:i + x.size] = x
+        i += x.size
     return out
 
 
-def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R",
-                    caps: Caps = CAPS) -> complex:
-    """Fourier mean (1/N) sum of e^(2 pi i n x_k) along the exact orbit.
+def ergodic_fourier_means(ns: Sequence[int], start: ExtRat, iters: int, map: str = "R",
+                          caps: Caps = CAPS) -> list[complex]:
+    """Fourier means (1/N) sum of e^(2 pi i n x_k) along the exact orbit,
+    one for each n in ns.
 
-    The orbit is rounded to floats once and cached, 8 B an iterate; the
-    real and imaginary parts are the cos and sin sums of accum.cis_sums,
-    made and summed 4096 entries at a time.
+    The orbit is streamed once for all n, rounded to floats a block at a
+    time; the real and imaginary parts are the cos and sin sums of
+    accum.cis_sums.  No orbit is held or cached, so memory stays flat in
+    iters; caps.orbit bounds iters, and so the time.
     """
     if map not in INVERTIBLE:
         raise DomainError("ergodic means run along R, S or T orbits")
@@ -449,5 +461,14 @@ def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R",
         raise DomainError("start must be finite")
     if iters < 1:
         raise DomainError("need at least one iterate")
-    re, im = cis_sums(_orbit_floats(map, start.num, start.den, iters, caps), 2 * pi * n)
-    return complex(re / iters, im / iters)
+    blocks = _orbit_float_blocks(map, start.num, start.den, iters, caps)
+    return [complex(re / iters, im / iters)
+            for re, im in cis_sums(blocks, [2 * pi * n for n in ns])]
+
+
+def ergodic_fourier(n: int, start: ExtRat, iters: int, map: str = "R",
+                    caps: Caps = CAPS) -> complex:
+    """Fourier mean along the orbit: ergodic_fourier_means for one n.  Each
+    call streams the orbit anew; for several n, call ergodic_fourier_means
+    once."""
+    return ergodic_fourier_means([n], start, iters, map, caps)[0]

@@ -392,33 +392,54 @@ def stieltjes_mean(
     if vectorized:
         def level_sums(j):
             vals = np.asarray(f(trees.level_floats(spec, j, caps)))
-            return fsum_array(vals.real), (fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
+            return [(fsum_array(vals.real), fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)]
     else:
         def level_sums(j):
             vals = [complex(f(v)) for v in trees.level(spec, j, caps)]
-            return fsum(v.real for v in vals), fsum(v.imag for v in vals)
-    return _level_mean(k, caps, level_sums)
+            return [(fsum(v.real for v in vals), fsum(v.imag for v in vals))]
+    return _level_means(k, caps, level_sums)[0]
 
 
-def _level_mean(k: int, caps: Caps, level_sums: Callable):
-    """The fsum over levels 1..k of level_sums(j), a (re, im) pair, over 2^k.
+def _level_means(k: int, caps: Caps, level_sums: Callable) -> list:
+    """The means over levels 1..k of the (re, im) pairs that level_sums(j)
+    returns, one mean per position in its list: the fsum of the re and of
+    the im parts over the levels, over 2^k.
 
     A zero imaginary part gives a float, so -0.0 never reaches the caller.
     """
     if k < 1:
         raise DomainError("levels start at 1")
     check_cap(caps, "estimate", k, "Stieltjes mean level")
-    re_parts, im_parts = zip(*(level_sums(j) for j in range(1, k + 1)))
     scale = float(2 ** -k)
-    re = fsum(re_parts) * scale
-    im = fsum(im_parts) * scale
-    return complex(re, im) if im else re
+    means = []
+    for pairs in zip(*(level_sums(j) for j in range(1, k + 1))):
+        re_parts, im_parts = zip(*pairs)
+        re = fsum(re_parts) * scale
+        im = fsum(im_parts) * scale
+        means.append(complex(re, im) if im else re)
+    return means
+
+
+def fourier_tree_means(ns: Sequence[int], k: int, spec: TreeSpec = _SB,
+                       caps: Caps = CAPS) -> list[complex]:
+    """Tree estimates of the n-th Fourier coefficients of the limit measure,
+    one for each n in ns.
+
+    Each level is streamed once for all n, block by block as level_blocks
+    makes it, and contributes the cos and sin sums of accum.cis_sums; no
+    level is held whole, so memory stays flat in k.  caps.estimate bounds
+    k, and so the time.
+    """
+    ws = [2.0 * np.pi * n for n in ns]
+
+    def level_sums(j):
+        return cis_sums((num / den for num, den in trees.level_blocks(spec, j, caps)), ws)
+
+    return [complex(z) for z in _level_means(k, caps, level_sums)]
 
 
 def fourier_tree_mean(n: int, k: int, spec: TreeSpec = _SB, caps: Caps = CAPS) -> complex:
-    """Tree estimate of the n-th Fourier coefficient of the limit measure.
-
-    Each level contributes the cos and sin sums of accum.cis_sums.
-    """
-    w = 2.0 * np.pi * n
-    return complex(_level_mean(k, caps, lambda j: cis_sums(trees.level_floats(spec, j, caps), w)))
+    """Tree estimate of the n-th Fourier coefficient: fourier_tree_means for
+    one n.  Each call streams the levels anew; for several n, call
+    fourier_tree_means once."""
+    return fourier_tree_means([n], k, spec, caps)[0]

@@ -16,8 +16,10 @@ expands its subtree, two blocks, as int64 columns, exact up to level 62
 (see level_blocks), so level 24 never needs the whole tree in memory.
 A level can also be streamed from any index, as the orbits of R, S and
 T are.  level_blocks and level check their arguments when called, before
-any block is asked for.  The estimators' level_arrays and level_floats
-hold levels joined from the blocks.
+any block is asked for.  The Fourier tree estimator reads the blocks as
+they come, so its memory stays flat in the depth; level_arrays and
+level_floats hold levels joined from the blocks, for
+distribution_estimate and the vectorized stieltjes_mean.
 """
 
 from __future__ import annotations
@@ -187,8 +189,8 @@ def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     return mediant(lo, x), mediant(x, hi)
 
 
-# Levels held whole and read-only for the estimators, keyed by (kind,
-# permuted, k).  _STATE_CACHE keeps the name the benchmark clears it by,
+# Levels held whole and read-only for distribution_estimate and
+# stieltjes_mean, keyed by (kind, permuted, k).  _STATE_CACHE keeps the name the benchmark clears it by,
 # but holds the (num, den) values of a level, not parent states.
 
 _STATE_CACHE: dict = {}

@@ -9,6 +9,7 @@ is byte-identical across runs.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -308,25 +309,29 @@ def _check_steps(name, orb):
 def _c_calkin_wilf(r, seed):
     orb = maps.orbit("R", INF, (1 << 16) + 1)
     _check_steps("R", orb)
+    b = [trees.hyperbinary(i) for i in range(1 << 16)]
     for i in range(2, (1 << 16) + 1):
         x = orb[i]
-        if x.num != trees.hyperbinary(i - 2) or x.den != trees.hyperbinary(i - 1):
+        if x.num != b[i - 2] or x.den != b[i - 1]:
             raise CheckFailure(f"x_{i} != b({i - 2})/b({i - 1})")
-    if trees.hyperbinary(8) != 4:
+    if b[8] != 4:
         raise CheckFailure("b(8) != 4")
+    brute = _brute_hyperbinary(64)
     for n in range(65):
-        if trees.hyperbinary(n) != _brute_hyperbinary(n):
+        if b[n] != brute[n]:
             raise CheckFailure(f"b({n}) disagrees with brute force")
     return "x_i = b(i-2)/b(i-1) through i = 2^16; b brute-checked to 64"
 
 
-def _brute_hyperbinary(n: int) -> int:
-    # count n = sum c_k 2^k with c_k in {0,1,2} by trying every digit word
-    width = max(n.bit_length(), 1) + 1
-    return sum(
-        1
+def _brute_hyperbinary(top: int) -> collections.Counter:
+    # count n = sum c_k 2^k with c_k in {0,1,2} by trying every digit word, for
+    # every n <= top in one tally.  A word wider than bit_length(n) + 1 that
+    # sums to n has zeros in the extra places, as a digit there adds more
+    # than n, so the words of top's width count each n as its own would.
+    width = top.bit_length() + 1
+    return collections.Counter(
+        sum(c << k for k, c in enumerate(digits))
         for digits in itertools.product((0, 1, 2), repeat=width)
-        if sum(c << k for k, c in enumerate(digits)) == n
     )
 
 

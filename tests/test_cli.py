@@ -1,12 +1,14 @@
 """Command line surface: schemas, exit codes, redirection, determinism."""
 
+import hashlib
 import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
-from sternbrocot import cli, verify
+from sternbrocot import cli, maps, trees, verify
 from sternbrocot.cli import run
 from sternbrocot.minkowski import qmark, rho
 from sternbrocot.core import Caps, ExtRat
@@ -157,6 +159,29 @@ class TestFourier:
                     "--depth", "4"]) == 0
         got = lines(capsys)
         assert len(got) == 2 and got[1].endswith("tree,16")
+
+    def test_estimates_hold_no_level_or_orbit(self, capsys):
+        trees._STATE_CACHE.clear()
+        trees._FLOAT_CACHE.clear()
+        maps._orbit_floats.cache_clear()
+        assert run(["fourier", "--n-max", "3", "--depth", "13", "--iters", str(5 * 4096 + 3)]) == 0
+        assert len(lines(capsys)) == 7
+        assert maps._orbit_floats.cache_info().currsize == 0
+        assert not trees._FLOAT_CACHE and not trees._STATE_CACHE
+
+    # The full-size fourier invocations of the benchmark's estimators workload.
+    @pytest.mark.parametrize("label,argv", [
+        ("fourier-both", ["fourier", "--n-max", "16", "--depth", "19", "--iters", str(1 << 19)]),
+        ("fourier-ergodic-T", ["fourier", "--method", "ergodic", "--map", "T", "--start", "1/3",
+                               "--n-max", "8", "--iters", str(1 << 19)]),
+    ])
+    def test_full_size_bytes_match_the_benchmark_digests(self, label, argv, capsys):
+        golden = json.loads((Path(__file__).parent.parent / "bench" / "golden.json").read_text())
+        # bench/workloads.py keys each invocation by a digest of its arguments
+        entry = golden[hashlib.sha256("\0".join(argv).encode()).hexdigest()[:16]]
+        assert entry["label"] == label and not entry["tiny"]
+        assert run(argv + ["--seed", "7"]) == entry["exit"]
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == entry["sha256"]
 
     @pytest.mark.parametrize("method", ["both", "tree"])
     def test_folding_map_is_refused_at_parse_time(self, method, capsys):

@@ -402,7 +402,7 @@ class TestErgodicMeans:
             ergodic_fourier(1, ONE, (1 << 24) + 1)
 
     def test_orbit_honours_the_given_caps(self):
-        # the cached orbit must take the caps ergodic_fourier was given
+        # the orbit stream must take the caps ergodic_fourier was given
         z = ergodic_fourier(1, ONE, 4, caps=replace(CAPS, orbit=4))
         assert z == ergodic_fourier(1, ONE, 4)
         with pytest.raises(CapExceeded):

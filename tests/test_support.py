@@ -2,15 +2,16 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sternbrocot.accum import CHUNK, fsum_array
-from sternbrocot.core import CAPS, ONE, ExtRat
-from sternbrocot.maps import _orbit_floats, ergodic_fourier
-from sternbrocot.minkowski import fourier_tree_mean
+from sternbrocot.accum import CHUNK, cis_sums, fsum_array
+from sternbrocot.core import CAPS, ONE, UNSAFE_CAPS, ExtRat
+from sternbrocot.maps import _orbit_floats, ergodic_fourier, ergodic_fourier_means, orbit_blocks, orbit_iter
+from sternbrocot.minkowski import fourier_tree_mean, fourier_tree_means
 from sternbrocot.rng import draw, draw_below, draw_bit, mix64, walk_key
 from sternbrocot.trees import TreeSpec, level_floats
 
@@ -80,6 +81,16 @@ class TestSummation:
         assert _same(fsum_array(z.real), _loop_fsum(z.real))
         assert _same(fsum_array(z.imag), _loop_fsum(z.imag))
 
+    def test_cis_sums_do_not_depend_on_the_blocks(self):
+        r = np.random.default_rng(5)
+        a = r.uniform(0, 1, size=40 * CHUNK + 123)
+        ws = [2 * math.pi * n for n in (1, 5, 16)]
+        want = [(_loop_fsum(np.cos(w * a)), _loop_fsum(np.sin(w * a))) for w in ws]
+        cuts = np.sort(r.integers(0, a.size, size=30))
+        for blocks in ([a], np.split(a, cuts), [a[:1], a[:0], a[1:]]):
+            assert cis_sums(blocks, ws) == want
+        assert cis_sums([], ws) == [(0.0, 0.0)] * 3
+
 
 def _loop_fsum(a):
     """fsum_array as a Python loop over 4096-element slices."""
@@ -94,6 +105,29 @@ def _same(x, y):
                for a, b in ((x.real, y.real), (x.imag, y.imag)))
 
 
+def _exp_mean(n, floats):
+    """The ergodic mean as the estimator once took it: complex exp of the whole orbit."""
+    osc = (2j * math.pi * n) * floats
+    np.exp(osc, out=osc)
+    return complex(_loop_fsum(osc.real) / floats.size, _loop_fsum(osc.imag) / floats.size)
+
+
+def _tree_exp_mean(n, k):
+    """The tree mean as the estimator once took it: complex exp of each whole level."""
+    re_parts, im_parts = [], []
+    for j in range(1, k + 1):
+        vals = np.exp(1j * (2.0 * np.pi * n) * level_floats(TreeSpec("sb"), j))
+        re_parts.append(_loop_fsum(vals.real))
+        im_parts.append(_loop_fsum(vals.imag))
+    re = math.fsum(re_parts) * 2.0 ** -k
+    im = math.fsum(im_parts) * 2.0 ** -k
+    return complex(complex(re, im) if im else re)
+
+
+NS = (1, 7, 16)
+STARTS = [("R", ONE), ("S", ONE), ("T", ONE), ("T", ExtRat(1, 3))]
+
+
 class TestFourierKernels:
     """cos and sin give the bits of the complex exp the estimators once took.
 
@@ -103,22 +137,58 @@ class TestFourierKernels:
 
     @pytest.mark.parametrize("iters", [1 << 14, 3 * CHUNK + 17])
     @pytest.mark.parametrize("n", [1, 7, 16])
-    @pytest.mark.parametrize("m,start", [("R", ONE), ("S", ONE), ("T", ONE), ("T", ExtRat(1, 3))])
+    @pytest.mark.parametrize("m,start", STARTS)
     def test_ergodic_mean_matches_the_complex_exp(self, n, m, start, iters):
-        osc = (2j * math.pi * n) * _orbit_floats(m, start.num, start.den, iters, CAPS)
-        np.exp(osc, out=osc)
-        want = complex(_loop_fsum(osc.real) / iters, _loop_fsum(osc.imag) / iters)
+        want = _exp_mean(n, _orbit_floats(m, start.num, start.den, iters, CAPS))
         assert _same(ergodic_fourier(n, start, iters, map=m), want)
 
     @pytest.mark.parametrize("n", [1, 7, 16])
     def test_tree_mean_matches_the_complex_exp(self, n):
-        k = 12
-        re_parts, im_parts = [], []
-        for j in range(1, k + 1):
-            vals = np.exp(1j * (2.0 * np.pi * n) * level_floats(TreeSpec("sb"), j))
-            re_parts.append(_loop_fsum(vals.real))
-            im_parts.append(_loop_fsum(vals.imag))
-        re = math.fsum(re_parts) * 2.0 ** -k
-        im = math.fsum(im_parts) * 2.0 ** -k
-        want = complex(complex(re, im) if im else re)
-        assert _same(fourier_tree_mean(n, k), want)
+        assert _same(fourier_tree_mean(n, 12), _tree_exp_mean(n, 12))
+
+
+class TestStreamedFourier:
+    """One pass for every n gives the bits of one n at a time, across the
+    4096-chunk and 16-chunk segment seams and unaligned first blocks."""
+
+    @pytest.mark.parametrize("iters", [3 * CHUNK + 17, 16 * CHUNK, 16 * CHUNK + 1, 33 * CHUNK + 5])
+    @pytest.mark.parametrize("m,start", STARTS)
+    def test_ergodic_means_match_one_n_at_a_time(self, m, start, iters):
+        floats = _orbit_floats(m, start.num, start.den, iters, CAPS)
+        for n, z in zip(NS, ergodic_fourier_means(NS, start, iters, map=m)):
+            assert _same(z, ergodic_fourier(n, start, iters, map=m))
+            assert _same(z, _exp_mean(n, floats))
+
+    def test_orbit_past_2_53_divides_the_exact_integers(self):
+        # T from 1/(2^49 - 1) runs the odometer in int64 columns with entries
+        # near 2^61 over denominators that are not powers of two, where
+        # numpy's division of the rounded operands differs on some entries,
+        # and then in object columns; lifted caps as under --unsafe-cap
+        start, iters = ExtRat(1, (1 << 49) - 1), 2 * CHUNK + 5
+        blocks = list(orbit_blocks("T", start.num, start.den, iters))
+        assert [b.dtype for b, _ in blocks] == [np.int64, np.int64, object]
+        assert all(b.max() >> 53 for b, _ in blocks)
+        exact = np.array([x.num / x.den for x in orbit_iter("T", start, iters, UNSAFE_CAPS)])
+        for n, z in zip(NS, ergodic_fourier_means(NS, start, iters, map="T", caps=UNSAFE_CAPS)):
+            assert _same(z, _exp_mean(n, exact))
+
+    @pytest.mark.parametrize("k", [12, 13, 18])
+    def test_tree_means_match_one_n_at_a_time(self, k):
+        for n, z in zip(NS, fourier_tree_means(NS, k)):
+            assert _same(z, fourier_tree_mean(n, k))
+            assert _same(z, _tree_exp_mean(n, k))
+
+    @pytest.mark.parametrize("k,iters", [(14, 1 << 14), (20, 1 << 20)])
+    def test_memory_stays_under_a_fixed_bound(self, k, iters):
+        # no level or orbit is held: the peak at depth 20 and 2^20 iterates,
+        # all n <= 16, stays under the bound that depth 14 and 2^14 keep
+        ns = range(1, 17)
+        for estimate in (lambda: fourier_tree_means(ns, k),
+                         lambda: ergodic_fourier_means(ns, ONE, iters, map="R")):
+            tracemalloc.start()
+            try:
+                estimate()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 << 20

@@ -17,7 +17,9 @@ from .core import (
     Caps,
     DomainError,
     ExtRat,
+    cf_from_rat,
     check_cap,
+    _cf_value,
     _check_canonical,
 )
 
@@ -91,9 +93,18 @@ def rat_from_word(word: str) -> ExtRat:
 
 
 def parents(x: ExtRat) -> tuple[ExtRat, ExtRat]:
-    """(smaller, larger) parent; the root 1/1 has parents (0/1, 1/0)."""
-    a, b, c, d = matrix_from_word(word_from_rat(x))
-    return ExtRat._raw(b, d), ExtRat._raw(a, c)
+    """(smaller, larger) parent; the root 1/1 has parents (0/1, 1/0).
+
+    x = p/q = [a0; ..., an] has the parents p'/q' = [a0; ..., a(n-1)]
+    (1/0 when n = 0), above x when n is even, and [a0; ..., an - 1] =
+    (p - p')/(q - q') by the continuant recurrence.  No word is built.
+    """
+    terms = cf_from_rat(x)
+    if terms == [0]:
+        raise DomainError("zero is an ancestor, not a vertex")
+    head = _cf_value(terms[:-1])
+    other = ExtRat._raw(x.num - head.num, x.den - head.den)
+    return (other, head) if len(terms) % 2 else (head, other)
 
 
 def hat(x: ExtRat) -> ExtRat:
@@ -106,8 +117,7 @@ def hat(x: ExtRat) -> ExtRat:
     that when n is odd.  The continuant recurrence reads an expansion from
     its end, here a0 + 1 first: it takes the quotients as one Euclid pass
     yields them, and the last step's an becomes an - 1 by subtracting the
-    column before.  The word is not built, but its length, depth(x) - 1,
-    is held to caps.word as rat_from_word holds it.
+    column before.  No word is built, so no cap applies.
     """
     if x.is_infinite:
         raise DomainError("infinity has no continued fraction")
@@ -115,17 +125,14 @@ def hat(x: ExtRat) -> ExtRat:
         raise DomainError("zero is an ancestor, not a vertex")
     p, q = x.num, x.den
     a, r = divmod(p, q)
-    total = a
     h, k = a + 1, 1  # (h, k): first column of the continuant product
     p, q = q, r
     odd = False  # n odd
     while q:
         a, r = divmod(p, q)
-        total += a
         h, k = a * h + k, h
         p, q = q, r
         odd = not odd
-    check_cap(CAPS, "word", total - 1, "word length")
     h -= k  # gcd(h - k, k) = gcd(h, k) = 1
     return ExtRat._raw(k, h) if odd else ExtRat._raw(h, k)
 

@@ -2,8 +2,9 @@
 
 Everything in this package runs on reduced fractions p/q with p, q >= 0,
 where 0/1 is zero and 1/0 is the point at infinity.  The stdlib Fraction
-cannot hold 1/0, hence ExtRat.  No floating point is used here; callers
-convert at the last step when they need numerics.
+cannot hold 1/0, hence ExtRat, the point type: it compares, hashes and
+converts, and arithmetic goes through as_fraction().  No floating point is
+used here; callers convert at the last step when they need numerics.
 
 Continued fractions are the canonical finite expansions
 [a0; a1, ..., an] with a0 >= 0, ai >= 1 for i >= 1 and an > 1 when n >= 1,
@@ -39,17 +40,16 @@ class Caps:
     estimate: int = 20  # tree levels of an estimate: time for fourier, which streams
     # them; level_arrays/level_floats hold them whole (~2^k * 8 B, cached)
     orbit: int = 1 << 24  # orbit length: time for enumerate and fourier, which stream it
-    exp: int = 1 << 16  # bits of a dyadic that ?, rho or an inverse reads or makes
+    exp: int = 1 << 16  # dyadic bits that ?, rho, an inverse or a stack interval reads or makes
     word: int = 1 << 10  # letters of an {L, R} or 0/1 word
     walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)
     horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step
     power: int = 24  # steps of a Markov power: 2^n branch words, walked in O(n) memory
-    stack: int = 20  # stage n of a stack interval
 
 
 CAPS = Caps()
 UNSAFE_CAPS = Caps(level=1 << 10, estimate=23, orbit=1 << 25, exp=1 << 20,
-                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, power=26, stack=1 << 10)
+                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, power=26)
 
 # The trees and maps by name, here so the CLI parser needs no numpy module.
 # R, S and T (INVERTIBLE) walk the permuted trees of KINDS, in that order;
@@ -202,53 +202,6 @@ class ExtRat:
         if self.den == 0:
             return inf
         return self.num / self.den
-
-    def _finite(self, what: str) -> None:
-        if self.den == 0:
-            raise DomainError(f"{what} is not defined at infinity")
-
-    def __add__(self, other):
-        po = self._pair(other)
-        if po is None:
-            return NotImplemented
-        self._finite("addition")
-        if po[1] == 0:
-            raise DomainError("addition is not defined at infinity")
-        return ExtRat(self.num * po[1] + po[0] * self.den, self.den * po[1])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        po = self._pair(other)
-        if po is None:
-            return NotImplemented
-        self._finite("subtraction")
-        if po[1] == 0:
-            raise DomainError("subtraction is not defined at infinity")
-        num = self.num * po[1] - po[0] * self.den
-        if num < 0:
-            raise DomainError("subtraction left the nonnegative rationals")
-        return ExtRat(num, self.den * po[1])
-
-    def __mul__(self, other):
-        po = self._pair(other)
-        if po is None:
-            return NotImplemented
-        self._finite("multiplication")
-        if po[1] == 0:
-            raise DomainError("multiplication is not defined at infinity")
-        return ExtRat(self.num * po[0], self.den * po[1])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        po = self._pair(other)
-        if po is None:
-            return NotImplemented
-        self._finite("division")
-        if po[1] == 0 or po[0] == 0:
-            raise DomainError("division by zero or infinity")
-        return ExtRat(self.num * po[1], self.den * po[0])
 
     def __str__(self):
         return f"{self.num}/{self.den}"

@@ -351,11 +351,12 @@ def stack_interval(family: str, i: int, n: int, caps: Caps = CAPS) -> StackInter
 
     A(1, n) = [0, 2^-n) and T translates each level onto the next, so the
     left endpoints run through the bit-reversed (van der Corput) order;
-    the closed form here equals iterating T, which tests assert.
+    the closed form here equals iterating T, which tests assert.  The
+    endpoints are n-bit dyadics, so caps.exp bounds n.
     """
     if family not in ("A", "B", "C"):
         raise DomainError("family is A, B or C")
-    check_cap(caps, "stack", n, "stack stage")
+    check_cap(caps, "exp", n, "stack stage")
     if n < 0 or not 1 <= i <= 1 << n:
         raise DomainError(f"stack level {i} outside 1..2^{n}")
     lo = Dyadic(_bit_reverse(i - 1, n), n)

@@ -361,17 +361,15 @@ def distribution_estimate(spec: TreeSpec, k: int, x: ExtRat, caps: Caps = CAPS) 
     if k < 1:
         raise DomainError("levels start at 1")
     check_cap(caps, "estimate", k, "distribution estimate level")
-    count = 0
     if x.is_infinite:
-        count = (1 << k) - 1
-    elif max(x.num, x.den) < 1 << 36:
-        xn, xd = x.num, x.den
-        for j in range(1, k + 1):
-            p, q = trees.level_arrays(spec, j, caps)
-            count += int(np.count_nonzero(p * xd <= xn * q))
-    else:
-        for j in range(1, k + 1):
-            count += sum(1 for v in trees.level(spec, j, caps) if v <= x)
+        return Fraction((1 << k) - 1, 1 << k)
+    # entries of levels k <= 23 (the lifted cap) are below 2^24: int64 products for x below 2^36
+    xn, xd = x.num, x.den
+    dtype = np.int64 if max(xn, xd) < 1 << 36 else object
+    count = 0
+    for j in range(1, k + 1):
+        p, q = (a.astype(dtype, copy=False) for a in trees.level_arrays(spec, j, caps))
+        count += int(np.count_nonzero(p * xd <= xn * q))
     return Fraction(count, 1 << k)
 
 

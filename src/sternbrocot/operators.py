@@ -13,8 +13,9 @@ an int or a Fraction, markov_apply and averaging_apply put the weighted
 values over one denominator of Python ints and reduce once.  Any other
 value (bool, a numpy scalar, ExtRat, float, complex) takes the generic
 path: scale by the Fraction weight, then _sum_terms.  Both paths give
-the same value and type.  markov_power walks the 2^n branch words depth
-first and sums f as it goes, so it holds O(n) words, not 2^n.
+the same value and type.  Every operator reads an ExtRat value as its
+Fraction.  markov_power walks the 2^n branch words depth first and sums
+f as it goes, so it holds O(n) words, not 2^n.
 """
 
 from __future__ import annotations
@@ -197,17 +198,17 @@ def transfer_apply(kind: str, q, f, x):
     qq = qi if exact else float(q)
     if kind == "G":
         w0 = _power(1 + pt, -2 * qq, exact)
-        return _sum_terms([w0 * f(pt / (1 + pt)), f(pt + 1)])
+        return _sum_terms([w0 * _value(f(pt / (1 + pt))), f(pt + 1)])
     if kind == "dyadic":
         w = _power(2, -qq, exact)
         half = Fraction(1, 2) if isinstance(pt, Fraction) else 0.5
-        return _sum_terms([w * f(pt / 2), w * f(pt / 2 + half)])
+        return _sum_terms([w * _value(f(pt / 2)), w * _value(f(pt / 2 + half))])
     if kind == "farey":
         if pt == 2:
             raise DomainError("branch singularity at x = 2")
         w0 = _power(1 + pt, -2 * qq, exact)
         w1 = _power(2 - pt, -2 * qq, exact)
-        return _sum_terms([w0 * f(pt / (1 + pt)), w1 * f(1 / (2 - pt))])
+        return _sum_terms([w0 * _value(f(pt / (1 + pt))), w1 * _value(f(1 / (2 - pt)))])
     raise DomainError(f"unknown transfer kind {kind!r}; one of {TRANSFER_KINDS}")
 
 
@@ -218,7 +219,7 @@ def lewis_zagier_residual(f, q, x):
     qi = _integer_q(q)
     exact = qi is not None and isinstance(pt, Fraction)
     w = _power(1 + pt, -2 * (qi if exact else float(q)), exact)
-    return _sum_terms([f(pt), -f(pt + 1), -(w * f(pt / (1 + pt)))])
+    return _sum_terms([f(pt), -_value(f(pt + 1)), -(w * _value(f(pt / (1 + pt))))])
 
 
 def apply_letter(x: ExtRat, letter: int) -> ExtRat:

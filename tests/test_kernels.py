@@ -3,11 +3,12 @@
 Each reference below is the earlier implementation, kept verbatim in
 substance: rho summed one shifted integer per partial sum of the
 continued fraction, depth and rank summed the cf_from_rat list, hat
-multiplied out the reversed word, matrix_from_word multiplied one 2x2
-product per letter, pi_code and word_from_rat joined blocks over the
-list, code_compare walked letter by letter, the Markov step and the
-commutator put (weight, value) tuples over one denominator, and Dyadic
-added through its generic _combine.  Results are compared exactly:
+multiplied out the reversed word, parents read the columns of the
+word's matrix, matrix_from_word multiplied one 2x2 product per letter,
+pi_code and word_from_rat joined blocks over the list, code_compare
+walked letter by letter, the Markov step and the commutator put
+(weight, value) tuples over one denominator, and Dyadic added through
+its generic _combine.  Results are compared exactly:
 (num, exp), (num, den), Fraction values, float reprs, or the type and
 text of the exception raised.
 """
@@ -25,6 +26,7 @@ from sternbrocot.coding import (
     code_compare,
     hat,
     matrix_from_word,
+    parents,
     pi_code,
     rat_from_matrix,
     word_from_rat,
@@ -38,6 +40,7 @@ from sternbrocot.operators import (
     _EXACT, _int_weights, _scale, _sum_terms, apply_letter, commutator_residual, h1,
     markov_apply,
 )
+from sternbrocot.trees import TreeSpec, descendants
 
 
 # ---------------------------------------------------------------- references
@@ -99,8 +102,16 @@ def ref_matrix_from_word(word, caps=CAPS):
     return m
 
 
+# The references build the whole word, so they take the lifted word cap;
+# hat and parents build none and have no cap.
+
 def ref_hat(x):
-    return rat_from_matrix(ref_matrix_from_word(ref_word_from_rat(x)[::-1]))
+    return rat_from_matrix(ref_matrix_from_word(ref_word_from_rat(x)[::-1], UNSAFE_CAPS))
+
+
+def ref_parents(x):
+    a, b, c, d = ref_matrix_from_word(ref_word_from_rat(x), UNSAFE_CAPS)
+    return ExtRat(b, d), ExtRat(a, c)
 
 
 def ref_pi_code(x):
@@ -213,6 +224,16 @@ coded_points = st.one_of(
     st.integers(1, 4096).flatmap(_near_bits).map(lambda pq: ExtRat(*pq)),
 ).filter(lambda x: depth(x) <= 1 << 21)
 
+# Points of depth at most 2^13, so the references' words stay cheap to multiply out.
+SHORT = 1 << 13
+short_points = st.one_of(
+    st.sampled_from([ZERO, ONE, INF]),
+    st.integers(1, SHORT).map(ExtRat),
+    st.integers(1, SHORT).map(lambda q: ExtRat(1, q)),
+    st.integers(1, 4096).map(fib_ratio),
+    st.integers(1, 1024).flatmap(_near_bits).map(lambda pq: ExtRat(*pq)),
+).filter(lambda x: depth(x) <= SHORT)
+
 # 65536 and 65537 sit on either side of the default caps.exp
 EDGES = [ZERO, ONE, INF, ExtRat(2), ExtRat(7), ExtRat(1, 2), ExtRat(2, 5), ExtRat(355, 113),
          ExtRat(1, 1 << 16), ExtRat(1, (1 << 16) + 1), ExtRat(1 << 16), ExtRat((1 << 16) + 1),
@@ -316,18 +337,47 @@ class TestDepthRank:
 class TestCodings:
     @pytest.mark.parametrize("x", EDGES, ids=EDGE_IDS)
     def test_edges(self, x):
-        for fn, ref in ((hat, ref_hat), (word_from_rat, ref_word_from_rat), (pi_code, ref_pi_code)):
+        for fn, ref in ((word_from_rat, ref_word_from_rat), (pi_code, ref_pi_code)):
             assert outcome(fn, x) == outcome(ref, x), fn.__name__
+        if depth(x) <= SHORT:
+            for fn, ref in ((hat, ref_hat), (parents, ref_parents)):
+                assert outcome(fn, x) == outcome(ref, x), fn.__name__
+        else:  # the deep edges, by involution and by depth
+            assert hat(hat(x)) == x and depth(hat(x)) == depth(x)
+            lo, hi = parents(x)
+            assert lo < x < hi and ExtRat(lo.num + hi.num, lo.den + hi.den) == x
+            assert max(depth(lo), depth(hi)) == depth(x) - 1
 
     @settings(deadline=None)
-    @given(coded_points)
+    @given(short_points)
     def test_hat(self, x):
         assert outcome(hat, x) == outcome(ref_hat, x)
 
+    @settings(deadline=None)
+    @given(short_points)
+    def test_parents(self, x):
+        assert outcome(parents, x) == outcome(ref_parents, x)
+
+    # (x, hat(x), parents(x), children in the Stern-Brocot tree) for words of
+    # 1025, 1999 and 2^42 - 1 letters: n and 1/n have the one-block words
+    # R^(n-1) and L^(n-1), which reversal fixes
+    DEEP = [
+        (ExtRat(1, 1026), ExtRat(1, 1026), (ZERO, ExtRat(1, 1025)), (ExtRat(1, 1027), ExtRat(2, 2051))),
+        (ExtRat(2000), ExtRat(2000), (ExtRat(1999), INF), (ExtRat(3999, 2), ExtRat(2001))),
+        (ExtRat(1 << 42), ExtRat(1 << 42), (ExtRat((1 << 42) - 1), INF),
+         (ExtRat((1 << 43) - 1, 2), ExtRat((1 << 42) + 1))),
+    ]
+
     def test_hat_builds_no_word(self):
-        # the word of 2^40 would have 2^40 - 1 letters: hat raises on its length alone
-        with pytest.raises(CapExceeded, match="word length 1099511627775 above the cap 1024"):
-            hat(ExtRat(1 << 40))
+        # nor do parents and descendants
+        for x, *want in self.DEEP:
+            tracemalloc.start()
+            try:
+                got = [hat(x), parents(x), descendants(TreeSpec("sb"), x)]
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert got == want and peak < 1 << 16, x
 
     @settings(deadline=None)
     @given(coded_points)
@@ -341,7 +391,7 @@ class TestCodings:
 
     @given(st.integers(1, 1030))
     def test_hat_word_cap_edge(self, n):
-        # depth n, word length n - 1 against caps.word = 1024
+        # depth n, word length n - 1, on both sides of caps.word = 1024: hat has no cap
         for x in (ExtRat(n), ExtRat(1, n + 1)):
             assert outcome(hat, x) == outcome(ref_hat, x)
 

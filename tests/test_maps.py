@@ -336,8 +336,12 @@ class TestStacks:
             stack_interval("D", 1, 3)
         with pytest.raises(DomainError):
             stack_interval("A", 9, 3)
-        with pytest.raises(CapExceeded):
-            stack_interval("A", 1, 21)
+        # the stage is the endpoints' bit count, which caps.exp bounds
+        a = stack_interval("A", 1, 21)
+        assert (str(a.lo), str(a.hi)) == ("0/1", f"1/{1 << 21}")
+        assert stack_interval("A", 1, CAPS.exp).hi == ExtRat(1, 1 << CAPS.exp)
+        with pytest.raises(CapExceeded, match=r"stack stage 65537 above the cap 65536 \(caps\.exp"):
+            stack_interval("A", 1, CAPS.exp + 1)
 
 
 class TestOdometer:

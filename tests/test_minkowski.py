@@ -262,6 +262,21 @@ class TestDistribution:
                 assert abs(target - est) <= Fraction(1, 1 << k)
 
 
+    @pytest.mark.parametrize("spec", [TreeSpec("sb"), TreeSpec("farey", permuted=True), TreeSpec("dyadic")],
+                             ids=["sb", "farey-perm", "dyadic"])
+    def test_large_points_match_a_per_vertex_count(self, spec):
+        # terms at and past 2^36 take exact object products; the count is per vertex
+        big = 1 << 40
+        xs = [ExtRat(2 * big + 1, 5 * big), ExtRat(2 * big - 1, 5 * big), ExtRat(3, (1 << 50) + 7),
+              ExtRat(1, 1 << 36), ExtRat((1 << 62) - 1, (1 << 63) + 5), ExtRat(big + 1, big), ExtRat(1 << 37, 3)]
+        k = 10
+        for x in xs:
+            if spec.kind != "sb" and x >= 1:
+                continue
+            want = sum(v <= x for j in range(1, k + 1) for v in level(spec, j))
+            assert distribution_estimate(spec, k, x) == Fraction(want, 1 << k)
+
+
 class TestMeans:
     def test_vectorized_and_plain_agree(self):
         f_exact = lambda v: Fraction(v.num, v.num + v.den)

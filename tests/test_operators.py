@@ -78,6 +78,15 @@ class TestTransfer:
         with pytest.raises(DomainError):
             transfer_apply("farey", 1, lambda y: 1, Fraction(2))
 
+    @pytest.mark.parametrize("kind", ["G", "dyadic", "farey"])
+    @pytest.mark.parametrize("q", [2, 0.5])
+    def test_extrat_values_read_as_fractions(self, kind, q):
+        frac = lambda y: y * y + 1
+        ext = lambda y: ExtRat(frac(y).numerator, frac(y).denominator)
+        for x in (Fraction(2, 5), Fraction(7, 3)):
+            got, want = transfer_apply(kind, q, ext, x), transfer_apply(kind, q, frac, x)
+            assert type(got) is type(want) and got == want
+
     def test_guards(self):
         with pytest.raises(DomainError):
             transfer_apply("X", 1, lambda y: 1, Fraction(1, 2))
@@ -95,6 +104,14 @@ class TestThreeTerm:
 
     def test_constants_miss_at_weight_zero(self):
         assert lewis_zagier_residual(lambda y: 1, 0, Fraction(1)) == -1
+
+    @pytest.mark.parametrize("q", [2, 0.5])
+    def test_extrat_values_read_as_fractions(self, q):
+        frac = lambda y: y * y + 1
+        ext = lambda y: ExtRat(frac(y).numerator, frac(y).denominator)
+        for x in (Fraction(2, 5), Fraction(7, 3)):
+            got, want = lewis_zagier_residual(ext, q, x), lewis_zagier_residual(frac, q, x)
+            assert type(got) is type(want) and got == want
 
     @given(positives)
     def test_residual_matches_its_definition(self, a):

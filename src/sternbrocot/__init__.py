@@ -38,10 +38,11 @@ _EXPORTS = (
         "averaging_apply", "commutator_residual", "h1", "harmonic_series_partial",
         "lewis_zagier_residual", "markov_apply", "markov_power", "transfer_apply",
         "transition_probs")),
-    ("stochastic", (
+    ("stochastic", ("walk_table",)),
+    ("experiments", (
         "ChainSpec", "HittingResult", "MartingaleReport", "WalkPath",
         "cylinder_prob", "hitting_experiment", "martingale_check",
-        "mc0_limit_experiment", "simulate", "walk_table")),
+        "mc0_limit_experiment", "simulate")),
 )
 
 __all__ = ["__version__", *(n for _, names in _EXPORTS for n in names)]

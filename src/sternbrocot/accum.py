@@ -2,7 +2,7 @@
 
 fsum_array sums one array; cis_sums streams float blocks once and gives
 the cos and sin sums of every frequency asked for, holding no more than
-one segment of the stream.
+one segment of the stream and one exact running sum per frequency.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 CHUNK = 4096
 # Chunks copied together into cis_sums' segment buffer (2^16 floats, 512 KB).
 SEGMENT_CHUNKS = 16
+# Every finite double is an integer multiple of 2^-1074, the least subnormal.
+_UNIT = 1 << 1074
 
 
 def fsum_array(a: np.ndarray) -> float:
@@ -41,22 +43,30 @@ def cis_sums(blocks: Iterable[np.ndarray], ws: Sequence[float]) -> list[tuple[fl
     chunks at a time are copied into one reused segment buffer.  Within a
     segment the frequencies run outside and the chunks inside; the angles,
     cosines and sines of a chunk are made in two reused buffers, and each
-    chunk's sum is the partial that fsum_array would take.  So the bits are
-    those of one whole array and one w at a time, and memory stays flat
-    but for the partials, two floats a chunk for each w.
+    chunk's sum is the partial that fsum_array would take.  Each partial
+    is added at once to an exact running sum, an int in units of 2^-1074,
+    which is rounded once at the end; that is the math.fsum of the
+    partials, so the bits are those of one whole array and one w at a
+    time, and memory stays flat in the length of the stream.
     """
     segment = np.empty(SEGMENT_CHUNKS * CHUNK)
     angle, cos = np.empty((2, CHUNK))
-    re = [[] for _ in ws]
-    im = [[] for _ in ws]
+    re = [0] * len(ws)
+    im = [0] * len(ws)
     for seg in _segments(blocks, segment):
-        for w, re_w, im_w in zip(ws, re, im):
+        for j, w in enumerate(ws):
             for i in range(0, seg.size, CHUNK):
                 x = seg[i:i + CHUNK]
                 t = np.multiply(w, x, out=angle[:x.size])
-                re_w.append(float(np.cos(t, out=cos[:x.size]).sum()))
-                im_w.append(float(np.sin(t, out=t).sum()))
-    return [(math.fsum(re_w), math.fsum(im_w)) for re_w, im_w in zip(re, im)]
+                re[j] += _units(float(np.cos(t, out=cos[:x.size]).sum()))
+                im[j] += _units(float(np.sin(t, out=t).sum()))
+    return [(r / _UNIT, i / _UNIT) for r, i in zip(re, im)]
+
+
+def _units(x: float) -> int:
+    """The finite float x as an exact integer count of 2^-1074 units."""
+    n, d = x.as_integer_ratio()  # d = 2^k with k <= 1074
+    return n << (1075 - d.bit_length())
 
 
 def _segments(blocks, buf):

@@ -9,6 +9,11 @@ used here; callers convert at the last step when they need numerics.
 Continued fractions are the canonical finite expansions
 [a0; a1, ..., an] with a0 >= 0, ai >= 1 for i >= 1 and an > 1 when n >= 1,
 so every positive rational has exactly one expansion ([0] stands for zero).
+
+The random walks' chain definition lives here too: CHAIN_KINDS, the
+branch step apply_letter and the integer branch weights.  The operators
+module averages over it, the walk kernel in stochastic and the
+experiments module step it, and none of them needs another's code for it.
 """
 
 from __future__ import annotations
@@ -218,6 +223,32 @@ INF = ExtRat._raw(1, 0)
 def mediant(a: ExtRat, b: ExtRat) -> ExtRat:
     """Mediant (pa+pb)/(qa+qb); reduced, which is a no-op for unimodular pairs."""
     return ExtRat(a.num + b.num, a.den + b.den)
+
+
+# The Markov chains MC0 and MC1: their names, branch step and weights.
+CHAIN_KINDS = ("MC0", "MC1")
+
+
+def apply_letter(x: ExtRat, letter: int) -> ExtRat:
+    """G-branch step on [0, inf]: letter 0 sends p/q to p/(p+q), 1 to (p+q)/q."""
+    # both images are already in lowest terms: gcd(p, p+q) = gcd(p, q)
+    if letter == 0:
+        return ExtRat._raw(x.num, x.num + x.den)
+    return ExtRat._raw(x.num + x.den, x.den)
+
+
+def _check_chain(kind: str) -> None:
+    if kind not in CHAIN_KINDS:
+        raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
+
+
+def _int_weights(kind: str, p: int, q: int) -> tuple[int, int]:
+    """Branch weights (w0, w1) at p/q as integers over their sum w0 + w1:
+    (1, 1) for MC0, (q, p) for MC1."""
+    if kind == "MC1":
+        return q, p
+    _check_chain(kind)
+    return 1, 1
 
 
 def cf_from_rat(x: ExtRat) -> list[int]:

@@ -5,7 +5,9 @@ integer q and rational points everything stays exact.  The Markov
 operators average over the branches x/(1+x) and x+1 of G (apply_letter
 0 and 1, the one branch step the package uses) with either fair weights
 (chain 0) or the weights 1/(1+x), x/(1+x) (chain 1), whose boundary
-values make 0 and infinity absorbing.
+values make 0 and infinity absorbing.  That chain definition (the names,
+the branch step and the integer weights) lives in core, so the walk
+kernel in stochastic steps the chains without loading this module.
 
 The chain weights are integers over their sum: (1, 1) over 2 for MC0 and
 (q, p) over p+q for MC1 at x = p/q.  When every value f gives is exactly
@@ -24,10 +26,9 @@ from fractions import Fraction
 from itertools import chain
 from math import fsum, inf, isfinite, nan
 
-from .core import CAPS, Caps, DomainError, ExtRat, check_cap
+from .core import CAPS, Caps, DomainError, ExtRat, _check_chain, _int_weights, check_cap
 
 TRANSFER_KINDS = ("G", "dyadic", "farey")
-CHAIN_KINDS = ("MC0", "MC1")
 _EXACT = (int, Fraction)  # value types the integer-weight path takes, by exact type
 _BLOCK = 4096  # terms a _Sum holds before it folds them into its float sums
 
@@ -220,27 +221,6 @@ def lewis_zagier_residual(f, q, x):
     exact = qi is not None and isinstance(pt, Fraction)
     w = _power(1 + pt, -2 * (qi if exact else float(q)), exact)
     return _sum_terms([f(pt), -_value(f(pt + 1)), -(w * _value(f(pt / (1 + pt))))])
-
-
-def apply_letter(x: ExtRat, letter: int) -> ExtRat:
-    """G-branch step on [0, inf]: letter 0 sends p/q to p/(p+q), 1 to (p+q)/q."""
-    # both images are already in lowest terms: gcd(p, p+q) = gcd(p, q)
-    if letter == 0:
-        return ExtRat._raw(x.num, x.num + x.den)
-    return ExtRat._raw(x.num + x.den, x.den)
-
-
-def _check_chain(kind: str) -> None:
-    if kind not in CHAIN_KINDS:
-        raise DomainError(f"unknown chain {kind!r}; one of {CHAIN_KINDS}")
-
-
-def _int_weights(kind: str, p: int, q: int) -> tuple[int, int]:
-    """Branch weights (w0, w1) at p/q as integers over their sum w0 + w1."""
-    if kind == "MC1":
-        return q, p
-    _check_chain(kind)
-    return 1, 1
 
 
 def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:

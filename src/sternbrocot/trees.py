@@ -30,7 +30,6 @@ from typing import Iterator
 import numpy as np
 
 from .core import CAPS, KINDS, Caps, DomainError, ExtRat, check_cap, mediant
-from . import coding
 
 
 @dataclass(frozen=True)
@@ -185,7 +184,9 @@ def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     if spec.permuted or spec.kind == "dyadic":
         (a, b), (c, d) = _children(spec, (x.num, x.den))
         return ExtRat._raw(a, b), ExtRat._raw(c, d)
-    lo, hi = coding.parents(x)
+    from .coding import parents  # loaded here, so streaming a level never loads it
+
+    lo, hi = parents(x)
     return mediant(lo, x), mediant(x, hi)
 
 

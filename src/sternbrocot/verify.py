@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import sqrt
 from typing import Callable, Dict, Tuple
 
-from . import coding, maps, minkowski, operators, stochastic, trees
+from . import coding, experiments, maps, minkowski, operators, stochastic, trees
 from .core import (
     CAPS,
     ExtRat,
@@ -699,8 +699,8 @@ def _c_symme(r, seed):
         x = ExtRat(r.randrange(0, 50), r.randrange(1, 50))
         m = r.randrange(1, 13)
         w = tuple(r.randrange(2) for _ in range(m))
-        lhs = stochastic.cylinder_prob("MC1", x, w)
-        rhs = stochastic.cylinder_prob(
+        lhs = experiments.cylinder_prob("MC1", x, w)
+        rhs = experiments.cylinder_prob(
             "MC1", x.reciprocal(), tuple(1 - b for b in w)
         )
         if lhs != rhs:
@@ -727,7 +727,7 @@ def _c_letter_freq(r, seed):
         marg = Fraction(0)
         for word in itertools.product((0, 1), repeat=k + 1):
             if word[-1] == 1:
-                marg += stochastic.cylinder_prob("MC1", start, word)
+                marg += experiments.cylinder_prob("MC1", start, word)
         p = float(marg)
         se = sqrt(p * (1 - p) / walks)
         dev = abs(counts[k] / walks - p)
@@ -751,7 +751,7 @@ def _c_worker_det(r, seed):
 
 @_check("stochastic.hitting")
 def _c_hitting(r, seed):
-    res = stochastic.hitting_experiment((ExtRat(2, 5), ExtRat(3, 5)), 10 ** 4, 10 ** 3, seed)
+    res = experiments.hitting_experiment((ExtRat(2, 5), ExtRat(3, 5)), 10 ** 4, 10 ** 3, seed)
     for a, b in zip(res.curve, res.curve[1:]):
         if b < a:
             raise CheckFailure("hitting curve decreased")
@@ -763,7 +763,7 @@ def _c_hitting(r, seed):
 @_check("stochastic.no-atoms-window")
 def _c_no_atoms(r, seed):
     walks, horizon, window = 1000, 1 << 10, 64
-    rep = stochastic.martingale_check(
+    rep = experiments.martingale_check(
         "MC1",
         operators.h1,
         walks,

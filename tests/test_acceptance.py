@@ -33,12 +33,8 @@ from sternbrocot.minkowski import (
     rho_inv,
 )
 from sternbrocot.operators import lewis_zagier_residual, markov_power, transfer_apply
-from sternbrocot.stochastic import (
-    cylinder_prob,
-    hitting_experiment,
-    mc0_limit_experiment,
-    walk_table,
-)
+from sternbrocot.experiments import cylinder_prob, hitting_experiment, mc0_limit_experiment
+from sternbrocot.stochastic import walk_table
 from sternbrocot.trees import TreeSpec, hyperbinary, level
 
 

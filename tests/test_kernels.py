@@ -32,14 +32,11 @@ from sternbrocot.coding import (
     word_from_rat,
 )
 from sternbrocot.core import (
-    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO,
-    cf_from_rat, check_cap, depth, rank,
+    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, _int_weights,
+    apply_letter, cf_from_rat, check_cap, depth, rank,
 )
 from sternbrocot.minkowski import Dyadic, qmark, rho
-from sternbrocot.operators import (
-    _EXACT, _int_weights, _scale, _sum_terms, apply_letter, commutator_residual, h1,
-    markov_apply,
-)
+from sternbrocot.operators import _EXACT, _scale, _sum_terms, commutator_residual, h1, markov_apply
 from sternbrocot.trees import TreeSpec, descendants
 
 

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sternbrocot.core import CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
+from sternbrocot.core import (
+    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, apply_letter,
+)
 from sternbrocot.minkowski import rho
 from sternbrocot.operators import (
     _BLOCK,
     _sum_terms,
-    apply_letter,
     averaging_apply,
     commutator_residual,
     h1,

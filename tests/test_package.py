@@ -24,16 +24,18 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
 
 
 @pytest.mark.parametrize("argv,loaded,absent", [
-    (["--version"], {"cli"}, {"minkowski", "accum", "maps", "stochastic", "operators", "verify"}),
+    (["--version"], {"cli"},
+     {"coding", "minkowski", "accum", "maps", "stochastic", "experiments", "operators", "verify"}),
     (["tree", "--kind", "sb", "--depth", "3"], {"trees"},
-     {"minkowski", "accum", "maps", "stochastic", "operators", "verify"}),
-    (["qmark", "2/5"], {"minkowski"}, {"maps", "stochastic", "operators", "rng", "verify"}),
+     {"coding", "minkowski", "accum", "maps", "stochastic", "experiments", "operators", "verify"}),
+    (["qmark", "2/5"], {"minkowski"},
+     {"coding", "maps", "stochastic", "experiments", "operators", "rng", "verify"}),
     (["qmark", "3/2^3", "--inverse"], {"minkowski"},
-     {"maps", "stochastic", "operators", "rng", "verify"}),
+     {"coding", "maps", "stochastic", "experiments", "operators", "rng", "verify"}),
     (["fourier", "--n-max", "1", "--depth", "4", "--iters", "64"], {"maps", "minkowski", "accum"},
-     {"stochastic", "operators", "rng", "verify"}),
+     {"stochastic", "experiments", "operators", "rng", "verify"}),
     (["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "3"], {"stochastic"},
-     {"minkowski", "accum", "maps", "verify"}),
+     {"coding", "operators", "experiments", "minkowski", "accum", "maps", "verify"}),
 ], ids=["version", "tree", "qmark", "qmark-inverse", "fourier", "simulate"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded, absent):
     code = ("import sys; from sternbrocot.cli import run; code = run(sys.argv[1:]); "

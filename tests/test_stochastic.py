@@ -13,24 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sternbrocot import rng, stochastic
+from sternbrocot import experiments, rng, stochastic
 from sternbrocot.cli import run
-from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO
-from sternbrocot.minkowski import rho
-from sternbrocot.operators import _value, markov_apply
-from sternbrocot.stochastic import (
+from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, apply_letter
+from sternbrocot.experiments import (
     ChainSpec,
     MartingaleReport,
-    _draw_letter,
-    _letter_steps,
-    apply_letter,
     cylinder_prob,
     hitting_experiment,
     martingale_check,
     mc0_limit_experiment,
     simulate,
-    walk_table,
 )
+from sternbrocot.minkowski import rho
+from sternbrocot.operators import _value, markov_apply
+from sternbrocot.stochastic import _draw_letter, _letter_steps, walk_table
 
 words = st.lists(st.integers(0, 1), min_size=1, max_size=24)
 
@@ -340,10 +337,11 @@ class TestKernel:
 
 def test_only_the_letter_rule_draws():
     # one letter rule: _letter_steps draws for every batched walk and
-    # _draw_letter for one walk; the batched walk kernel uses no rng at all
-    tree = ast.parse(Path(stochastic.__file__).read_text())
+    # _draw_letter for one walk; the batched walk kernel uses no rng at all,
+    # and the experiments draw only through the kernel's two
     uses = {}
-    for fn in tree.body:
+    for fn in (fn for module in (stochastic, experiments)
+               for fn in ast.parse(Path(module.__file__).read_text()).body):
         if isinstance(fn, ast.FunctionDef):
             uses[fn.name] = {
                 n.attr for n in ast.walk(fn)

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sternbrocot.accum import CHUNK, cis_sums, fsum_array
+from sternbrocot.accum import _UNIT, CHUNK, _units, cis_sums, fsum_array
 from sternbrocot.core import CAPS, ONE, UNSAFE_CAPS, ExtRat
 from sternbrocot.maps import _orbit_floats, ergodic_fourier, ergodic_fourier_means, orbit_blocks, orbit_iter
 from sternbrocot.minkowski import fourier_tree_mean, fourier_tree_means
@@ -90,6 +91,41 @@ class TestSummation:
         for blocks in ([a], np.split(a, cuts), [a[:1], a[:0], a[1:]]):
             assert cis_sums(blocks, ws) == want
         assert cis_sums([], ws) == [(0.0, 0.0)] * 3
+
+
+# Finite floats whose sums stay inside the float range, subnormals and -0.0 included.
+partials = st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True)
+
+
+class TestExactRunningSum:
+    """cis_sums adds each chunk partial to an int in units of 2^-1074 and
+    divides once: that is math.fsum of the partials, bit for bit."""
+
+    @given(st.lists(partials, max_size=60))
+    def test_matches_fsum(self, xs):
+        assert _same(sum(map(_units, xs)) / _UNIT, math.fsum(xs))
+
+    @given(st.lists(partials, min_size=1, max_size=30), partials)
+    def test_matches_fsum_under_cancellation(self, xs, tail):
+        # every x cancels but the tail, summed in an order that hides it
+        xs = xs + [tail] + [-x for x in reversed(xs)]
+        assert _same(sum(map(_units, xs)) / _UNIT, math.fsum(xs))
+
+    @pytest.mark.parametrize("xs", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [-5e-324, 5e-324],
+        [5e-324] * 3, [2.2250738585072014e-308, -5e-324], [1e300, 1.0, -1e300],
+        [1.0, 1e-16, 1e-16], [0.1] * 10,
+    ])
+    def test_edge_cases(self, xs):
+        assert _same(sum(map(_units, xs)) / _UNIT, math.fsum(xs))
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_long_lists(self, seed):
+        r = np.random.default_rng(seed)
+        a = r.normal(size=20000) * 10.0 ** r.integers(-320, 300, size=20000)
+        xs = a.tolist() + (-a[::3]).tolist()
+        assert _same(sum(map(_units, xs)) / _UNIT, math.fsum(xs))
 
 
 def _loop_fsum(a):
@@ -192,3 +228,15 @@ class TestStreamedFourier:
             finally:
                 tracemalloc.stop()
             assert peak < 2 << 20
+
+    def test_ergodic_memory_does_not_grow_with_the_frequencies(self):
+        # 1024 chunks: two floats a chunk for each n would add about 1 MB at n <= 16
+        peaks = []
+        for n_max in (1, 16):
+            tracemalloc.start()
+            try:
+                ergodic_fourier_means(range(1, n_max + 1), ONE, 1 << 22, map="R")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 128 << 10

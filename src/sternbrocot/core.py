@@ -42,8 +42,8 @@ class Caps:
     """
 
     level: int = 24  # tree level streamed in blocks; memory stays flat
-    estimate: int = 20  # tree levels of an estimate: time for fourier, which streams
-    # them; level_arrays/level_floats hold them whole (~2^k * 8 B, cached)
+    estimate: int = 20  # tree levels of an estimate: time, as the estimators stream
+    # them; level_arrays/level_floats join one whole (~2^k * 8 B) per call, uncached
     orbit: int = 1 << 24  # orbit length: time for enumerate and fourier, which stream it
     exp: int = 1 << 16  # dyadic bits that ?, rho, an inverse or a stack interval reads or makes
     word: int = 1 << 10  # letters of an {L, R} or 0/1 word

@@ -35,12 +35,10 @@ import numpy as np
 
 from . import trees
 from .accum import cis_sums
-from .coding import word_from_cf
 from .core import (
     CAPS,
     INF,
     INVERTIBLE,
-    MAPS,
     ONE,
     Caps,
     DomainError,
@@ -244,7 +242,8 @@ def _tree_position(m, p, q):
 
     The permuted tree puts at address w the vertex that the plain tree has
     at the reversed word, so the index reads the word of p/q backwards
-    (L = 0, R = 1).  The Farey tree is the sb subtree under the letter L.
+    (L = 0, R = 1): the blocks R^a0 L^a1 R^a2 ... of [a0; a1, ..., an],
+    the last short by one.  The Farey tree is the sb subtree under L.
     """
     if m == "T":
         k = q.bit_length() - 1
@@ -255,8 +254,13 @@ def _tree_position(m, p, q):
     k = sum(terms) - (m == "S")
     if k > trees.INT64_LEVEL:
         return None
-    word = word_from_cf(terms)[m == "S":]
-    return k, sum(1 << j for j, letter in enumerate(word) if letter == "R")
+    terms[-1] -= 1
+    index = j = 0
+    for i, a in enumerate(terms):
+        if not i % 2:  # an R block: a ones from bit j
+            index |= ((1 << a) - 1) << j
+        j += a
+    return k, index >> (m == "S")  # S drops the word's first letter, an L
 
 
 def _odometer(p, q):

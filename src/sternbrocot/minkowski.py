@@ -357,7 +357,8 @@ def qmark_enclosure(prefix: Sequence[int], caps: Caps = CAPS) -> tuple[Dyadic, D
 
 
 def distribution_estimate(spec: TreeSpec, k: int, x: ExtRat, caps: Caps = CAPS) -> Fraction:
-    """Share of the first k levels lying at or below x, out of 2^k."""
+    """Share of the first k levels lying at or below x, out of 2^k,
+    counted block by block as level_blocks streams each level."""
     if k < 1:
         raise DomainError("levels start at 1")
     check_cap(caps, "estimate", k, "distribution estimate level")
@@ -368,8 +369,9 @@ def distribution_estimate(spec: TreeSpec, k: int, x: ExtRat, caps: Caps = CAPS) 
     dtype = np.int64 if max(xn, xd) < 1 << 36 else object
     count = 0
     for j in range(1, k + 1):
-        p, q = (a.astype(dtype, copy=False) for a in trees.level_arrays(spec, j, caps))
-        count += int(np.count_nonzero(p * xd <= xn * q))
+        for p, q in trees.level_blocks(spec, j, caps):
+            p, q = p.astype(dtype, copy=False), q.astype(dtype, copy=False)
+            count += int(np.count_nonzero(p * xd <= xn * q))
     return Fraction(count, 1 << k)
 
 
@@ -383,14 +385,22 @@ def stieltjes_mean(
     """Mean of f over the first k levels, normalized by 2^k.
 
     The plain path hands f exact rationals one at a time; with
-    vectorized=True, f is called once per level on a float64 array.
-    Either way the accumulation is compensated, so the result does not
-    depend on how the work is split.
+    vectorized=True, f is called once per level_blocks block on a float64
+    array of at most 4096 values, so it must act elementwise.  Blocks are
+    cut at multiples of 4096 from the level's start, as fsum_array cuts a
+    whole level, so the fsum of the blocks' fsum_array partials has the
+    bits of one call on the whole level.  Either way the accumulation is
+    compensated, so the result does not depend on how the work is split,
+    and no level is held whole.
     """
     if vectorized:
         def level_sums(j):
-            vals = np.asarray(f(trees.level_floats(spec, j, caps)))
-            return [(fsum_array(vals.real), fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)]
+            re, im = [], []
+            for num, den in trees.level_blocks(spec, j, caps):
+                vals = np.asarray(f(num / den))
+                re.append(fsum_array(vals.real))
+                im.append(fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
+            return [(fsum(re), fsum(im))]
     else:
         def level_sums(j):
             vals = [complex(f(v)) for v in trees.level(spec, j, caps)]

@@ -16,10 +16,11 @@ expands its subtree, two blocks, as int64 columns, exact up to level 62
 (see level_blocks), so level 24 never needs the whole tree in memory.
 A level can also be streamed from any index, as the orbits of R, S and
 T are.  level_blocks and level check their arguments when called, before
-any block is asked for.  The Fourier tree estimator reads the blocks as
-they come, so its memory stays flat in the depth; level_arrays and
-level_floats hold levels joined from the blocks, for
-distribution_estimate and the vectorized stieltjes_mean.
+any block is asked for.  The tree estimators (the distribution counts,
+the vectorized Stieltjes means and the Fourier means) read the blocks as
+they come, so their memory stays flat in the depth and no level outlives
+the call; level_arrays and level_floats join a whole level on each call
+and cache nothing.
 """
 
 from __future__ import annotations
@@ -190,46 +191,27 @@ def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     return mediant(lo, x), mediant(x, hi)
 
 
-# Levels held whole and read-only for distribution_estimate and
-# stieltjes_mean, keyed by (kind, permuted, k).  _STATE_CACHE keeps the name the benchmark clears it by,
-# but holds the (num, den) values of a level, not parent states.
-
+# Always empty: nothing caches a level; bench/trace.py clears them by name.
 _STATE_CACHE: dict = {}
 _FLOAT_CACHE: dict = {}
 
 
-def _held(cache, spec, k, caps, columns):
-    """The columns of level k, copied block by block into arrays the
-    length of the level, so no list of blocks waits to be joined;
-    level_blocks checks k."""
-    check_cap(caps, "estimate", k, "held level")
-    key = (spec.kind, spec.permuted, k)
-    hit = cache.get(key)
-    if hit is None:
-        i = 0
-        for cols in map(columns, level_blocks(spec, k, caps)):
-            if not i:  # the first block: level_blocks has checked k
-                hit = tuple(np.empty(1 << (k - 1), col.dtype) for col in cols)
-            for a, col in zip(hit, cols):
-                a[i:i + len(col)] = col
-            i += len(cols[0])
-        for a in hit:
-            a.flags.writeable = False
-        cache[key] = hit
-    return hit
-
-
 def level_arrays(spec: TreeSpec, k: int, caps: Caps = CAPS):
-    """Numerators and denominators of level k as int64 arrays, level order.
+    """Numerators and denominators of level k as arrays, level order.
 
-    Cached per level; agrees entry for entry with level(spec, k).
+    Joined from level_blocks on each call and never cached; caps.estimate
+    bounds k.  Agrees entry for entry with level(spec, k).
     """
-    return _held(_STATE_CACHE, spec, k, caps, lambda block: block)
+    check_cap(caps, "estimate", k, "joined level")
+    num, den = zip(*level_blocks(spec, k, caps))
+    return np.concatenate(num), np.concatenate(den)
 
 
 def level_floats(spec: TreeSpec, k: int, caps: Caps = CAPS) -> np.ndarray:
-    """Level k as double-precision values, cached."""
-    return _held(_FLOAT_CACHE, spec, k, caps, lambda block: (block[0] / block[1],))[0]
+    """Level k as double-precision values, joined from the blocks' quotients
+    on each call and never cached, as level_arrays."""
+    check_cap(caps, "estimate", k, "joined level")
+    return np.concatenate([num / den for num, den in level_blocks(spec, k, caps)])
 
 
 def hyperbinary(n: int) -> int:

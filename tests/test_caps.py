@@ -79,8 +79,8 @@ def test_no_module_assigns_another_modules_attribute(mod):
 
 
 # Module-level dicts allowed: lookup tables filled at import, and the two
-# estimator caches the benchmark clears by name.  A memo table elsewhere
-# grows without bound.
+# dicts in trees that stay empty and are kept only because bench/trace.py
+# clears them by name.  A memo table elsewhere grows without bound.
 DICTS = {"_STEPS", "_REGISTRY", "_STATE_CACHE", "_FLOAT_CACHE"}
 
 
@@ -89,3 +89,15 @@ def test_no_module_level_dicts_but_the_allowed_ones(mod):
     for name, value in vars(mod).items():
         if isinstance(value, dict) and not name.startswith("__"):
             assert name in DICTS, f"{mod.__name__}.{name}"
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_no_unused_imports(mod):
+    # a name an import binds and the module never reads, anywhere in it
+    tree = _tree(mod)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                assert bound in read, f"{mod.__name__}: {ast.unparse(node)}"

@@ -166,6 +166,9 @@ class TestFourier:
         maps._orbit_floats.cache_clear()
         assert run(["fourier", "--n-max", "3", "--depth", "13", "--iters", str(5 * 4096 + 3)]) == 0
         assert len(lines(capsys)) == 7
+        # operators.p0-invariance takes vectorized stieltjes_means up to level 18
+        assert run(["verify", "--suite", "operators.p0-invariance"]) == 0
+        assert len(lines(capsys)) == 2
         assert maps._orbit_floats.cache_info().currsize == 0
         assert not trees._FLOAT_CACHE and not trees._STATE_CACHE
 

@@ -68,6 +68,7 @@ class TestExtRat:
     def test_comparison_agrees_with_fraction(self, a, b):
         x, y = ExtRat(*a), ExtRat(*b)
         assert (x < y) == (Fraction(*a) < Fraction(*b))
+        assert bool(x) == bool(Fraction(*a))
 
     def test_float_of_infinity(self):
         assert float(INF) == float("inf")

@@ -6,9 +6,11 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sternbrocot.accum import fsum_array
 from sternbrocot.core import (
     CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, phi,
 )
@@ -24,7 +26,7 @@ from sternbrocot.minkowski import (
     rho_inv,
     stieltjes_mean,
 )
-from sternbrocot.trees import TreeSpec, level
+from sternbrocot.trees import TreeSpec, level, level_floats
 
 
 def series_qmark(x: ExtRat) -> Fraction:
@@ -76,6 +78,8 @@ class TestDyadic:
             assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
             assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
             assert (a < b) == (a.as_fraction() < b.as_fraction())
+            assert (a >= b) == (a.as_fraction() >= b.as_fraction())
+            assert (-a).as_fraction() == -a.as_fraction()
 
     def test_half(self):
         assert Dyadic(3, 1).half() == Dyadic(3, 2)
@@ -277,7 +281,41 @@ class TestDistribution:
             assert distribution_estimate(spec, k, x) == Fraction(want, 1 << k)
 
 
+def whole_level_mean(f, k, spec):
+    """stieltjes_mean(vectorized=True) as it once was: f on each whole level,
+    summed by one fsum_array call a level."""
+    re_parts, im_parts = [], []
+    for j in range(1, k + 1):
+        vals = np.asarray(f(level_floats(spec, j)))
+        re_parts.append(fsum_array(vals.real))
+        im_parts.append(fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
+    re = math.fsum(re_parts) * 2.0 ** -k
+    im = math.fsum(im_parts) * 2.0 ** -k
+    return complex(re, im) if im else re
+
+
+SPECS = [TreeSpec(kind, permuted) for kind in ("sb", "farey", "dyadic") for permuted in (False, True)]
+
+
 class TestMeans:
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
+    def test_blockwise_mean_has_the_bits_of_the_whole_level_mean(self, spec):
+        # levels 13 and up span several 4096-blocks; 1 and 5 are one short block
+        fs = (lambda a: a / (a + 1.0), lambda a: np.exp(2j * np.pi * a))
+        for k in (1, 5, 13, 14, 17):
+            for f in fs:
+                got = stieltjes_mean(f, k, spec, vectorized=True)
+                assert repr(got) == repr(whole_level_mean(f, k, spec)), (k, f)
+
+    def test_p0_check_means_have_the_bits_of_the_whole_level_mean(self):
+        # the two means operators.p0-invariance compares, at its k = 12..18
+        f = lambda a: np.exp(2j * np.pi * a)
+        p0f = lambda a: 0.5 * np.exp(2j * np.pi * (a / (1.0 + a))) + 0.5 * np.exp(2j * np.pi * (a + 1.0))
+        sb = TreeSpec("sb")
+        for k in range(12, 19):
+            for g in (f, p0f):
+                assert repr(stieltjes_mean(g, k, vectorized=True)) == repr(whole_level_mean(g, k, sb)), k
+
     def test_vectorized_and_plain_agree(self):
         f_exact = lambda v: Fraction(v.num, v.num + v.den)
         f_vec = lambda arr: arr / (arr + 1.0)

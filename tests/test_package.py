@@ -33,10 +33,12 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     (["qmark", "3/2^3", "--inverse"], {"minkowski"},
      {"coding", "maps", "stochastic", "experiments", "operators", "rng", "verify"}),
     (["fourier", "--n-max", "1", "--depth", "4", "--iters", "64"], {"maps", "minkowski", "accum"},
-     {"stochastic", "experiments", "operators", "rng", "verify"}),
+     {"coding", "stochastic", "experiments", "operators", "rng", "verify"}),
+    (["enumerate", "--map", "R", "--start", "1/0", "--count", "3"], {"maps"},
+     {"coding", "stochastic", "experiments", "operators", "rng", "verify"}),
     (["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "3"], {"stochastic"},
      {"coding", "operators", "experiments", "minkowski", "accum", "maps", "verify"}),
-], ids=["version", "tree", "qmark", "qmark-inverse", "fourier", "simulate"])
+], ids=["version", "tree", "qmark", "qmark-inverse", "fourier", "enumerate", "simulate"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded, absent):
     code = ("import sys; from sternbrocot.cli import run; code = run(sys.argv[1:]); "
             "print(*sorted(m for m in sys.modules if m.startswith('sternbrocot.')), file=sys.stderr); "

@@ -14,7 +14,7 @@ from sternbrocot.core import CAPS, ONE, UNSAFE_CAPS, ExtRat
 from sternbrocot.maps import _orbit_floats, ergodic_fourier, ergodic_fourier_means, orbit_blocks, orbit_iter
 from sternbrocot.minkowski import fourier_tree_mean, fourier_tree_means
 from sternbrocot.rng import draw, draw_below, draw_bit, mix64, walk_key
-from sternbrocot.trees import TreeSpec, level_floats
+from sternbrocot.trees import TreeSpec, level_blocks
 
 
 class TestMixing:
@@ -152,7 +152,8 @@ def _tree_exp_mean(n, k):
     """The tree mean as the estimator once took it: complex exp of each whole level."""
     re_parts, im_parts = [], []
     for j in range(1, k + 1):
-        vals = np.exp(1j * (2.0 * np.pi * n) * level_floats(TreeSpec("sb"), j))
+        floats = np.concatenate([num / den for num, den in level_blocks(TreeSpec("sb"), j)])
+        vals = np.exp(1j * (2.0 * np.pi * n) * floats)
         re_parts.append(_loop_fsum(vals.real))
         im_parts.append(_loop_fsum(vals.imag))
     re = math.fsum(re_parts) * 2.0 ** -k

@@ -10,6 +10,7 @@ import pytest
 from sternbrocot.core import CapExceeded, DomainError, ExtRat, ONE
 from sternbrocot import trees
 from sternbrocot.coding import hat
+from sternbrocot.minkowski import distribution_estimate, stieltjes_mean
 from sternbrocot.trees import (
     TreeSpec,
     descendants,
@@ -164,23 +165,20 @@ class TestLevelArrays:
         p, q = level_arrays(SB, 9)
         assert np.array_equal(level_floats(SB, 9), p / q)
 
-    def test_cached_arrays_are_read_only(self):
-        p, q = level_arrays(FAREY, 5)
-        assert level_arrays(FAREY, 5)[0] is p
-        for a in (p, q, level_floats(FAREY, 5)):
-            with pytest.raises(ValueError):
-                a[0] = 1
-
-    def test_floats_hold_about_their_own_bytes(self):
-        trees._STATE_CACHE.clear()
-        trees._FLOAT_CACHE.clear()
+    @pytest.mark.parametrize("estimate", [
+        lambda: distribution_estimate(SB, 20, ExtRat(2, 5)),
+        lambda: stieltjes_mean(lambda a: np.exp(2j * np.pi * a), 20, vectorized=True),
+    ], ids=["distribution_estimate", "stieltjes_mean"])
+    def test_estimators_stream_the_levels_and_hold_none(self, estimate):
+        # level 20 alone is 2^19 entries, 4 MB a column
         tracemalloc.start()
         try:
-            held = [level_floats(SB, j) for j in range(1, 19)]
+            estimate()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * sum(a.nbytes for a in held)
+        assert peak < 2 * 2 ** 20
+        assert not trees._STATE_CACHE and not trees._FLOAT_CACHE
 
     def test_blocks_from_a_start_index(self):
         # level 16 is one batch of four 4096-entry blocks; start anywhere in it

@@ -23,8 +23,8 @@ def fsum_array(a: np.ndarray) -> float:
     """Sum a float array in fixed 4096-element chunks, then fsum the partials.
 
     Each chunk is summed by numpy (one row of a (-1, 4096) reshape, plus
-    the tail), so the result is independent of how callers slice the
-    work, and parallel and serial runs agree bit for bit.
+    the tail), so a caller that passes the same chunks one call each and
+    fsums the results gets the same bits.
     """
     flat = np.asarray(a, dtype=float).ravel()
     whole = flat.size - flat.size % CHUNK

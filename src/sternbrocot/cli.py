@@ -225,6 +225,9 @@ def _cmd_qmark(args, caps) -> int:
     from .minkowski import qmark, qmark_enclosure, qmark_inv, rho, rho_inv
 
     if args.enclosure:
+        if args.extended:
+            raise UsageError("--extended does not combine with --enclosure, "
+                             "whose prefix picks ? (a0 = 0) or rho")
         prefix = _cf_prefix(args.value)
         lo, hi = qmark_enclosure(prefix, caps)
         flags = {"input": args.value, "mode": "enclosure"}
@@ -310,15 +313,16 @@ def _cmd_simulate(args, caps) -> int:
 def _cmd_verify(args, caps) -> int:
     from . import verify  # only this command loads the suite
 
-    if args.list:
-        with _open_out(args) as stream:
-            for name in verify.names():
-                stream.write(name + "\n")
-        return 0
     try:
-        results = verify.run_suite(args.suite, seed=args.seed)
+        picked = verify.select(args.suite)
     except KeyError as exc:
         raise UsageError(str(exc.args[0])) from exc
+    if args.list:
+        with _open_out(args) as stream:
+            for name in picked:
+                stream.write(name + "\n")
+        return 0
+    results = verify.run_suite(args.suite, seed=args.seed)
     rows = [(r.name, "ok" if r.ok else "FAIL", r.detail) for r in results]
     flags = {"suite": args.suite}
     _emit(args, ("name", "status", "detail"), rows, flags)
@@ -391,7 +395,8 @@ def _build_parser() -> _Parser:
                       help="exact bounds from a continued-fraction prefix, "
                            "e.g. '[0;2]' or '0,2'")
     q.add_argument("--extended", action="store_true",
-                   help="use the two-sided extension on [0, infinity]")
+                   help="use the two-sided extension on [0, infinity]; "
+                        "not with --enclosure")
     q.set_defaults(func=_cmd_qmark)
 
     f = sub.add_parser(
@@ -435,7 +440,7 @@ def _build_parser() -> _Parser:
                    help="'all', or a comma list of check names or module "
                         "prefixes (default all)")
     v.add_argument("--list", action="store_true",
-                   help="list check names and exit")
+                   help="list the names --suite selects and exit")
     v.set_defaults(func=_cmd_verify)
 
     return p

@@ -343,11 +343,8 @@ class StackInterval:
 
 
 def _bit_reverse(v: int, n: int) -> int:
-    out = 0
-    for _ in range(n):
-        out = (out << 1) | (v & 1)
-        v >>= 1
-    return out
+    """The n binary digits of v < 2^n in reverse order."""
+    return int(format(v, f"0{n}b")[::-1], 2)
 
 
 def stack_interval(family: str, i: int, n: int, caps: Caps = CAPS) -> StackInterval:
@@ -363,8 +360,8 @@ def stack_interval(family: str, i: int, n: int, caps: Caps = CAPS) -> StackInter
     check_cap(caps, "exp", n, "stack stage")
     if n < 0 or not 1 <= i <= 1 << n:
         raise DomainError(f"stack level {i} outside 1..2^{n}")
-    lo = Dyadic(_bit_reverse(i - 1, n), n)
-    hi = Dyadic(_bit_reverse(i - 1, n) + 1, n)
+    left = _bit_reverse(i - 1, n)
+    lo, hi = Dyadic(left, n), Dyadic(left + 1, n)
     if family == "A":
         return StackInterval(family, i, n, lo.as_extrat(), hi.as_extrat())
     blo, bhi = qmark_inv(lo, caps), qmark_inv(hi, caps)
@@ -373,18 +370,17 @@ def stack_interval(family: str, i: int, n: int, caps: Caps = CAPS) -> StackInter
     return StackInterval(family, i, n, phi_inv(blo), phi_inv(bhi))
 
 
+def _leading_digits(x: ExtRat, m: int) -> int:
+    """floor(x 2^m) for x in [0, 1] and m >= 0, 1 read as 0.111...: the
+    first m fractional binary digits of x as one integer."""
+    _need_unit(x, "binary_digits")
+    return (1 << m) - 1 if x == ONE else (x.num << m) // x.den
+
+
 def binary_digits(x: ExtRat, m: int) -> tuple[int, ...]:
     """First m fractional binary digits of x in [0, 1]; 1 reads as 0.111..."""
-    _need_unit(x, "binary_digits")
-    if x == ONE:
-        return (1,) * m
-    p, q = x.num, x.den
-    out = []
-    for _ in range(m):
-        p *= 2
-        b, p = divmod(p, q)
-        out.append(b)
-    return tuple(out)
+    v = _leading_digits(x, max(m, 0))  # x is checked even when no digit is asked for
+    return tuple(map(int, format(v, f"0{m}b"))) if m > 0 else ()
 
 
 def odometer_value(x: ExtRat, m: int, map: str = "T") -> int:
@@ -396,14 +392,11 @@ def odometer_value(x: ExtRat, m: int, map: str = "T") -> int:
     """
     if m < 1:
         raise DomainError("need at least one digit")
-    if map == "T":
-        bits = binary_digits(x, m)
-    elif map == "S":
-        d = qmark(x)
-        bits = binary_digits(d.as_extrat(), m)
-    else:
+    if map == "S":
+        x = qmark(x).as_extrat()
+    elif map != "T":
         raise DomainError("the odometer picture applies to T and S")
-    return sum(b << j for j, b in enumerate(bits))
+    return _bit_reverse(_leading_digits(x, m), m)
 
 
 def eigenfunction_check(m: int, x: ExtRat, map: str = "T") -> tuple[complex, complex]:

@@ -16,9 +16,9 @@ rho measure, and their Fourier coefficients.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from math import fsum
 from typing import Callable, Sequence
 
@@ -310,26 +310,21 @@ def qmark(x: ExtRat, caps: Caps = CAPS) -> Dyadic:
     return rho(phi_inv(x), caps)
 
 
-def _rho_runs(bits: tuple[int, ...]) -> list[int]:
-    # runs alternate starting with the count of leading ones
-    runs = [0] if bits and bits[0] == 0 else []
-    runs.extend(sum(1 for _ in g) for _, g in groupby(bits))
-    return runs
-
-
 def rho_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
-    """The rational with rho(x) = d; both binary readings are cross-checked."""
+    """The rational with rho(x) = d, read off the terminating binary
+    expansion of d in one pass: its runs, leading ones first (a run of no
+    ones when d starts with a 0), are the continued fraction of x.  The
+    other expansion, ending in ones, gives the same value."""
     check_cap(caps, "exp", d.exp, "dyadic exponent")
     _check_unit(d)
     if d.num == 0:
         return ZERO
     if d == DY_ONE:
         return INF
-    a = _cf_value(_rho_runs(binary_word(d, "zeros").bits))
-    b = _cf_value(_rho_runs(binary_word(d, "ones").bits))
-    if a != b:
-        raise RuntimeError(f"binary readings of {d} disagree: {a} vs {b}")
-    return a
+    digits = format(d.num, f"0{d.exp}b")
+    runs = [0] if digits[0] == "0" else []
+    runs.extend(map(len, re.findall("1+|0+", digits)))
+    return _cf_value(runs)
 
 
 def qmark_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:

@@ -107,6 +107,13 @@ class TestQmark:
     def test_modes_are_exclusive(self, capsys):
         assert run(["qmark", "3/8", "--inverse", "--enclosure"]) == 1
 
+    def test_enclosure_refuses_extended(self, capsys):
+        # the prefix picks ? or rho, so --extended would be dropped without a word
+        assert run(["qmark", "[0;2]", "--enclosure", "--extended"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--enclosure" in captured.err and "--extended" in captured.err
+
     def test_irrational_denominator_rejected_for_inverse(self, capsys):
         assert run(["qmark", "1/3", "--inverse"]) == 1
         assert "error" in capsys.readouterr().err
@@ -240,6 +247,21 @@ class TestVerify:
         assert run(["verify", "--list"]) == 0
         got = lines(capsys)
         assert got == list(verify.names())
+
+    def test_list_follows_the_suite(self, capsys):
+        # a comma list in any order lists in registry order, as a run does
+        assert run(["verify", "--list", "--suite", "cli.verify-coverage,core"]) == 0
+        got = lines(capsys)
+        assert got == list(verify.select("core,cli.verify-coverage"))
+        assert got[-1] == "cli.verify-coverage" and all(n.startswith("core.") for n in got[:-1])
+        assert run(["verify", "--list", "--suite", "cli"]) == 0
+        assert lines(capsys) == ["cli.deterministic", "cli.verify-coverage"]
+
+    def test_list_of_an_unknown_suite_is_usage(self, capsys):
+        assert run(["verify", "--list", "--suite", "bogus"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bogus" in captured.err
 
     def test_suite_selection_runs_green(self, capsys):
         assert run(["verify", "--suite", "core.phi-mediant"]) == 0

@@ -8,15 +8,21 @@ word's matrix, matrix_from_word multiplied one 2x2 product per letter,
 pi_code and word_from_rat joined blocks over the list, code_compare
 walked letter by letter, the Markov step and the commutator put
 (weight, value) tuples over one denominator, and Dyadic added through
-its generic _combine.  Results are compared exactly:
+its generic _combine.  The digit-string kernels replaced loops too:
+_bit_reverse shifted one digit at a time, binary_digits took one divmod
+a digit and odometer_value summed that tuple, and rho_inv read both
+binary expansions of its dyadic through tuples and groupby, then
+cross-checked the two.  Results are compared exactly:
 (num, exp), (num, den), Fraction values, float reprs, or the type and
 text of the exception raised.
 """
 
+import random
+import time
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -32,10 +38,13 @@ from sternbrocot.coding import (
     word_from_rat,
 )
 from sternbrocot.core import (
-    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, _int_weights,
-    apply_letter, cf_from_rat, check_cap, depth, rank,
+    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, _cf_value, _int_weights,
+    apply_letter, cf_from_rat, check_cap, depth, phi, phi_inv, rank,
 )
-from sternbrocot.minkowski import Dyadic, qmark, rho
+from sternbrocot.maps import (
+    StackInterval, _bit_reverse, _need_unit, binary_digits, odometer_value, stack_interval,
+)
+from sternbrocot.minkowski import Dyadic, _check_unit, binary_word, qmark, qmark_inv, rho, rho_inv
 from sternbrocot.operators import _EXACT, _scale, _sum_terms, commutator_residual, h1, markov_apply
 from sternbrocot.trees import TreeSpec, descendants
 
@@ -182,6 +191,79 @@ def ref_dyadic_add(a, b):
     return Dyadic((a.num << (m - a.exp)) + (b.num << (m - b.exp)), m)
 
 
+def ref_bit_reverse(v, n):
+    out = 0
+    for _ in range(n):
+        out = (out << 1) | (v & 1)
+        v >>= 1
+    return out
+
+
+def _ref_rho_runs(bits):
+    runs = [0] if bits and bits[0] == 0 else []
+    runs.extend(sum(1 for _ in g) for _, g in groupby(bits))
+    return runs
+
+
+def ref_rho_inv(d, caps=CAPS):
+    check_cap(caps, "exp", d.exp, "dyadic exponent")
+    _check_unit(d)
+    if d.num == 0:
+        return ZERO
+    if d == Dyadic(1):
+        return INF
+    a = _cf_value(_ref_rho_runs(binary_word(d, "zeros").bits))
+    b = _cf_value(_ref_rho_runs(binary_word(d, "ones").bits))
+    if a != b:
+        raise RuntimeError(f"binary readings of {d} disagree: {a} vs {b}")
+    return a
+
+
+def ref_qmark_inv(d, caps=CAPS):
+    return phi(ref_rho_inv(d, caps))
+
+
+def ref_binary_digits(x, m):
+    _need_unit(x, "binary_digits")
+    if x == ONE:
+        return (1,) * m
+    p, q = x.num, x.den
+    out = []
+    for _ in range(m):
+        p *= 2
+        b, p = divmod(p, q)
+        out.append(b)
+    return tuple(out)
+
+
+def ref_odometer_value(x, m, map="T"):
+    if m < 1:
+        raise DomainError("need at least one digit")
+    if map == "T":
+        bits = ref_binary_digits(x, m)
+    elif map == "S":
+        bits = ref_binary_digits(qmark(x).as_extrat(), m)
+    else:
+        raise DomainError("the odometer picture applies to T and S")
+    return sum(b << j for j, b in enumerate(bits))
+
+
+def ref_stack_interval(family, i, n, caps=CAPS):
+    if family not in ("A", "B", "C"):
+        raise DomainError("family is A, B or C")
+    check_cap(caps, "exp", n, "stack stage")
+    if n < 0 or not 1 <= i <= 1 << n:
+        raise DomainError(f"stack level {i} outside 1..2^{n}")
+    lo = Dyadic(ref_bit_reverse(i - 1, n), n)
+    hi = Dyadic(ref_bit_reverse(i - 1, n) + 1, n)
+    if family == "A":
+        return StackInterval(family, i, n, lo.as_extrat(), hi.as_extrat())
+    blo, bhi = ref_qmark_inv(lo, caps), ref_qmark_inv(hi, caps)
+    if family == "B":
+        return StackInterval(family, i, n, blo, bhi)
+    return StackInterval(family, i, n, phi_inv(blo), phi_inv(bhi))
+
+
 # ---------------------------------------------------------------- inputs
 
 def fib_ratio(bits):
@@ -251,6 +333,10 @@ def outcome(fn, *args):
         return "ExtRat", v.num, v.den
     if isinstance(v, InfiniteCode):
         return "InfiniteCode", v.prefix, v.tail
+    if isinstance(v, StackInterval):
+        return "StackInterval", v.family, v.i, v.n, outcome(lambda: v.lo), outcome(lambda: v.hi)
+    if isinstance(v, tuple):
+        return tuple, tuple(map(type, v)), v
     if isinstance(v, (float, complex)):
         return type(v), repr(v)
     return type(v), v
@@ -471,3 +557,88 @@ class TestDyadic:
         assert raw == d and (raw.num, raw.exp) == (d.num, d.exp) and hash(raw) == hash(d)
         with pytest.raises(AttributeError):
             raw.num = 1
+
+
+# ---------------------------------------------------------------- digit strings
+
+# digit counts on either side of a machine word, the odometer's 12 and the default caps.exp
+NS = [0, 1, 12, 62, 63, 1024, 1 << 16]
+
+
+def _random_bits(n):
+    return st.integers(0, 2 ** 32).map(lambda seed: random.Random(seed).getrandbits(n))
+
+
+def _random_dyadic(exp):
+    return _random_bits(exp).map(lambda num: Dyadic(num, exp))
+
+
+DYADIC_EDGES = [Dyadic(0), Dyadic(1), Dyadic(1, 1), Dyadic(3, 2), Dyadic(1, 1 << 16),
+                Dyadic((1 << (1 << 16)) - 1, 1 << 16), Dyadic(1, (1 << 16) + 1),
+                Dyadic(int("10" * (1 << 15), 2), 1 << 16), rho(fib_ratio(8192)),
+                Dyadic(3, 1), Dyadic(-1, 2)]
+
+# dyadics of up to 2^16 bits: the cap, and one past it
+dyadics_in_reach = st.one_of(
+    st.sampled_from(DYADIC_EDGES),
+    st.integers(0, 90).flatmap(_random_dyadic),
+    st.integers(0, (1 << 16) + 1).flatmap(_random_dyadic),
+)
+
+unit_points = st.one_of(
+    st.sampled_from([ZERO, ONE, INF, ExtRat(2), ExtRat(1, 2), ExtRat(1, 3), ExtRat(2, 3),
+                     ExtRat(1, 1 << 16), fib_ratio(1024)]),
+    st.tuples(st.integers(0, 1 << 64), st.integers(1, 1 << 64))
+    .map(lambda pq: ExtRat(min(pq), max(pq))),
+    st.integers(0, 4096).flatmap(_random_dyadic).map(Dyadic.as_extrat),
+)
+
+
+class TestDigitStrings:
+    @pytest.mark.parametrize("n", NS)
+    @settings(deadline=None, max_examples=10)
+    @given(st.data())
+    def test_bit_reverse(self, n, data):
+        v = data.draw(st.one_of(st.sampled_from([0, (1 << n) - 1, 1 << n >> 1]), _random_bits(n)))
+        assert outcome(_bit_reverse, v, n) == outcome(ref_bit_reverse, v, n)
+
+    @settings(deadline=None, max_examples=40)
+    @given(dyadics_in_reach)
+    def test_rho_inv_and_qmark_inv(self, d):
+        assert outcome(rho_inv, d) == outcome(ref_rho_inv, d)
+        assert outcome(qmark_inv, d) == outcome(ref_qmark_inv, d)
+
+    @pytest.mark.parametrize("d", DYADIC_EDGES, ids=lambda d: f"{d.num.bit_length()}b/2^{d.exp}")
+    def test_rho_inv_edges_under_lifted_caps(self, d):
+        assert outcome(rho_inv, d, UNSAFE_CAPS) == outcome(ref_rho_inv, d, UNSAFE_CAPS)
+
+    @pytest.mark.parametrize("m", [-1, *NS])
+    @settings(deadline=None, max_examples=10)
+    @given(unit_points)
+    def test_binary_digits(self, m, x):
+        assert outcome(binary_digits, x, m) == outcome(ref_binary_digits, x, m)
+
+    @pytest.mark.parametrize("map", ["T", "S", "R"])
+    @pytest.mark.parametrize("m", [-1, *NS])
+    @settings(deadline=None, max_examples=10)
+    @given(unit_points)
+    def test_odometer_value(self, map, m, x):
+        assert outcome(odometer_value, x, m, map) == outcome(ref_odometer_value, x, m, map)
+
+    @pytest.mark.parametrize("family", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("n", [-1, *NS, (1 << 16) + 1])
+    @settings(deadline=None, max_examples=4)
+    @given(st.data())
+    def test_stack_interval(self, family, n, data):
+        i = data.draw(st.one_of(st.sampled_from([0, 1, 2, 1 << n, (1 << n) + 1] if n >= 0 else [1]),
+                                _random_bits(max(n, 0)).map(lambda b: b + 1)))
+        assert outcome(stack_interval, family, i, n) == outcome(ref_stack_interval, family, i, n)
+
+    def test_stack_interval_time_is_linear_in_the_stage(self):
+        # the loop reversal took about 0.2 s here
+        n = 1 << 16
+        for i in (1, 12345, 1 << n):
+            start = time.perf_counter()
+            stack_interval("A", i, n)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 0.05, f"stack_interval('A', {i}, 2^16) took {elapsed:.3f}s"

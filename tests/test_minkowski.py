@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sternbrocot.accum import fsum_array
+from sternbrocot.accum import CHUNK, fsum_array
 from sternbrocot.core import (
     CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, phi,
 )
@@ -26,7 +26,7 @@ from sternbrocot.minkowski import (
     rho_inv,
     stieltjes_mean,
 )
-from sternbrocot.trees import TreeSpec, level, level_floats
+from sternbrocot.trees import BLOCK_LEVELS, TreeSpec, level, level_floats
 
 
 def series_qmark(x: ExtRat) -> Fraction:
@@ -298,6 +298,11 @@ SPECS = [TreeSpec(kind, permuted) for kind in ("sb", "farey", "dyadic") for perm
 
 
 class TestMeans:
+    def test_level_blocks_are_cut_where_fsum_array_cuts(self):
+        # stieltjes_mean's per-block partials have the bits of one call on the
+        # whole level only because each block is one fsum_array chunk
+        assert 1 << BLOCK_LEVELS == CHUNK
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
     def test_blockwise_mean_has_the_bits_of_the_whole_level_mean(self, spec):
         # levels 13 and up span several 4096-blocks; 1 and 5 are one short block

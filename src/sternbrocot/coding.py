@@ -3,9 +3,10 @@
 A finite word addresses a Stern-Brocot vertex: starting from the identity,
 L = (1 0; 1 1) and R = (1 1; 0 1) are multiplied left to right, and the
 resulting matrix (a b; c d) holds the two parents as columns; the vertex
-itself is the mediant (a+b)/(c+d).  Infinite eventually-constant words
-address every point of [0, infinity], rationals getting the two-sided
-convention with a constant tail.
+itself is the mediant (a+b)/(c+d).  An infinite code, a finite prefix
+followed by one letter forever, addresses every point of [0, infinity]:
+pi_code gives each point its code, and code_compare orders codes as the
+points are ordered.
 """
 
 from __future__ import annotations
@@ -47,11 +48,6 @@ def matrix_from_word(word: str, caps: Caps = CAPS):
     return a, b, c, d
 
 
-def _blocks(exps) -> str:
-    """The word R^e0 L^e1 R^e2 ... for exponents e0, e1, e2, ..."""
-    return "".join(("R" if i % 2 == 0 else "L") * e for i, e in enumerate(exps))
-
-
 def word_from_cf(terms: list[int]) -> str:
     """Word of x = [a0; a1, ..., an]: blocks R^a0 L^a1 R^a2 ..., last block short one.
 
@@ -60,7 +56,8 @@ def word_from_cf(terms: list[int]) -> str:
     _check_canonical(terms)
     if terms == [0]:
         raise DomainError("zero is an ancestor, not a vertex")
-    return _blocks([*terms[:-1], terms[-1] - 1])
+    exps = [*terms[:-1], terms[-1] - 1]
+    return "".join(("R" if i % 2 == 0 else "L") * e for i, e in enumerate(exps))
 
 
 def _path(x: ExtRat) -> tuple[str, str]:
@@ -137,10 +134,6 @@ def hat(x: ExtRat) -> ExtRat:
     return ExtRat._raw(k, h) if odd else ExtRat._raw(h, k)
 
 
-def swap_letters(word: str) -> str:
-    return word.translate(str.maketrans("LR", "RL"))
-
-
 def children_cf(terms: list[int]) -> tuple[list[int], list[int]]:
     """Continued fractions of the two tree children of [a0; ..., an].
 
@@ -161,36 +154,18 @@ def children_cf(terms: list[int]) -> tuple[list[int], list[int]]:
 
 @dataclass(frozen=True)
 class InfiniteCode:
-    """A word prefix plus an optional constant tail ("L", "R" or None).
-
-    tail None means the continuation is unknown (a truncated expansion);
-    comparisons against such a code can come back undecided.
-    """
+    """A word prefix plus the constant tail ("L" or "R") it ends in."""
 
     prefix: str
-    tail: str | None
+    tail: str
 
     def __str__(self):
-        if self.tail is None:
-            return self.prefix + "..."
         return f"{self.prefix}({self.tail})^inf"
 
-    def letter(self, i: int) -> str | None:
+    def letter(self, i: int) -> str:
         if i < len(self.prefix):
             return self.prefix[i]
         return self.tail
-
-
-def parse_code(text: str) -> InfiniteCode:
-    s = text.strip()
-    if s.endswith("(L)^inf"):
-        return InfiniteCode(s[:-7], "L")
-    if s.endswith("(R)^inf"):
-        return InfiniteCode(s[:-7], "R")
-    s = s.removesuffix("...")
-    if any(ch not in "LR" for ch in s):
-        raise DomainError(f"bad code literal: {text!r}")
-    return InfiniteCode(s, None)
 
 
 def pi_code(x: ExtRat) -> InfiniteCode:
@@ -208,34 +183,17 @@ def pi_code(x: ExtRat) -> InfiniteCode:
     return InfiniteCode(prefix, "L" if last == "R" else "R")
 
 
-def cf_prefix_code(terms: list[int]) -> InfiniteCode:
-    """Open-ended address shared by every x whose expansion starts [a0; a1, ...].
+def code_compare(c1: InfiniteCode, c2: InfiniteCode) -> int:
+    """Lexicographic order with L < R: -1, 0 or 1.
 
-    All continuations agree on the full blocks R^a0 L^a1 ... X^ak; the
-    letter after them is the first one a continuation can change, so the
-    tail is left undecided.
-    """
-    if not terms or terms[0] < 0 or any(a < 1 for a in terms[1:]):
-        raise DomainError("bad expansion prefix")
-    return InfiniteCode(_blocks(terms), None)
-
-
-def code_compare(c1: InfiniteCode, c2: InfiniteCode) -> int | None:
-    """Lexicographic order with L < R; None when the prefixes cannot decide.
-
-    Codes that agree on one letter past the longer prefix agree forever.
-    Each code is spelled out to that length, or to its prefix when its tail
-    is undecided, and the common length is compared as strings ("L" < "R").
+    Codes that agree on one letter past the longer prefix agree forever, so
+    each code is spelled out to that length and the two are compared as
+    strings ("L" < "R").
     """
     span = max(len(c1.prefix), len(c2.prefix)) + 1
     s1, s2 = _spelled(c1, span), _spelled(c2, span)
-    m = min(len(s1), len(s2))
-    if s1[:m] != s2[:m]:
-        return -1 if s1[:m] < s2[:m] else 1
-    return 0 if m == span else None
+    return (s1 > s2) - (s1 < s2)
 
 
 def _spelled(c: InfiniteCode, span: int) -> str:
-    if c.tail is None:
-        return c.prefix
     return c.prefix + c.tail * (span - len(c.prefix))

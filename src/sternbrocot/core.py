@@ -45,7 +45,7 @@ class Caps:
     estimate: int = 20  # tree levels of an estimate: time, as the estimators stream
     # them; level_arrays/level_floats join one whole (~2^k * 8 B) per call, uncached
     orbit: int = 1 << 24  # orbit length: time for enumerate and fourier, which stream it
-    exp: int = 1 << 16  # dyadic bits that ?, rho, an inverse or a stack interval reads or makes
+    exp: int = 1 << 16  # bits of a dyadic or digit string: ?, rho, inverses, stacks, digits
     word: int = 1 << 10  # letters of an {L, R} or 0/1 word
     walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)
     horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step

@@ -7,6 +7,13 @@ its exact probability (``ChainSpec``, ``simulate``, ``WalkPath``), the
 hitting-time experiment, the martingale check of P h = a h + b, and the
 exact n-step MC0 mean beside the stage-n tree mean.
 
+A word's probability is priced by its end point, since the product of
+the branch weights telescopes.  An MC0 word of n letters weighs 2^-n.
+An MC1 letter at p/q keeps one of p, q and sends the other to s = p + q,
+with weight p q / (p' q') for the image p'/q', so a word from p/q with
+pq != 0 to p_n/q_n weighs p q / (p_n q_n).  0/1 and 1/0 absorb their
+letter: a word from them weighs 1 if it ends where it started, else 0.
+
 The chain definition (CHAIN_KINDS, apply_letter, the branch weights) is
 core's; the batched walk kernel that the ``simulate`` command runs is
 stochastic's, and the experiments here read its walks and letters.
@@ -26,7 +33,7 @@ import numpy as np
 from . import rng
 from .core import CAPS, Caps, ExtRat, ONE, _check_chain, apply_letter, check_cap
 from .minkowski import stieltjes_mean
-from .operators import _value, markov_apply, markov_power, transition_probs
+from .operators import _value, markov_apply, markov_power
 from .stochastic import (
     _BATCH, _check_sizes, _draw_letter, _letter_steps, count_hits, curve_from_counts, walk_blocks,
 )
@@ -97,33 +104,39 @@ def simulate(
     x = spec.start
     states = [x]
     word = []
-    prob = Fraction(1)
     for k in range(spec.horizon):
         b = forced[k] if forced is not None else _draw_letter(
             spec.kind, key, k, x
         )
-        p0, p1 = transition_probs(spec.kind, x)
-        prob *= p1 if b else p0
         x = apply_letter(x, b)
         states.append(x)
         word.append(b)
+    prob = _word_prob(spec.kind, spec.start, x, spec.horizon)
     return WalkPath(states=tuple(states), letters=tuple(word), prob=prob)
 
 
 def cylinder_prob(kind: str, x: ExtRat, word: Sequence[int], caps: Caps = CAPS) -> Fraction:
     """Exact probability that a walk from x begins with the given letters."""
+    _check_chain(kind)
     bits = tuple(int(b) for b in word)
     check_cap(caps, "word", len(bits), "word length")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("word must consist of 0/1 bits")
-    prob = Fraction(1)
+    y = x
     for b in bits:
-        p0, p1 = transition_probs(kind, x)
-        prob *= p1 if b else p0
-        if prob == 0:
-            return prob
-        x = apply_letter(x, b)
-    return prob
+        y = apply_letter(y, b)
+    return _word_prob(kind, x, y, len(bits))
+
+
+def _word_prob(kind: str, x: ExtRat, y: ExtRat, n: int) -> Fraction:
+    """Probability of an n-letter word that leads from x to y, priced by
+    its end point as the module docstring derives."""
+    if kind == "MC0":
+        return Fraction(1, 1 << n)
+    pq = x.num * x.den
+    if not pq:
+        return Fraction(int(y == x))
+    return Fraction(pq, y.num * y.den)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -377,23 +377,29 @@ def _leading_digits(x: ExtRat, m: int) -> int:
     return (1 << m) - 1 if x == ONE else (x.num << m) // x.den
 
 
-def binary_digits(x: ExtRat, m: int) -> tuple[int, ...]:
-    """First m fractional binary digits of x in [0, 1]; 1 reads as 0.111..."""
+def binary_digits(x: ExtRat, m: int, caps: Caps = CAPS) -> tuple[int, ...]:
+    """First m fractional binary digits of x in [0, 1]; 1 reads as 0.111...
+
+    caps.exp bounds m, as it bounds the bits of a dyadic.
+    """
+    check_cap(caps, "exp", m, "digit count")
     v = _leading_digits(x, max(m, 0))  # x is checked even when no digit is asked for
     return tuple(map(int, format(v, f"0{m}b"))) if m > 0 else ()
 
 
-def odometer_value(x: ExtRat, m: int, map: str = "T") -> int:
+def odometer_value(x: ExtRat, m: int, map: str = "T", caps: Caps = CAPS) -> int:
     """Integer from the first m digits, least significant first.
 
     For T the digits are the binary digits of x; for S they are the
     binary digits of ?(x).  Dyadic boundary points take the eventually-0
-    expansion, except the endpoint 1 which reads as all ones.
+    expansion, except the endpoint 1 which reads as all ones.  caps.exp
+    bounds m.
     """
     if m < 1:
         raise DomainError("need at least one digit")
+    check_cap(caps, "exp", m, "digit count")
     if map == "S":
-        x = qmark(x).as_extrat()
+        x = qmark(x, caps).as_extrat()
     elif map != "T":
         raise DomainError("the odometer picture applies to T and S")
     return _bit_reverse(_leading_digits(x, m), m)

@@ -17,7 +17,6 @@ rho measure, and their Fourier coefficients.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import fsum
 from typing import Callable, Sequence
@@ -210,47 +209,6 @@ _SET_NUM = Dyadic.num.__set__  # the slots, written past the immutability guard
 _SET_EXP = Dyadic.exp.__set__
 DY_ZERO = Dyadic(0)
 DY_ONE = Dyadic(1)
-
-
-@dataclass(frozen=True)
-class BinaryWord:
-    """Fractional binary digits plus the constant tail they end in."""
-
-    bits: tuple[int, ...]
-    tail: str  # "zeros" or "ones"
-
-    def __post_init__(self):
-        if self.tail not in ("zeros", "ones"):
-            raise DomainError("tail must be 'zeros' or 'ones'")
-        if any(b not in (0, 1) for b in self.bits):
-            raise DomainError("bits must be 0 or 1")
-
-    def __str__(self) -> str:
-        body = "".join(str(b) for b in self.bits)
-        digit = "0" if self.tail == "zeros" else "1"
-        return f"0.{body}({digit})^inf"
-
-    def value(self) -> Dyadic:
-        n = int("".join(str(b) for b in self.bits), 2) if self.bits else 0
-        if self.tail == "ones":
-            n += 1
-        return Dyadic(n, len(self.bits))
-
-
-def binary_word(d: Dyadic, tail: str = "zeros") -> BinaryWord:
-    """One of the two binary readings of a dyadic in [0, 1]."""
-    _check_unit(d)
-    if tail == "zeros":
-        if d == DY_ONE:
-            raise DomainError("1 has no terminating fractional expansion")
-        return BinaryWord(_bit_tuple(d.num, d.exp), "zeros")
-    if d.num == 0:
-        raise DomainError("0 has no eventually-ones expansion")
-    return BinaryWord(_bit_tuple(d.num - 1, d.exp), "ones")
-
-
-def _bit_tuple(num: int, width: int) -> tuple[int, ...]:
-    return tuple(int(c) for c in format(num, f"0{width}b")) if width else ()
 
 
 def _check_unit(d: Dyadic):

@@ -35,11 +35,6 @@ def draw(key: int, step: int) -> int:
     return mix64((key + _GAMMA * (step + 1)) & _MASK)
 
 
-def draw_bit(key: int, step: int) -> int:
-    """Fair coin: the top bit of the draw."""
-    return draw(key, step) >> 63
-
-
 def draw_below(key: int, step: int, num: int, den: int) -> int:
     """Bernoulli trial with success probability num/den, decided in integers.
 

@@ -101,3 +101,32 @@ def test_no_unused_imports(mod):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 assert bound in read, f"{mod.__name__}: {ast.unparse(node)}"
+
+
+def _identifiers(tree):
+    # every name a piece of code reads, imports or looks up as an attribute
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rpartition(".")[2])
+    return out
+
+
+def test_every_public_definition_is_used():
+    # a public top-level function or class must be exported, or named by
+    # the package outside its own definition, by a demo or by the benchmark
+    root = Path(__file__).resolve().parents[1]
+    named = {n for _, names in sternbrocot._EXPORTS for n in names}
+    for script in [*root.glob("demos/*.py"), *root.glob("bench/*.py")]:
+        named |= _identifiers(ast.parse(script.read_text(), str(script)))
+    top = [(mod.__name__, node, _identifiers(node)) for mod in MODULES for node in _tree(mod).body]
+    unused = [
+        f"{mod}.{node.name}" for mod, node, _ in top
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in named and not any(node.name in ids for _, other, ids in top if other is not node)
+    ]
+    assert unused == []

@@ -11,8 +11,8 @@ walked letter by letter, the Markov step and the commutator put
 its generic _combine.  The digit-string kernels replaced loops too:
 _bit_reverse shifted one digit at a time, binary_digits took one divmod
 a digit and odometer_value summed that tuple, and rho_inv read both
-binary expansions of its dyadic through tuples and groupby, then
-cross-checked the two.  Results are compared exactly:
+binary expansions of its dyadic through groupby, then cross-checked
+the two.  Results are compared exactly:
 (num, exp), (num, den), Fraction values, float reprs, or the type and
 text of the exception raised.
 """
@@ -44,7 +44,7 @@ from sternbrocot.core import (
 from sternbrocot.maps import (
     StackInterval, _bit_reverse, _need_unit, binary_digits, odometer_value, stack_interval,
 )
-from sternbrocot.minkowski import Dyadic, _check_unit, binary_word, qmark, qmark_inv, rho, rho_inv
+from sternbrocot.minkowski import Dyadic, _check_unit, qmark, qmark_inv, rho, rho_inv
 from sternbrocot.operators import _EXACT, _scale, _sum_terms, commutator_residual, h1, markov_apply
 from sternbrocot.trees import TreeSpec, descendants
 
@@ -134,8 +134,6 @@ def ref_code_compare(c1, c2):
     span = max(len(c1.prefix), len(c2.prefix)) + 1
     for i in range(span):
         a, b = c1.letter(i), c2.letter(i)
-        if a is None or b is None:
-            return None
         if a != b:
             return -1 if a == "L" else 1
     return 0
@@ -199,9 +197,9 @@ def ref_bit_reverse(v, n):
     return out
 
 
-def _ref_rho_runs(bits):
-    runs = [0] if bits and bits[0] == 0 else []
-    runs.extend(sum(1 for _ in g) for _, g in groupby(bits))
+def _ref_rho_runs(digits):
+    runs = [0] if digits and digits[0] == "0" else []
+    runs.extend(sum(1 for _ in g) for _, g in groupby(digits))
     return runs
 
 
@@ -212,8 +210,9 @@ def ref_rho_inv(d, caps=CAPS):
         return ZERO
     if d == Dyadic(1):
         return INF
-    a = _cf_value(_ref_rho_runs(binary_word(d, "zeros").bits))
-    b = _cf_value(_ref_rho_runs(binary_word(d, "ones").bits))
+    # the terminating expansion, and the one ending in ones: the digits of num - 1, then 1s
+    a = _cf_value(_ref_rho_runs(format(d.num, f"0{d.exp}b")))
+    b = _cf_value(_ref_rho_runs(format(d.num - 1, f"0{d.exp}b")))
     if a != b:
         raise RuntimeError(f"binary readings of {d} disagree: {a} vs {b}")
     return a
@@ -478,12 +477,11 @@ class TestCodings:
         for x in (ExtRat(n), ExtRat(1, n + 1)):
             assert outcome(hat, x) == outcome(ref_hat, x)
 
-    codes = st.builds(InfiniteCode, st.text("LR", max_size=40), st.sampled_from(["L", "R", None]))
+    codes = st.builds(InfiniteCode, st.text("LR", max_size=40), st.sampled_from(["L", "R"]))
 
     @given(codes, codes)
-    @example(InfiniteCode("LR", None), InfiniteCode("LR", "L"))
     @example(InfiniteCode("", "L"), InfiniteCode("", "L"))
-    @example(InfiniteCode("R", "L"), InfiniteCode("RL", None))
+    @example(InfiniteCode("R", "L"), InfiniteCode("RL", "L"))
     def test_code_compare(self, c1, c2):
         assert code_compare(c1, c2) == ref_code_compare(c1, c2)
 
@@ -633,6 +631,24 @@ class TestDigitStrings:
         i = data.draw(st.one_of(st.sampled_from([0, 1, 2, 1 << n, (1 << n) + 1] if n >= 0 else [1]),
                                 _random_bits(max(n, 0)).map(lambda b: b + 1)))
         assert outcome(stack_interval, family, i, n) == outcome(ref_stack_interval, family, i, n)
+
+    def test_digit_count_cap_raises_before_any_digit(self):
+        # m = 2^40 would ask for a 2^40-bit integer; caps.exp refuses it first
+        x, m = ExtRat(1, 3), 1 << 40
+        tracemalloc.start()
+        try:
+            got = [outcome(binary_digits, x, m), outcome(odometer_value, x, m, "T"),
+                   outcome(odometer_value, x, m, "S")]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(g == (CapExceeded, "digit count 1099511627776 above the cap 65536 "
+                        "(caps.exp: --unsafe-cap lifts it to 1048576)") for g in got)
+        assert peak < 1 << 16
+        m = CAPS.exp + 1
+        assert outcome(binary_digits, x, m)[0] is CapExceeded
+        assert binary_digits(x, m, UNSAFE_CAPS) == ref_binary_digits(x, m)
+        assert odometer_value(x, m, "T", UNSAFE_CAPS) == ref_odometer_value(x, m)
 
     def test_stack_interval_time_is_linear_in_the_stage(self):
         # the loop reversal took about 0.2 s here

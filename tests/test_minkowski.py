@@ -16,7 +16,6 @@ from sternbrocot.core import (
 )
 from sternbrocot.minkowski import (
     Dyadic,
-    binary_word,
     distribution_estimate,
     fourier_tree_mean,
     qmark,
@@ -227,19 +226,6 @@ class TestEnclosure:
     def test_rejects_bad_terms(self, prefix):
         with pytest.raises(DomainError, match="prefix terms"):
             qmark_enclosure(prefix)
-
-
-class TestBinaryWords:
-    def test_two_readings_of_the_same_value(self):
-        d = Dyadic(3, 3)
-        lo = binary_word(d, "zeros")
-        hi = binary_word(d, "ones")
-        assert lo.bits == (0, 1, 1) and lo.tail == "zeros"
-        assert hi.bits == (0, 1, 0) and hi.tail == "ones"
-        assert lo.value() == hi.value() == d
-
-    def test_str(self):
-        assert str(binary_word(Dyadic(3, 3))) == "0.011(0)^inf"
 
 
 class TestDistribution:

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import math
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sternbrocot import experiments, rng, stochastic
 from sternbrocot.cli import run
@@ -26,10 +27,23 @@ from sternbrocot.experiments import (
     simulate,
 )
 from sternbrocot.minkowski import rho
-from sternbrocot.operators import _value, markov_apply
+from sternbrocot.operators import _value, markov_apply, transition_probs
 from sternbrocot.stochastic import _draw_letter, _letter_steps, walk_table
 
 words = st.lists(st.integers(0, 1), min_size=1, max_size=24)
+starts = st.one_of(
+    st.sampled_from([ZERO, INF, ONE]),
+    st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)).map(lambda pq: ExtRat(*pq)),
+)
+
+
+def step_product(kind, x, word):
+    """The word's probability as the product of the per-step branch weights."""
+    prob = Fraction(1)
+    for b in word:
+        prob *= transition_probs(kind, x)[b]
+        x = apply_letter(x, b)
+    return prob
 
 
 def rho_frac(x: ExtRat) -> Fraction:
@@ -80,6 +94,23 @@ class TestSimulate:
             spec = ChainSpec(kind, start=ExtRat(2, 5), horizon=len(w))
             path = simulate(spec, letters=w)
             assert path.prob == cylinder_prob(kind, ExtRat(2, 5), w)
+
+    @given(st.sampled_from(["MC0", "MC1"]), starts, words)
+    @example("MC1", ZERO, [0, 0])
+    @example("MC1", INF, [1, 1])
+    def test_prob_is_the_step_product(self, kind, x, w):
+        path = simulate(ChainSpec(kind, start=x, horizon=len(w)), letters=w)
+        assert path.prob == step_product(kind, x, w)
+
+    def test_long_weighted_walk_is_priced_in_time(self):
+        # the per-step Fraction product took 4-6 s at this horizon (2-core Xeon guest)
+        spec = ChainSpec("MC1", horizon=1 << 15, seed=2)
+        start = time.perf_counter()
+        path = simulate(spec)
+        elapsed = time.perf_counter() - start
+        end = path.states[-1]
+        assert path.prob == Fraction(1, end.num * end.den)
+        assert elapsed < 1, f"simulate at horizon 2^15 took {elapsed:.2f}s"
 
     def test_absorbing_state_kills_the_other_letter(self):
         spec = ChainSpec("MC1", start=ZERO, horizon=2)
@@ -133,6 +164,17 @@ class TestCylinders:
             assert parent == cylinder_prob(kind, x, w + [0]) + cylinder_prob(
                 kind, x, w + [1]
             )
+
+    @given(st.sampled_from(["MC0", "MC1"]), starts, words | st.just([]))
+    @example("MC1", ZERO, [0, 0])
+    @example("MC1", INF, [1, 1])
+    def test_prob_is_the_step_product(self, kind, x, w):
+        assert cylinder_prob(kind, x, w) == step_product(kind, x, w)
+
+    def test_chain_is_checked_first(self):
+        for w in ((), (0,)):
+            with pytest.raises(DomainError, match="unknown chain 'MC7'"):
+                cylinder_prob("MC7", ONE, w)
 
     def test_word_cap_and_bits(self):
         with pytest.raises(CapExceeded):
@@ -434,7 +476,7 @@ class TestLetterKernel:
         for walk in range(300):
             key = rng.walk_key(11, walk)
             for step in (0, 1, 2, walk, 1 << 20):
-                assert _draw_letter("MC0", key, step, ONE) == rng.draw_bit(key, step)
+                assert _draw_letter("MC0", key, step, ONE) == rng.draw(key, step) >> 63
 
 
 class TestHitting:

@@ -13,7 +13,7 @@ from sternbrocot.accum import _UNIT, CHUNK, _units, cis_sums, fsum_array
 from sternbrocot.core import CAPS, ONE, UNSAFE_CAPS, ExtRat
 from sternbrocot.maps import _orbit_floats, ergodic_fourier, ergodic_fourier_means, orbit_blocks, orbit_iter
 from sternbrocot.minkowski import fourier_tree_mean, fourier_tree_means
-from sternbrocot.rng import draw, draw_below, draw_bit, mix64, walk_key
+from sternbrocot.rng import draw, draw_below, mix64, walk_key
 from sternbrocot.trees import TreeSpec, level_blocks
 
 
@@ -34,7 +34,7 @@ class TestMixing:
     def test_bits_are_roughly_fair(self):
         k = walk_key(0, 0)
         n = 20000
-        ones = sum(draw_bit(k, s) for s in range(n))
+        ones = sum(draw(k, s) >> 63 for s in range(n))
         assert abs(ones / n - 0.5) < 0.02
 
     def test_threshold_draw_matches_integer_comparison(self):

@@ -11,7 +11,7 @@ from sternbrocot import (
     ExtRat,
     TreeSpec,
     cf_from_rat,
-    distribution_estimate,
+    distribution_estimates,
     qmark,
     qmark_enclosure,
     qmark_inv,
@@ -51,6 +51,7 @@ for n in range(1, len(terms) + 1):
 x = ExtRat(89, 144)
 target = rho(x).as_fraction()
 print(f"\nrho({x}) = {float(target):.10f}")
+ests = distribution_estimates(TreeSpec("sb"), 16, [x])[0]
 for k in (4, 8, 12, 16):
-    est = distribution_estimate(TreeSpec("sb"), k, x)
+    est = ests[k - 1]
     print(f"  k={k:>2}: estimate {float(est):.10f}, error {abs(float(est - target)):.2e}")

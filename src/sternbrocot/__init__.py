@@ -26,8 +26,8 @@ _EXPORTS = (
         "parents", "pi_code", "rat_from_word", "word_from_cf", "word_from_rat")),
     ("trees", ("TreeSpec", "descendants", "hyperbinary", "level", "level_arrays")),
     ("minkowski", (
-        "Dyadic", "distribution_estimate", "fourier_tree_mean", "fourier_tree_means",
-        "qmark", "qmark_enclosure", "qmark_inv", "rho", "rho_inv", "stieltjes_mean")),
+        "Dyadic", "distribution_estimates", "fourier_tree_mean", "fourier_tree_means",
+        "qmark", "qmark_enclosure", "qmark_inv", "rho", "rho_inv", "stieltjes_means")),
     ("maps", (
         "StackInterval", "apply", "apply_inverse", "binary_digits",
         "conjugacy_residual", "eigenfunction_check", "ergodic_fourier",

@@ -159,6 +159,10 @@ class InfiniteCode:
     prefix: str
     tail: str
 
+    def __post_init__(self):
+        if self.prefix.strip("LR") or self.tail not in ("L", "R"):
+            raise DomainError(f"bad code: prefix {self.prefix!r}, tail {self.tail!r}")
+
     def __str__(self):
         return f"{self.prefix}({self.tail})^inf"
 

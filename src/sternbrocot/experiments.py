@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng
 from .core import CAPS, Caps, ExtRat, ONE, _check_chain, apply_letter, check_cap
-from .minkowski import stieltjes_mean
+from .minkowski import stieltjes_means
 from .operators import _value, markov_apply, markov_power
 from .stochastic import (
     _BATCH, _check_sizes, _draw_letter, _letter_steps, count_hits, curve_from_counts, walk_blocks,
@@ -355,4 +355,4 @@ def mc0_limit_experiment(f: Callable[[ExtRat], object], x: ExtRat, n: int, caps:
     if n < 1:
         raise ValueError("n must be at least 1")
     check_cap(caps, "estimate", n, "tree mean level")  # before markov_power runs
-    return markov_power("MC0", f, x, n, caps), stieltjes_mean(f, n, caps=caps)
+    return markov_power("MC0", f, x, n, caps), stieltjes_means(f, n, caps=caps)[-1]

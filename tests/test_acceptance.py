@@ -25,7 +25,7 @@ from sternbrocot.maps import (
     orbit,
 )
 from sternbrocot.minkowski import (
-    distribution_estimate,
+    distribution_estimates,
     fourier_tree_mean,
     qmark,
     qmark_inv,
@@ -219,10 +219,11 @@ def test_c06_level_counts_track_rho():
         spec = TreeSpec("sb")
         r = random.Random(7)
         xs = [ExtRat(r.randrange(1, 10 ** 4), r.randrange(1, 10 ** 4)) for _ in range(100)]
-        for x in xs:
+        ests = distribution_estimates(spec, 16, xs)
+        assert [len(row) for row in ests] == [16] * 100
+        for x, row in zip(xs, ests):
             target = rho(x).as_fraction()
-            for k in range(1, 17):
-                est = distribution_estimate(spec, k, x)
+            for k, est in enumerate(row, 1):
                 assert abs(target - est) <= Fraction(1, 1 << k)
 
 

@@ -173,7 +173,7 @@ class TestFourier:
         maps._orbit_floats.cache_clear()
         assert run(["fourier", "--n-max", "3", "--depth", "13", "--iters", str(5 * 4096 + 3)]) == 0
         assert len(lines(capsys)) == 7
-        # operators.p0-invariance takes vectorized stieltjes_means up to level 18
+        # operators.p0-invariance reads depths 12..18 off two vectorized stieltjes_means at k = 18
         assert run(["verify", "--suite", "operators.p0-invariance"]) == 0
         assert len(lines(capsys)) == 2
         assert maps._orbit_floats.cache_info().currsize == 0

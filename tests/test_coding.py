@@ -146,6 +146,15 @@ class TestInfiniteCodes:
         assert pi_code(ZERO) == InfiniteCode("", "L")
         assert pi_code(INF) == InfiniteCode("", "R")
 
+    @pytest.mark.parametrize("prefix,tail", [
+        ("LR", "X"), ("LR", "LL"), ("LR", ""), ("LR", None), ("LXR", "L"), ("lr", "L"),
+    ])
+    def test_a_code_is_spelled_in_l_and_r(self, prefix, tail):
+        # unchecked, code_compare answered 1 for the first two and for LXR against
+        # InfiniteCode("LR", "L"), and a None tail raised TypeError
+        with pytest.raises(DomainError, match="bad code"):
+            InfiniteCode(prefix, tail)
+
     def test_rational_code_uses_full_blocks_and_opposite_tail(self):
         # 2/5 = [0;2,2]: prefix LLRR, then L forever
         assert pi_code(ExtRat(2, 5)) == InfiniteCode("LLRR", "L")

@@ -16,14 +16,14 @@ from sternbrocot.core import (
 )
 from sternbrocot.minkowski import (
     Dyadic,
-    distribution_estimate,
+    distribution_estimates,
     fourier_tree_mean,
     qmark,
     qmark_enclosure,
     qmark_inv,
     rho,
     rho_inv,
-    stieltjes_mean,
+    stieltjes_means,
 )
 from sternbrocot.trees import BLOCK_LEVELS, TreeSpec, level, level_floats
 
@@ -228,47 +228,73 @@ class TestEnclosure:
             qmark_enclosure(prefix)
 
 
+SPECS = [TreeSpec(kind, permuted) for kind in ("sb", "farey", "dyadic") for permuted in (False, True)]
+
+
+def per_vertex_estimates(spec, k, x):
+    """The share of levels 1..d at or below x, for d = 1..k, one vertex at a time."""
+    counts = [sum(v <= x for v in level(spec, j)) for j in range(1, k + 1)]
+    return [Fraction(sum(counts[:d]), 1 << d) for d in range(1, k + 1)]
+
+
 class TestDistribution:
     def test_counts_approximate_rho(self):
         # |rho(x) - count/2^k| <= 2^-k, exact arithmetic
         spec = TreeSpec("sb")
         r = random.Random(19)
-        for _ in range(30):
-            x = ExtRat(r.randrange(1, 500), r.randrange(1, 500))
+        xs = [ExtRat(r.randrange(1, 500), r.randrange(1, 500)) for _ in range(30)]
+        for x, ests in zip(xs, distribution_estimates(spec, 12, xs), strict=True):
             target = rho(x).as_fraction()
-            for k in (4, 8, 12):
-                est = distribution_estimate(spec, k, x)
+            for k, est in enumerate(ests, 1):
                 assert abs(target - est) <= Fraction(1, 1 << k)
 
     def test_farey_counts_approximate_qmark(self):
         spec = TreeSpec("farey")
         r = random.Random(23)
+        xs = []
         for _ in range(30):
             q = r.randrange(2, 500)
-            x = ExtRat(r.randrange(1, q), q)
+            xs.append(ExtRat(r.randrange(1, q), q))
+        for x, ests in zip(xs, distribution_estimates(spec, 12, xs), strict=True):
             target = qmark(x).as_fraction()
-            for k in (4, 8, 12):
-                est = distribution_estimate(spec, k, x)
+            for k, est in enumerate(ests, 1):
                 assert abs(target - est) <= Fraction(1, 1 << k)
 
-
-    @pytest.mark.parametrize("spec", [TreeSpec("sb"), TreeSpec("farey", permuted=True), TreeSpec("dyadic")],
-                             ids=["sb", "farey-perm", "dyadic"])
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
     def test_large_points_match_a_per_vertex_count(self, spec):
-        # terms at and past 2^36 take exact object products; the count is per vertex
+        # every point and depth of one call.  Points come 4 to a chunk, and a
+        # chunk whose largest term t has t << j >= 2^63 takes exact object
+        # products on level j: the first and last chunks never do (terms below
+        # 2^51), the second does from level 8 on (a term past 2^55) and the
+        # third on every level (a term past 2^63)
+        r = random.Random(41)
         big = 1 << 40
-        xs = [ExtRat(2 * big + 1, 5 * big), ExtRat(2 * big - 1, 5 * big), ExtRat(3, (1 << 50) + 7),
-              ExtRat(1, 1 << 36), ExtRat((1 << 62) - 1, (1 << 63) + 5), ExtRat(big + 1, big), ExtRat(1 << 37, 3)]
+        xs = [*(ExtRat(r.randrange(1, 999), r.randrange(1, 999)) for _ in range(4)),
+              ExtRat(3, (1 << 55) + 1), ZERO, INF, ONE,
+              ExtRat((1 << 62) - 1, (1 << 63) + 5), ExtRat(big + 1, big), ExtRat(1 << 37, 3),
+              ExtRat(2 * big + 1, 5 * big), ExtRat(2 * big - 1, 5 * big), ExtRat(3, (1 << 50) + 7),
+              ExtRat(1, 1 << 36)]
         k = 10
-        for x in xs:
-            if spec.kind != "sb" and x >= 1:
-                continue
-            want = sum(v <= x for j in range(1, k + 1) for v in level(spec, j))
-            assert distribution_estimate(spec, k, x) == Fraction(want, 1 << k)
+        got = distribution_estimates(spec, k, xs)
+        assert got == [per_vertex_estimates(spec, k, x) for x in xs]
+
+    def test_no_points_give_no_estimates(self):
+        assert distribution_estimates(TreeSpec("sb"), 5, []) == []
+
+    def test_products_past_int64_at_level_28_stay_exact(self):
+        # Entries of level j reach 2^j.  Level j of the dyadic tree is m/2^j for
+        # odd m, floor((floor(x 2^j) + 1)/2) of them at or below x.  Both terms
+        # of x are below 2^36, and (2^36 - 2) * 2^28 passes 2^63: int64
+        # products wrap there, and every level-28 entry counted as above x.
+        caps = replace(CAPS, estimate=28, level=28)
+        x = ExtRat((1 << 36) - 2, (1 << 36) - 1)
+        counts = [((x.num << j) // x.den + 1) // 2 for j in range(1, 29)]
+        want = [Fraction(sum(counts[:d]), 1 << d) for d in range(1, 29)]
+        assert distribution_estimates(TreeSpec("dyadic"), 28, [x], caps) == [want]
 
 
 def whole_level_mean(f, k, spec):
-    """stieltjes_mean(vectorized=True) as it once was: f on each whole level,
+    """The vectorized Stieltjes mean at depth k as it once was: f on each whole level,
     summed by one fsum_array call a level."""
     re_parts, im_parts = [], []
     for j in range(1, k + 1):
@@ -280,39 +306,37 @@ def whole_level_mean(f, k, spec):
     return complex(re, im) if im else re
 
 
-SPECS = [TreeSpec(kind, permuted) for kind in ("sb", "farey", "dyadic") for permuted in (False, True)]
-
-
 class TestMeans:
     def test_level_blocks_are_cut_where_fsum_array_cuts(self):
-        # stieltjes_mean's per-block partials have the bits of one call on the
+        # stieltjes_means' per-block partials have the bits of one call on the
         # whole level only because each block is one fsum_array chunk
         assert 1 << BLOCK_LEVELS == CHUNK
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
     def test_blockwise_mean_has_the_bits_of_the_whole_level_mean(self, spec):
-        # levels 13 and up span several 4096-blocks; 1 and 5 are one short block
-        fs = (lambda a: a / (a + 1.0), lambda a: np.exp(2j * np.pi * a))
-        for k in (1, 5, 13, 14, 17):
-            for f in fs:
-                got = stieltjes_mean(f, k, spec, vectorized=True)
-                assert repr(got) == repr(whole_level_mean(f, k, spec)), (k, f)
+        # levels 13 and up span several 4096-blocks; 1 to 12 are one block
+        for f in (lambda a: a / (a + 1.0), lambda a: np.exp(2j * np.pi * a)):
+            got = stieltjes_means(f, 17, spec, vectorized=True)
+            want = [whole_level_mean(f, k, spec) for k in range(1, 18)]
+            assert list(map(repr, got)) == list(map(repr, want)), f
 
     def test_p0_check_means_have_the_bits_of_the_whole_level_mean(self):
-        # the two means operators.p0-invariance compares, at its k = 12..18
+        # the two mean sequences operators.p0-invariance compares at k = 12..18
         f = lambda a: np.exp(2j * np.pi * a)
         p0f = lambda a: 0.5 * np.exp(2j * np.pi * (a / (1.0 + a))) + 0.5 * np.exp(2j * np.pi * (a + 1.0))
         sb = TreeSpec("sb")
-        for k in range(12, 19):
-            for g in (f, p0f):
-                assert repr(stieltjes_mean(g, k, vectorized=True)) == repr(whole_level_mean(g, k, sb)), k
+        for g in (f, p0f):
+            got = stieltjes_means(g, 18, vectorized=True)
+            assert list(map(repr, got)) == [repr(whole_level_mean(g, k, sb)) for k in range(1, 19)]
 
     def test_vectorized_and_plain_agree(self):
         f_exact = lambda v: Fraction(v.num, v.num + v.den)
         f_vec = lambda arr: arr / (arr + 1.0)
-        a = stieltjes_mean(f_exact, 10)
-        b = stieltjes_mean(f_vec, 10, vectorized=True)
-        assert math.isclose(a, b, rel_tol=0, abs_tol=1e-12)
+        a = stieltjes_means(f_exact, 10)
+        b = stieltjes_means(f_vec, 10, vectorized=True)
+        assert len(a) == len(b) == 10
+        for x, y in zip(a, b):
+            assert math.isclose(x, y, rel_tol=0, abs_tol=1e-12)
 
     def test_fourier_tree_mean_matches_direct_sum(self):
         spec = TreeSpec("sb")

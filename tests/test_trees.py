@@ -10,7 +10,7 @@ import pytest
 from sternbrocot.core import CapExceeded, DomainError, ExtRat, ONE
 from sternbrocot import trees
 from sternbrocot.coding import hat
-from sternbrocot.minkowski import distribution_estimate, stieltjes_mean
+from sternbrocot.minkowski import distribution_estimates, stieltjes_means
 from sternbrocot.trees import (
     TreeSpec,
     descendants,
@@ -166,9 +166,10 @@ class TestLevelArrays:
         assert np.array_equal(level_floats(SB, 9), p / q)
 
     @pytest.mark.parametrize("estimate", [
-        lambda: distribution_estimate(SB, 20, ExtRat(2, 5)),
-        lambda: stieltjes_mean(lambda a: np.exp(2j * np.pi * a), 20, vectorized=True),
-    ], ids=["distribution_estimate", "stieltjes_mean"])
+        lambda: distribution_estimates(SB, 20, [ExtRat(2, 5)]),
+        lambda: distribution_estimates(SB, 20, [ExtRat(n, 37) for n in range(1, 101)]),
+        lambda: stieltjes_means(lambda a: np.exp(2j * np.pi * a), 20, vectorized=True),
+    ], ids=["distribution_estimates", "distribution_estimates-100-points", "stieltjes_means"])
     def test_estimators_stream_the_levels_and_hold_none(self, estimate):
         # level 20 alone is 2^19 entries, 4 MB a column
         tracemalloc.start()

@@ -40,7 +40,8 @@ import sys
 
 from . import __version__, trees
 from .core import (
-    CAPS, INVERTIBLE, KINDS, MAPS, ONE, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, parse_cf,
+    CAPS, INVERTIBLE, KINDS, MAPS, ONE, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, check_cap,
+    parse_cf,
 )
 from .trees import TreeSpec
 
@@ -153,11 +154,13 @@ _ROWS_KEY = '\n  "rows": []'  # unique: a newline inside a JSON string is escape
 def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     """Write an all-integer table given as blocks of equal-length columns.
 
-    Each block is written with one %-format, and the bytes are those _emit
-    writes for the same rows: csv.writer's, or json.dump's with indent=2,
-    whose document head and tail (meta, columns, extra keys) come from
-    json.dumps itself.  extra, if given, is called after the last block
-    for the JSON keys that follow the rows.
+    A block whose columns are all int64 arrays is written by _digit_rows
+    from one matrix of digits; any other block (lists, ranges, object
+    arrays of Python ints) with one %-format.  Either way the bytes are
+    those _emit writes for the same rows: csv.writer's, or json.dump's
+    with indent=2, whose document head and tail (meta, columns, extra
+    keys) come from json.dumps itself.  extra, if given, is called after
+    the last block for the JSON keys that follow the rows.
     """
     width = len(columns)
     as_json = args.format == "json"
@@ -172,15 +175,19 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     else:
         head = ",".join(columns) + "\n"
         row = ",".join(["%d"] * width) + "\n"
+    pieces = [p.encode() for p in row.split("%d")]
     with _open_out(args) as stream:
         stream.write(head)
         count = 0
         for cols in blocks:
             n = len(cols[0])
-            cells = [0] * (n * width)
-            for j, col in enumerate(cols):
-                cells[j::width] = col
-            text = row * n % tuple(cells)
+            if n and all(getattr(col, "dtype", None) == "int64" for col in cols):
+                text = _digit_rows(pieces, cols)
+            else:
+                cells = [0] * (n * width)
+                for j, col in enumerate(cols):
+                    cells[j::width] = col.tolist() if hasattr(col, "tolist") else col
+                text = row * n % tuple(cells)
             # JSON rows after the first start with ","
             stream.write(text[1:] if as_json and not count else text)
             count += n
@@ -190,35 +197,84 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     return 0
 
 
-def _indexed(first, blocks):
-    """Prefix each block of columns with the range of its row indices."""
+def _digit_rows(pieces, cols):
+    """The text of n rows, pieces[0] col0 pieces[1] col1 ... pieces[-1],
+    for a nonempty block of int64 columns, as %d would write them.
+
+    The rows are one (n, row width) uint8 matrix.  Its constant cells hold
+    the pieces; each field is right-aligned in cells as wide as the
+    block's longest value, one digit column per division by 10.  A mask
+    keeps the last digit, every digit from the first nonzero one on, and
+    the "-" of a negative value just before its first digit.
+    """
+    import numpy as np
+
+    fields = []  # (magnitudes, negative rows or None, cells, digits every row has)
+    template = bytearray(pieces[0])
+    for col, piece in zip(cols, pieces[1:]):
+        lo, hi = int(col.min()), int(col.max())
+        v, neg = col.view(np.uint64), None
+        if lo < 0:  # negated in uint64, -2^63 has its magnitude 2^63
+            neg = col < 0
+            v = np.where(neg, -v, v)
+        cells = len(str(max(hi, -lo))) + (lo < 0)
+        fields.append((v, neg, cells, 1 if lo < 0 else len(str(lo))))
+        template += bytes(cells) + piece
+    n, row_width = len(cols[0]), len(template)
+    text = np.frombuffer(template * n, np.uint8).reshape(n, row_width)
+    keep = np.ones((n, row_width), bool)
+    end = len(pieces[0])
+    for (v, neg, cells, shared), piece in zip(fields, pieces[1:]):
+        end += cells
+        signed = neg  # the negative rows whose "-" is still to come
+        for i in range(cells):
+            at = end - 1 - i
+            q = v // 10
+            text[:, at] = v - q * 10 + 48
+            if i >= shared:  # every row has its digits below 10^shared
+                shown = v != 0
+                if neg is not None:
+                    sign = signed & ~shown
+                    signed = signed & shown
+                    text[sign, at] = 45  # "-"
+                    shown |= sign
+                keep[:, at] = shown
+            v = q
+        end += len(piece)
+    return str(text[keep], "ascii")  # decodes the kept cells in place, with no bytes copy
+
+
+def _indexed(first, blocks, index=range):
+    """Prefix each block of columns with index(first, first + n), the
+    indices of its n rows."""
     for cols in blocks:
         n = len(cols[0])
-        yield (range(first, first + n), *cols)
+        yield (index(first, first + n), *cols)
         first += n
 
 
 # ------------------------------------------------------------- commands
 
 def _cmd_tree(args, caps) -> int:
+    import numpy as np
+
     spec = TreeSpec(args.kind, permuted=args.permuted)
     k = args.depth
-    blocks = (
-        ([k] * len(num), index, num.tolist(), den.tolist())
-        for index, num, den in _indexed(1, trees.level_blocks(spec, k, caps))
-    )
+    levels = _indexed(1, trees.level_blocks(spec, k, caps), np.arange)
+    blocks = ((np.full(len(num), k), index, num, den) for index, num, den in levels)
     flags = {"kind": args.kind, "permuted": args.permuted, "depth": k}
     return _emit_ints(args, ("level", "index", "num", "den"), blocks, flags)
 
 
 def _cmd_enumerate(args, caps) -> int:
+    import numpy as np
+
     from . import maps
 
     start = _rat(args.start)
     orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, caps)
-    blocks = ((index, num.tolist(), den.tolist()) for index, num, den in _indexed(0, orbit))
     flags = {"map": args.map, "start": args.start, "count": args.count}
-    return _emit_ints(args, ("i", "num", "den"), blocks, flags)
+    return _emit_ints(args, ("i", "num", "den"), _indexed(0, orbit, np.arange), flags)
 
 
 def _cmd_qmark(args, caps) -> int:
@@ -254,6 +310,7 @@ def _cmd_fourier(args, caps) -> int:
 
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
+    check_cap(caps, "freqs", args.n_max, "--n-max")  # before len() of a range past 2^63
     start = _rat(args.start)
     ns = range(1, args.n_max + 1)
     runs = []  # one list of rows a method, each estimate made for all n at once

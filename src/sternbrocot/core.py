@@ -50,11 +50,12 @@ class Caps:
     walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)
     horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step
     power: int = 24  # steps of a Markov power: 2^n branch words, walked in O(n) memory
+    freqs: int = 1 << 10  # Fourier frequencies of one estimate: time, and ~1 KB each
 
 
 CAPS = Caps()
 UNSAFE_CAPS = Caps(level=1 << 10, estimate=23, orbit=1 << 25, exp=1 << 20,
-                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, power=26)
+                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, power=26, freqs=1 << 16)
 
 # The trees and maps by name, here so the CLI parser needs no numpy module.
 # R, S and T (INVERTIBLE) walk the permuted trees of KINDS, in that order;

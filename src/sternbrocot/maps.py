@@ -457,7 +457,8 @@ def ergodic_fourier_means(ns: Sequence[int], start: ExtRat, iters: int, map: str
     The orbit is streamed once for all n, rounded to floats a block at a
     time; the real and imaginary parts are the cos and sin sums of
     accum.cis_sums.  No orbit is held or cached, so memory stays flat in
-    iters; caps.orbit bounds iters, and so the time.
+    iters; caps.orbit bounds iters, and caps.freqs the number of n;
+    together they bound the time.
     """
     if map not in INVERTIBLE:
         raise DomainError("ergodic means run along R, S or T orbits")
@@ -465,6 +466,7 @@ def ergodic_fourier_means(ns: Sequence[int], start: ExtRat, iters: int, map: str
         raise DomainError("start must be finite")
     if iters < 1:
         raise DomainError("need at least one iterate")
+    check_cap(caps, "freqs", len(ns), "Fourier frequencies")
     blocks = _orbit_float_blocks(map, start.num, start.den, iters, caps)
     return [complex(re / iters, im / iters)
             for re, im in cis_sums(blocks, [2 * pi * n for n in ns])]

@@ -396,8 +396,9 @@ def fourier_tree_means(ns: Sequence[int], k: int, spec: TreeSpec = _SB,
     Each level is streamed once for all n, block by block as level_blocks
     makes it, and contributes the cos and sin sums of accum.cis_sums; no
     level is held whole, so memory stays flat in k.  caps.estimate bounds
-    k, and so the time.
+    k, and caps.freqs the number of n; together they bound the time.
     """
+    check_cap(caps, "freqs", len(ns), "Fourier frequencies")
     ws = [2.0 * np.pi * n for n in ns]
 
     def level_sums(j):

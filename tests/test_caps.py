@@ -103,6 +103,23 @@ def test_no_unused_imports(mod):
                 assert bound in read, f"{mod.__name__}: {ast.unparse(node)}"
 
 
+def test_cli_imports_numpy_only_inside_functions():
+    # cli reaches numpy through trees alone, so making trees lazy in cli
+    # is a change to one import line; a function body imports only when it runs
+    from sternbrocot import cli
+
+    stack = list(_tree(cli).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "numpy" for a in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom):
+            assert (node.module or "").split(".")[0] != "numpy", ast.unparse(node)
+        stack.extend(ast.iter_child_nodes(node))
+
+
 def _identifiers(tree):
     # every name a piece of code reads, imports or looks up as an attribute
     out = set()

@@ -344,12 +344,13 @@ TINY_UNSAFE = Caps(**{f.name: 8 for f in fields(Caps)})
     ("estimate", ["fourier", "--method", "tree", "--depth", "5", "--n-max", "1"]),
     ("orbit", ["enumerate", "--map", "R", "--start", "1/0", "--count", "5"]),
     ("orbit", ["fourier", "--method", "ergodic", "--iters", "5", "--n-max", "1"]),
+    ("freqs", ["fourier", "--depth", "1", "--iters", "1", "--n-max", "5"]),
     ("exp", ["qmark", "1/6"]),
     ("exp", ["qmark", "1/2^5", "--inverse"]),
     ("walks", ["simulate", "--chain", "mc0", "--walks", "5", "--horizon", "2"]),
     ("horizon", ["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "5"]),
-], ids=["level", "estimate", "orbit-enumerate", "orbit-ergodic", "exp", "exp-inverse",
-        "walks", "horizon"])
+], ids=["level", "estimate", "orbit-enumerate", "orbit-ergodic", "freqs", "exp",
+        "exp-inverse", "walks", "horizon"])
 def test_each_cap_is_refused_then_lifted(field, argv, capsys, monkeypatch):
     monkeypatch.setattr(cli, "CAPS", TINY)
     monkeypatch.setattr(cli, "UNSAFE_CAPS", TINY_UNSAFE)

@@ -5,17 +5,22 @@ over row tuples, with tree levels from a lazy depth-first walk and orbits
 from Fraction formulas, all written independently of the package.
 """
 
+import contextlib
 import csv
 import io
 import json
 import tracemalloc
+from argparse import Namespace
 from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sternbrocot import __version__, maps, stochastic, trees
+from sternbrocot import __version__, cli, maps, stochastic, trees
 from sternbrocot.cli import run
 from sternbrocot.core import CAPS, CapExceeded, DomainError, ExtRat, ONE
 
@@ -246,3 +251,99 @@ def test_streams_check_their_arguments_when_called(call, error):
     # no next(): the error must come from the call itself, before any block
     with pytest.raises(error):
         call()
+
+
+# --------------------------------------------- the int64 digit-matrix path
+
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+TENS = sorted({v for i in range(19) for v in (10 ** i - 1, 10 ** i)} | {INT64_MAX})
+
+
+def emit_blocks(fmt, columns, blocks):
+    """stdout of _emit_ints over the blocks, as the CLI writes a table."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli._emit_ints(Namespace(format=fmt, output=None, seed=7), columns, blocks,
+                              {"case": 1}) == 0
+    return buf.getvalue()
+
+
+def want_bytes(fmt, columns, blocks):
+    rows = [tuple(map(int, row)) for cols in blocks for row in zip(*cols)]
+    return reference_bytes(fmt, 7, columns, rows, {"case": 1})
+
+
+def i64(*columns):
+    return tuple(np.array(c, dtype=np.int64) for c in columns)
+
+
+@pytest.fixture
+def digit_blocks(monkeypatch):
+    """The number of blocks written from a digit matrix."""
+    seen = []
+    real = cli._digit_rows
+
+    def spy(pieces, cols):
+        seen.append(len(cols[0]))
+        return real(pieces, cols)
+
+    monkeypatch.setattr(cli, "_digit_rows", spy)
+    return seen
+
+
+INT64_BLOCKS = {
+    # every width from 1 to 19 digits, against its mirror image and negation
+    "powers-of-ten": i64(TENS, TENS[::-1], [-v for v in TENS]),
+    # the wrap of -2^63's absolute value, zeros beside negatives of every sign width
+    "zeros-and-negatives": i64([0, -1, -2, -9, -10, -99, -100, INT64_MIN, INT64_MIN + 1, 7],
+                               [0] * 10,
+                               [-1, 1, 0, INT64_MAX, INT64_MIN, -10 ** 18, 10 ** 18, -5, 55, 0]),
+    "one-row": i64([INT64_MIN], [0], [INT64_MAX]),
+    "one-column": i64([3, 30, 300]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", sorted(INT64_BLOCKS))
+def test_int64_blocks_match_row_writers(name, fmt, digit_blocks):
+    cols = INT64_BLOCKS[name]
+    columns = tuple(f"c{j}" for j in range(len(cols)))
+    # the block alone, and after an empty block and a one-row block
+    for blocks in ([cols], [i64(*[[]] * len(cols)), tuple(c[:1] for c in cols), cols]):
+        assert emit_blocks(fmt, columns, blocks) == want_bytes(fmt, columns, blocks)
+    assert digit_blocks == [len(cols[0]), 1, len(cols[0])]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_empty_int64_stream_matches_row_writers(fmt, digit_blocks):
+    blocks = [i64([], [])]
+    assert emit_blocks(fmt, ("a", "b"), blocks) == want_bytes(fmt, ("a", "b"), [])
+    assert digit_blocks == []
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mixed_stream_takes_each_blocks_path(fmt, digit_blocks):
+    big = 1 << 70
+    blocks = [
+        (range(0, 3), [5, 6, 7], [-1, 0, big]),  # lists and ranges: %d
+        i64([3, 4], [10, 11], [12, -13]),  # all int64: the matrix
+        (np.arange(5, 7), np.array([big, -big], dtype=object), np.array([1, 2])),  # object: %d
+        i64([7], [INT64_MIN], [INT64_MAX]),
+        (np.arange(8, 10), np.array([1, 2], dtype=np.int32), np.array([3, 4])),  # int32: %d
+    ]
+    assert emit_blocks(fmt, ("i", "num", "den"), blocks) == want_bytes(fmt, ("i", "num", "den"), blocks)
+    assert digit_blocks == [2, 1]
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(1, 5).flatmap(lambda width: st.lists(
+    st.lists(st.integers(INT64_MIN, INT64_MAX) | st.integers(-1000, 1000)
+             | st.sampled_from([0, INT64_MIN, INT64_MAX, *TENS]),
+             min_size=width, max_size=width),
+    max_size=30)), st.sampled_from(["csv", "json"]))
+def test_random_int64_blocks_match_row_writers(rows, fmt):
+    width = len(rows[0]) if rows else 1
+    cols = tuple(np.array([r[j] for r in rows], dtype=np.int64) for j in range(width))
+    columns = tuple(f"c{j}" for j in range(width))
+    blocks = [cols, tuple(c[::-1] for c in cols)]
+    assert emit_blocks(fmt, columns, blocks) == want_bytes(fmt, columns, blocks)

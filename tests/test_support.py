@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sternbrocot.accum import _UNIT, CHUNK, _units, cis_sums, fsum_array
-from sternbrocot.core import CAPS, ONE, UNSAFE_CAPS, ExtRat
+from sternbrocot.cli import run
+from sternbrocot.core import CAPS, ONE, UNSAFE_CAPS, CapExceeded, ExtRat
 from sternbrocot.maps import _orbit_floats, ergodic_fourier, ergodic_fourier_means, orbit_blocks, orbit_iter
 from sternbrocot.minkowski import fourier_tree_mean, fourier_tree_means
 from sternbrocot.rng import draw, draw_below, mix64, walk_key
@@ -241,3 +243,29 @@ class TestStreamedFourier:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 128 << 10
+
+    @pytest.mark.parametrize("estimate", [
+        lambda ns, caps: fourier_tree_means(ns, 1, caps=caps),
+        lambda ns, caps: ergodic_fourier_means(ns, ONE, 1, caps=caps),
+    ], ids=["tree", "ergodic"])
+    def test_frequencies_are_capped(self, estimate):
+        few = replace(CAPS, freqs=3)
+        assert len(estimate(range(1, 4), few)) == 3
+        with pytest.raises(CapExceeded, match="caps.freqs"):
+            estimate(range(1, 5), few)
+
+    def test_frequencies_above_the_cap_are_refused_before_any_work(self, capsys):
+        # each n holds about 1 KB, so 10^9 of them would pass 1 GB: the
+        # refusal comes before the first one, and before len() of a range
+        # too long for a C ssize_t
+        for n_max, lift in [(CAPS.freqs + 1, []), (10 ** 9, []), (1 << 80, []),
+                            (UNSAFE_CAPS.freqs + 1, ["--unsafe-cap"])]:
+            argv = ["fourier", "--n-max", str(n_max), "--depth", "1", "--iters", "1", *lift]
+            tracemalloc.start()
+            try:
+                code = run(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 1 and "caps.freqs" in capsys.readouterr().err
+            assert peak < 256 << 10

@@ -2,9 +2,10 @@
 
 Everything in this package runs on reduced fractions p/q with p, q >= 0,
 where 0/1 is zero and 1/0 is the point at infinity.  The stdlib Fraction
-cannot hold 1/0, hence ExtRat, the point type: it compares, hashes and
-converts, and arithmetic goes through as_fraction().  No floating point is
-used here; callers convert at the last step when they need numerics.
+cannot hold 1/0, hence ExtRat, the point type: it compares and hashes with
+another ExtRat only, converts, and arithmetic goes through as_fraction().
+No floating point is used here; callers convert at the last step when they
+need numerics.
 
 Continued fractions are the canonical finite expansions
 [a0; a1, ..., an] with a0 >= 0, ai >= 1 for i >= 1 and an > 1 when n >= 1,
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, inf
-from sys import hash_info as _HASH
 
 
 class DomainError(ValueError):
@@ -84,7 +84,8 @@ class ExtRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int = 1):
-        if not isinstance(num, int) or not isinstance(den, int):
+        # bool is an int subclass, but True/2 is no point
+        if not isinstance(num, int) or not isinstance(den, int) or bool in (type(num), type(den)):
             raise TypeError("ExtRat takes integers")
         if num < 0 or den < 0:
             raise DomainError("negative fractions are outside the model")
@@ -140,66 +141,37 @@ class ExtRat:
             raise DomainError("fractional part of infinity")
         return ExtRat._raw(self.num % self.den, self.den)
 
-    def _pair(self, other):
-        if isinstance(other, ExtRat):
-            return other.num, other.den
-        if isinstance(other, int):
-            return other, 1
-        if isinstance(other, Fraction):
-            return other.numerator, other.denominator
-        return None
-
-    # Each comparison takes another ExtRat without _pair: both are reduced,
-    # so equal values have equal fields.
+    # Each comparison takes another ExtRat only: both are reduced, so equal
+    # values have equal fields, and cross multiplication covers 1/0, which
+    # compares above everything.
 
     def __eq__(self, other):
-        if type(other) is ExtRat:
-            return self.num == other.num and self.den == other.den
-        po = self._pair(other)
-        if po is None:
+        if type(other) is not ExtRat:
             return NotImplemented
-        return self.num * po[1] == po[0] * self.den
+        return self.num == other.num and self.den == other.den
 
     def __lt__(self, other):
-        if type(other) is ExtRat:
-            # cross multiplication covers 1/0 as well: 1/0 compares above everything
-            return self.num * other.den < other.num * self.den
-        po = self._pair(other)
-        if po is None:
+        if type(other) is not ExtRat:
             return NotImplemented
-        return self.num * po[1] < po[0] * self.den
+        return self.num * other.den < other.num * self.den
 
     def __le__(self, other):
-        if type(other) is ExtRat:
-            return self.num * other.den <= other.num * self.den
-        po = self._pair(other)
-        if po is None:
+        if type(other) is not ExtRat:
             return NotImplemented
-        return self.num * po[1] <= po[0] * self.den
+        return self.num * other.den <= other.num * self.den
 
     def __gt__(self, other):
-        if type(other) is ExtRat:
-            return self.num * other.den > other.num * self.den
-        po = self._pair(other)
-        if po is None:
+        if type(other) is not ExtRat:
             return NotImplemented
-        return self.num * po[1] > po[0] * self.den
+        return self.num * other.den > other.num * self.den
 
     def __ge__(self, other):
-        if type(other) is ExtRat:
-            return self.num * other.den >= other.num * self.den
-        po = self._pair(other)
-        if po is None:
+        if type(other) is not ExtRat:
             return NotImplemented
-        return self.num * po[1] >= po[0] * self.den
+        return self.num * other.den >= other.num * self.den
 
     def __hash__(self):
-        # Fraction's hash: num / den in the integers mod the hash modulus, so
-        # x == y gives hash(x) == hash(y) for int and Fraction y as well.  A
-        # den with no inverse there (1/0 among them) hashes as infinity.
-        if self.den % _HASH.modulus == 0:
-            return _HASH.inf
-        return hash(hash(self.num) * pow(self.den, -1, _HASH.modulus))
+        return hash((self.num, self.den))
 
     def __bool__(self):
         return self.num != 0

@@ -47,14 +47,15 @@ class Dyadic:
     """Exact dyadic rational num/2^exp, kept with num odd or exp = 0.
 
     Dyadic(num, exp) brings any integers to that form; Dyadic._raw trusts
-    its caller to pass it already.  Sums and equality of two Dyadics skip
-    the generic paths.
+    its caller to pass it already.  A Dyadic adds, compares and hashes with
+    another Dyadic only, which is all the package asks of it; other
+    arithmetic goes through as_fraction().
     """
 
     __slots__ = ("num", "exp")
 
     def __init__(self, num: int, exp: int = 0):
-        if not isinstance(num, int) or not isinstance(exp, int):
+        if not isinstance(num, int) or not isinstance(exp, int) or bool in (type(num), type(exp)):
             raise TypeError("Dyadic takes integers")
         if exp < 0:
             raise DomainError("negative exponent")
@@ -119,90 +120,49 @@ class Dyadic:
         return f"Dyadic({self.num}, {self.exp})"
 
     def __hash__(self):
-        return hash(self.as_fraction())
-
-    def _pair(self, other):
-        if isinstance(other, Dyadic):
-            return other.num, other.exp
-        if isinstance(other, int):
-            return other, 0
-        return NotImplemented
+        return hash((self.num, self.exp))
 
     def __eq__(self, other):
-        if type(other) is Dyadic:
-            return self.num == other.num and self.exp == other.exp
-        po = self._pair(other)
-        if po is NotImplemented:
+        if type(other) is not Dyadic:
             return NotImplemented
-        return (self.num, self.exp) == po
+        return self.num == other.num and self.exp == other.exp
 
     def _cmp(self, other):
-        po = self._pair(other)
-        if po is NotImplemented:
-            return NotImplemented
-        on, oe = po
-        m = max(self.exp, oe)
+        m = max(self.exp, other.exp)
         a = self.num << (m - self.exp)
-        b = on << (m - oe)
+        b = other.num << (m - other.exp)
         return (a > b) - (a < b)
 
     def __lt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c < 0
+        if type(other) is not Dyadic:
+            return NotImplemented
+        return self._cmp(other) < 0
 
     def __le__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c <= 0
+        if type(other) is not Dyadic:
+            return NotImplemented
+        return self._cmp(other) <= 0
 
     def __gt__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c > 0
+        if type(other) is not Dyadic:
+            return NotImplemented
+        return self._cmp(other) > 0
 
     def __ge__(self, other):
-        c = self._cmp(other)
-        return NotImplemented if c is NotImplemented else c >= 0
-
-    def _combine(self, other, sign):
-        po = self._pair(other)
-        if po is NotImplemented:
+        if type(other) is not Dyadic:
             return NotImplemented
-        on, oe = po
-        m = max(self.exp, oe)
-        return Dyadic((self.num << (m - self.exp)) + sign * (on << (m - oe)), m)
+        return self._cmp(other) >= 0
 
     def __add__(self, other):
-        if type(other) is Dyadic:
-            a, e, b, f = self.num, self.exp, other.num, other.exp
-            # with unequal exponents, the numerator of the larger one is odd, so the sum's is
-            if e > f:
-                return Dyadic._raw(a + (b << (e - f)), e)
-            if f > e:
-                return Dyadic._raw((a << (f - e)) + b, f)
-            return Dyadic(a + b, e)
-        return self._combine(other, 1)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __rsub__(self, other):
-        r = self._combine(other, -1)
-        return NotImplemented if r is NotImplemented else Dyadic(-r.num, r.exp)
-
-    def __mul__(self, other):
-        po = self._pair(other)
-        if po is NotImplemented:
+        if type(other) is not Dyadic:
             return NotImplemented
-        return Dyadic(self.num * po[0], self.exp + po[1])
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def half(self, n: int = 1) -> "Dyadic":
-        return Dyadic(self.num, self.exp + n)
+        a, e, b, f = self.num, self.exp, other.num, other.exp
+        # with unequal exponents, the numerator of the larger one is odd, so the sum's is
+        if e > f:
+            return Dyadic._raw(a + (b << (e - f)), e)
+        if f > e:
+            return Dyadic._raw((a << (f - e)) + b, f)
+        return Dyadic(a + b, e)
 
 
 _SET_NUM = Dyadic.num.__set__  # the slots, written past the immutability guard

@@ -178,7 +178,7 @@ def level(spec: TreeSpec, k: int, caps: Caps = CAPS) -> Iterator[ExtRat]:
 
 def descendants(spec: TreeSpec, x: ExtRat) -> tuple[ExtRat, ExtRat]:
     """The two children of vertex x in the given tree."""
-    if spec.kind != "sb" and not 0 < x < 1:
+    if spec.kind != "sb" and not 0 < x.num < x.den:
         raise DomainError(f"{spec.kind} vertices lie in (0,1)")
     if spec.kind == "dyadic" and x.den & (x.den - 1):
         raise DomainError("dyadic vertices have power-of-two denominators")

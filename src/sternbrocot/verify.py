@@ -17,7 +17,8 @@ from fractions import Fraction
 from math import sqrt
 from typing import Callable, Dict, Tuple
 
-from . import coding, experiments, maps, minkowski, operators, stochastic, trees
+# Each check imports the other package modules it uses in its body, so a
+# suite loads only the modules its checks run.
 from .core import (
     CAPS,
     ExtRat,
@@ -116,6 +117,7 @@ def _rand_word(r: random.Random, n: int) -> str:
 
 def _vertices(kind, first=1, last=12, permuted=False):
     """(k, x) for each vertex x of levels first..last of a tree, in level order."""
+    from . import trees
     spec = trees.TreeSpec(kind, permuted)
     for k in range(first, last + 1):
         for x in trees.level(spec, k):
@@ -196,6 +198,8 @@ def _c_floor_rank(r, seed):
 
 @_check("core.phi-mediant")
 def _c_phi_mediant(r, seed):
+    from . import coding
+
     for _ in range(10 ** 4):
         m = coding.matrix_from_word(_rand_word(r, r.randrange(0, 24)))
         a = ExtRat(m[0], m[2])
@@ -223,6 +227,8 @@ def _c_complement(r, seed):
 
 @_check("coding.word-determinant")
 def _c_word_det(r, seed):
+    from . import coding
+
     for _ in range(10 ** 4):
         w = _rand_word(r, r.randrange(0, 17))
         if coding.mat_det(coding.matrix_from_word(w)) != 1:
@@ -232,6 +238,8 @@ def _c_word_det(r, seed):
 
 @_check("coding.word-roundtrip")
 def _c_word_roundtrip(r, seed):
+    from . import coding
+
     for n, (_, x) in enumerate(_vertices("sb"), 1):
         w = coding.word_from_cf(cf_from_rat(x))
         if coding.rat_from_matrix(coding.matrix_from_word(w)) != x:
@@ -241,6 +249,8 @@ def _c_word_roundtrip(r, seed):
 
 @_check("coding.hat-involution")
 def _c_hat(r, seed):
+    from . import coding
+
     for n, (_, x) in enumerate(_vertices("sb"), 1):
         h = coding.hat(x)
         if coding.hat(h) != x or depth(h) != depth(x):
@@ -263,6 +273,8 @@ def _c_neighbors(r, seed):
 
 @_check("coding.pi-prefix")
 def _c_pi_prefix(r, seed):
+    from . import coding
+
     pts = [x for _, x in _vertices("sb", last=8)] + [_rand_rat(r, 16) for _ in range(500)]
     for x in pts:
         code = coding.pi_code(x)
@@ -274,6 +286,8 @@ def _c_pi_prefix(r, seed):
 
 @_check("coding.code-compare")
 def _c_code_cmp(r, seed):
+    from . import coding
+
     for _ in range(10 ** 4):
         x, y = _rand_rat(r, 16), _rand_rat(r, 16)
         want = (x > y) - (x < y)
@@ -286,6 +300,8 @@ def _c_code_cmp(r, seed):
 
 @_check("trees.permuted-is-hat")
 def _c_perm_hat(r, seed):
+    from . import coding, trees
+
     plain = trees.TreeSpec("sb", permuted=False)
     perm = trees.TreeSpec("sb", permuted=True)
     n = 0
@@ -300,6 +316,8 @@ def _c_perm_hat(r, seed):
 
 def _check_steps(name, orb):
     # orbits are read from tree levels, so check them against the one-step map too
+    from . import maps
+
     for i in range(1, len(orb)):
         if maps.apply(name, orb[i - 1]) != orb[i]:
             raise CheckFailure(f"{name} orbit entry {i} != {name}(entry {i - 1})")
@@ -307,6 +325,8 @@ def _check_steps(name, orb):
 
 @_check("trees.calkin-wilf")
 def _c_calkin_wilf(r, seed):
+    from . import maps, trees
+
     orb = maps.orbit("R", INF, (1 << 16) + 1)
     _check_steps("R", orb)
     b = [trees.hyperbinary(i) for i in range(1 << 16)]
@@ -346,6 +366,8 @@ def _c_den_chain(r, seed):
 
 @_check("trees.qmark-farey-to-dyadic")
 def _c_qmark_levels(r, seed):
+    from . import minkowski, trees
+
     fa = trees.TreeSpec("farey", permuted=False)
     dy = trees.TreeSpec("dyadic", permuted=False)
     for k in range(1, 13):
@@ -376,6 +398,8 @@ def _c_bijection(r, seed):
 
 @_check("minkowski.qmark-reflection")
 def _c_qmark_reflect(r, seed):
+    from . import minkowski
+
     one = minkowski.DY_ONE
     caps = replace(CAPS, exp=10 ** 6)  # ?(p/q) has fewer than q bits, q < 10^6
     for _ in range(10 ** 4):
@@ -388,6 +412,8 @@ def _c_qmark_reflect(r, seed):
 
 @_check("minkowski.rho-reflection")
 def _c_rho_reflect(r, seed):
+    from . import minkowski
+
     one = minkowski.DY_ONE
     caps = replace(CAPS, exp=1 << 25)  # rho(p/q) has fewer than p + q bits
     if minkowski.rho(ZERO) + minkowski.rho(INF) != one:
@@ -402,6 +428,8 @@ def _c_rho_reflect(r, seed):
 @_check("minkowski.mediant-average")
 def _c_mediant_avg(r, seed):
     # each stage's odd entries are the mediants of their two neighbors
+    from . import minkowski
+
     n = 0
     for stage in _stages(12):
         for a, m, b in zip(stage[::2], stage[1::2], stage[2::2]):
@@ -414,6 +442,8 @@ def _c_mediant_avg(r, seed):
 
 @_check("minkowski.monotone")
 def _c_monotone(r, seed):
+    from . import minkowski
+
     pts = sorted([ZERO, ONE, *(x for _, x in _vertices("farey", last=10))])
     vals = [minkowski.qmark(x) for x in pts]
     for a, b in zip(vals, vals[1:]):
@@ -424,6 +454,8 @@ def _c_monotone(r, seed):
 
 @_check("minkowski.farey-measure-invariance")
 def _c_farey_measure(r, seed):
+    from . import maps, minkowski
+
     def q(x: ExtRat) -> Fraction:
         return minkowski.qmark(x).as_fraction()
 
@@ -446,6 +478,8 @@ def _c_farey_measure(r, seed):
 
 @_check("minkowski.dilation")
 def _c_dilation(r, seed):
+    from . import minkowski
+
     x = ExtRat(2, 5)
     if minkowski.rho(x).as_fraction() != Fraction(3, 16):
         raise CheckFailure("rho(2/5) != 3/16")
@@ -467,6 +501,8 @@ def _c_dilation(r, seed):
 
 @_check("maps.invertible-roundtrip")
 def _c_inv_roundtrip(r, seed):
+    from . import maps
+
     for _ in range(10 ** 4):
         x, u = _rand_rat(r, 24), _rand_unit(r)
         for m, y in (("R", x), ("S", u), ("T", u)):
@@ -477,6 +513,8 @@ def _c_inv_roundtrip(r, seed):
 
 @_check("maps.counting-rows")
 def _c_counting(r, seed):
+    from . import maps, trees
+
     jobs = (
         ("R", INF, trees.TreeSpec("sb", permuted=True)),
         ("S", ONE, trees.TreeSpec("farey", permuted=True)),
@@ -494,6 +532,8 @@ def _c_counting(r, seed):
 
 @_check("maps.log-diffusion")
 def _c_log_diffusion(r, seed):
+    from . import maps
+
     orb = maps.orbit("R", INF, (1 << 16) + 1)
     best = ZERO
     for i in range(1, (1 << 16) + 1):
@@ -507,6 +547,8 @@ def _c_log_diffusion(r, seed):
 
 @_check("maps.conjugacy-residuals")
 def _c_conjugacies(r, seed):
+    from . import maps
+
     jobs = [(pair, x) for kind, pairs in (("sb", ("R-S", "G-F")), ("farey", ("S-T", "F-D")))
             for _, x in _vertices(kind) for pair in pairs]
     for pair, x in jobs:
@@ -519,6 +561,8 @@ def _c_conjugacies(r, seed):
 def _c_esse2(r, seed):
     # the case-split expansion assumes a successor term exists when a
     # subtraction empties one, which fails only at x = 1/2
+    from . import maps
+
     half = ExtRat(1, 2)
     done = 0
     while done < 10 ** 3:
@@ -541,6 +585,8 @@ def _c_esse2(r, seed):
 
 @_check("maps.g-retrace")
 def _c_g_retrace(r, seed):
+    from . import coding, maps
+
     for n, (k, x) in enumerate(_vertices("sb", first=2), 1):
         word = []
         y = x
@@ -556,6 +602,8 @@ def _c_g_retrace(r, seed):
 
 @_check("maps.indifferent-fixed-points")
 def _c_indifferent(r, seed):
+    from . import maps
+
     if maps.apply("F", ZERO) != ZERO or maps.apply("F", ONE) != ONE:
         raise CheckFailure("F does not fix 0 and 1")
     prev0 = prev1 = None
@@ -582,6 +630,8 @@ def _c_indifferent(r, seed):
 
 @_check("operators.row-stochastic")
 def _c_row_stochastic(r, seed):
+    from . import operators
+
     one = Fraction(1)
     pts = [ZERO, INF, ONE] + [_rand_rat(r, 24) for _ in range(10 ** 4)]
     for kind in ("MC0", "MC1"):
@@ -594,6 +644,8 @@ def _c_row_stochastic(r, seed):
 @_check("operators.p0-invariance")
 def _c_p0_invariance(r, seed):
     import numpy as np
+
+    from . import minkowski
 
     f = lambda a: np.exp(2j * np.pi * a)
     p0f = lambda a: 0.5 * np.exp(2j * np.pi * (a / (1.0 + a))) + 0.5 * np.exp(
@@ -648,6 +700,8 @@ def _c_p1_invariance(r, seed):
 
 @_check("operators.harmonicity")
 def _c_harmonicity(r, seed):
+    from . import operators
+
     pts = [ZERO, INF, ONE] + [_rand_rat(r, 20) for _ in range(10 ** 4)]
     two_thirds = Fraction(2, 3)
     const = lambda y: two_thirds
@@ -667,6 +721,8 @@ def _c_harmonicity(r, seed):
 
 @_check("operators.power-vs-monte-carlo")
 def _c_power_mc(r, seed):
+    from . import operators, stochastic
+
     n, walks = 12, 10 ** 5
     report = []
     for kind in ("MC0", "MC1"):
@@ -694,6 +750,8 @@ def _c_power_mc(r, seed):
 
 @_check("stochastic.symme")
 def _c_symme(r, seed):
+    from . import experiments
+
     for _ in range(10 ** 3):
         x = ExtRat(r.randrange(0, 50), r.randrange(1, 50))
         m = r.randrange(1, 13)
@@ -709,6 +767,8 @@ def _c_symme(r, seed):
 
 @_check("stochastic.letter-frequencies")
 def _c_letter_freq(r, seed):
+    from . import experiments, stochastic
+
     walks, horizon = 2000, 32
     ones = sum(int(letters.sum()) for letters in
                stochastic._letter_steps("MC0", ONE, 0, walks, horizon, seed))
@@ -738,6 +798,8 @@ def _c_letter_freq(r, seed):
 
 @_check("stochastic.worker-determinism")
 def _c_worker_det(r, seed):
+    from . import stochastic
+
     iv = (ExtRat(2, 5), ExtRat(3, 5))
     base = stochastic.walk_table("MC0", ONE, 2500, 200, seed, interval=iv, workers=1)
     for w in (2, 8):
@@ -750,6 +812,8 @@ def _c_worker_det(r, seed):
 
 @_check("stochastic.hitting")
 def _c_hitting(r, seed):
+    from . import experiments
+
     res = experiments.hitting_experiment((ExtRat(2, 5), ExtRat(3, 5)), 10 ** 4, 10 ** 3, seed)
     for a, b in zip(res.curve, res.curve[1:]):
         if b < a:
@@ -761,6 +825,8 @@ def _c_hitting(r, seed):
 
 @_check("stochastic.no-atoms-window")
 def _c_no_atoms(r, seed):
+    from . import experiments, operators, stochastic
+
     walks, horizon, window = 1000, 1 << 10, 64
     rep = experiments.martingale_check(
         "MC1",

@@ -25,6 +25,7 @@ from sternbrocot.maps import (
     orbit,
 )
 from sternbrocot.minkowski import (
+    DY_ONE,
     distribution_estimates,
     fourier_tree_mean,
     qmark,
@@ -200,15 +201,16 @@ def test_c05_question_mark_equations_and_inversion():
             u = x if x <= ONE else x.reciprocal()
             p, q = x.num, x.den
 
-            assert rho(x.reciprocal()) == 1 - rho(x)
-            assert rho(ExtRat(p, p + q)) == rho(x).half()
+            assert rho(x.reciprocal()) + rho(x) == DY_ONE
+            lo = rho(ExtRat(p, p + q))
+            assert lo + lo == rho(x)
             assert qmark(u) == rho(u) + rho(u)
             m = qmark(ExtRat(u.den - u.num, u.den))
-            assert m == 1 - qmark(u)
+            assert m + qmark(u) == DY_ONE
 
             a, b = parents(x)
             assert mediant(a, b) == x
-            assert rho(x) == (rho(a) + rho(b)).half()
+            assert rho(x) + rho(x) == rho(a) + rho(b)
 
             assert qmark_inv(qmark(u)) == u
             assert rho_inv(rho(x)) == x

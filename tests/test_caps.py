@@ -133,17 +133,37 @@ def _identifiers(tree):
     return out
 
 
+def _attributes(tree):
+    # every name a piece of code looks up as an attribute, the one way to call a method
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
 def test_every_public_definition_is_used():
     # a public top-level function or class must be exported, or named by
-    # the package outside its own definition, by a demo or by the benchmark
+    # the package outside its own definition, by a demo or by the benchmark;
+    # a public method of a package class must be looked up outside its own
+    # def by the package, a demo or the benchmark
     root = Path(__file__).resolve().parents[1]
     named = {n for _, names in sternbrocot._EXPORTS for n in names}
+    looked_up = set()
     for script in [*root.glob("demos/*.py"), *root.glob("bench/*.py")]:
-        named |= _identifiers(ast.parse(script.read_text(), str(script)))
+        tree = ast.parse(script.read_text(), str(script))
+        named |= _identifiers(tree)
+        looked_up |= _attributes(tree)
     top = [(mod.__name__, node, _identifiers(node)) for mod in MODULES for node in _tree(mod).body]
     unused = [
         f"{mod}.{node.name}" for mod, node, _ in top
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         and node.name not in named and not any(node.name in ids for _, other, ids in top if other is not node)
     ]
+    for mod, cls, _ in top:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        outside = looked_up.union(*(_attributes(other) for _, other, _ in top if other is not cls))
+        unused += [
+            f"{mod}.{cls.name}.{meth.name}" for meth in cls.body
+            if isinstance(meth, ast.FunctionDef) and not meth.name.startswith("_")
+            and meth.name not in outside
+            and not any(meth.name in _attributes(n) for n in cls.body if n is not meth)
+        ]
     assert unused == []

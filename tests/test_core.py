@@ -39,6 +39,11 @@ def euclid_cf(p: int, q: int) -> list[int]:
 
 
 rationals = st.tuples(st.integers(0, 10**6), st.integers(1, 10**6))
+# points with terms past 2^64, and the boundary 0/1 and 1/0
+wide_points = st.one_of(
+    st.sampled_from([(0, 1), (1, 0)]),
+    st.tuples(st.integers(0, 1 << 80), st.integers(1, 1 << 80)),
+)
 
 
 class TestExtRat:
@@ -73,18 +78,26 @@ class TestExtRat:
     def test_float_of_infinity(self):
         assert float(INF) == float("inf")
 
-    @given(rationals)
-    def test_hash_agrees_with_fraction(self, a):
-        x = ExtRat(*a)
-        assert hash(x) == hash(Fraction(*a))
-        assert Fraction(*a) in {x} and x in {Fraction(*a)}
+    def test_compares_only_with_extrat(self):
+        assert (ExtRat(1, 2) == Fraction(1, 2)) is False
+        assert (ExtRat(3) == 3) is False
+        with pytest.raises(TypeError):
+            ExtRat(1, 2) < 1
+        with pytest.raises(TypeError):
+            ExtRat(1, 2) >= Fraction(1, 3)
 
-    def test_hash_agrees_with_int_and_at_the_modulus(self):
-        assert 3 in {ExtRat(3)} and ZERO in {0}
-        m = 2**61 - 1  # the hash modulus on 64-bit builds
-        for num, den in ((1, m), (2, 3 * m), (m, 1), (5, m + 1), (1, 2**200)):
-            assert hash(ExtRat(num, den)) == hash(Fraction(num, den))
-        assert hash(INF) == hash(float("inf"))
+    @given(wide_points, st.integers(1, 1 << 70))
+    def test_equal_values_hash_equal(self, a, k):
+        # ExtRat reduces, so every multiple of a point is the same point
+        x = ExtRat(*a)
+        y = ExtRat(a[0] * k, a[1] * k)
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y, ExtRat._raw(x.num, x.den)}) == 1
+
+    def test_rejects_bool_operands(self):
+        for args in ((True, 2), (1, False), (True,)):
+            with pytest.raises(TypeError):
+                ExtRat(*args)
 
 
 class TestMediant:

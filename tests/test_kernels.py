@@ -71,9 +71,9 @@ def ref_depth(x):
 
 
 def ref_rank(x):
-    if x.is_infinite or x > 1:
+    if x.is_infinite or x > ONE:
         raise DomainError("rank is defined on [0, 1]")
-    if x.is_zero or x == 1:
+    if x.is_zero or x == ONE:
         return 0
     return ref_depth(x) - 1
 

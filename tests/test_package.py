@@ -38,7 +38,10 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
      {"coding", "stochastic", "experiments", "operators", "rng", "verify"}),
     (["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "3"], {"stochastic"},
      {"coding", "operators", "experiments", "minkowski", "accum", "maps", "verify"}),
-], ids=["version", "tree", "qmark", "qmark-inverse", "fourier", "enumerate", "simulate"])
+    (["verify", "--suite", "core", "--seed", "7"], {"verify", "coding", "trees"},
+     {"experiments", "maps", "stochastic", "operators", "minkowski", "accum", "rng"}),
+], ids=["version", "tree", "qmark", "qmark-inverse", "fourier", "enumerate", "simulate",
+        "verify-core"])
 def test_each_command_loads_only_the_modules_it_runs(argv, loaded, absent):
     code = ("import sys; from sternbrocot.cli import run; code = run(sys.argv[1:]); "
             "print(*sorted(m for m in sys.modules if m.startswith('sternbrocot.')), file=sys.stderr); "

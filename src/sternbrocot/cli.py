@@ -202,14 +202,16 @@ def _digit_rows(pieces, cols):
     for a nonempty block of int64 columns, as %d would write them.
 
     The rows are one (n, row width) uint8 matrix.  Its constant cells hold
-    the pieces; each field is right-aligned in cells as wide as the
-    block's longest value, one digit column per division by 10.  A mask
-    keeps the last digit, every digit from the first nonzero one on, and
-    the "-" of a negative value just before its first digit.
+    the pieces; each field is right-aligned in cells as wide as the block's
+    longest value, one digit column per uint32 division by 10: a magnitude
+    below 2^32 is cast once, a wider one split once into the 9-digit parts
+    v mod 10^9, v // 10^9 mod 10^9 and v // 10^18.
+    A mask keeps the last digit, every digit from the first nonzero one
+    on, and the "-" of a negative value just before its first digit.
     """
     import numpy as np
 
-    fields = []  # (magnitudes, negative rows or None, cells, digits every row has)
+    fields = []  # (uint32 parts, negative rows or None, cells, digits every row has)
     template = bytearray(pieces[0])
     for col, piece in zip(cols, pieces[1:]):
         lo, hi = int(col.min()), int(col.max())
@@ -217,30 +219,34 @@ def _digit_rows(pieces, cols):
         if lo < 0:  # negated in uint64, -2^63 has its magnitude 2^63
             neg = col < 0
             v = np.where(neg, -v, v)
-        cells = len(str(max(hi, -lo))) + (lo < 0)
-        fields.append((v, neg, cells, 1 if lo < 0 else len(str(lo))))
+        top = max(hi, -lo)
+        parts = [v] if top < 1 << 32 else [v % 10 ** 9, v // 10 ** 9 % 10 ** 9, v // 10 ** 18]
+        cells = len(str(top)) + (lo < 0)
+        fields.append(([p.astype(np.uint32) for p in parts], neg, cells, 1 if lo < 0 else len(str(lo))))
         template += bytes(cells) + piece
     n, row_width = len(cols[0]), len(template)
     text = np.frombuffer(template * n, np.uint8).reshape(n, row_width)
     keep = np.ones((n, row_width), bool)
-    end = len(pieces[0])
-    for (v, neg, cells, shared), piece in zip(fields, pieces[1:]):
-        end += cells
-        signed = neg  # the negative rows whose "-" is still to come
-        for i in range(cells):
-            at = end - 1 - i
-            q = v // 10
-            text[:, at] = v - q * 10 + 48
-            if i >= shared:  # every row has its digits below 10^shared
-                shown = v != 0
-                if neg is not None:
-                    sign = signed & ~shown
-                    signed = signed & shown
-                    text[sign, at] = 45  # "-"
-                    shown |= sign
-                keep[:, at] = shown
-            v = q
-        end += len(piece)
+    for r in range(0, n, 4096):  # a slab of rows, kept in cache by the strided column writes
+        rows, end = slice(r, r + 4096), len(pieces[0])
+        for (parts, neg, cells, shared), piece in zip(fields, pieces[1:]):
+            end += cells
+            for i in range(cells):
+                if i % 9 == 0 and i // 9 < len(parts):  # the next part starts
+                    v, higher = parts[i // 9][rows], parts[i // 9 + 1:]
+                    above = sum(part[rows] for part in higher) if higher else None  # > 0 if one is
+                at = end - 1 - i
+                q = v // 10
+                text[rows, at] = v - q * 10 + 48
+                if i >= shared:  # every row has its digits below 10^shared
+                    keep[rows, at] = v != 0 if above is None else (v | above) != 0
+                v = q
+            if neg is not None:  # a "-" just before each negative value's first digit
+                hit = np.flatnonzero(neg[rows])
+                at = end - 1 - sum(keep[rows, j] for j in range(end - cells, end))[hit]
+                text[rows][hit, at] = 45
+                keep[rows][hit, at] = True
+            end += len(piece)
     return str(text[keep], "ascii")  # decodes the kept cells in place, with no bytes copy
 
 

@@ -34,7 +34,7 @@ def rat_from_matrix(m) -> ExtRat:
 
 
 def matrix_from_word(word: str, caps: Caps = CAPS):
-    check_cap(caps, "word", len(word), "word length")
+    check_cap(caps, "exp", len(word), "word length")
     a, b, c, d = 1, 0, 0, 1  # matrices (a b; c d) as row-major tuples
     for ch in word:
         if ch == "L":  # m L adds the second column to the first
@@ -48,41 +48,23 @@ def matrix_from_word(word: str, caps: Caps = CAPS):
     return a, b, c, d
 
 
-def word_from_cf(terms: list[int]) -> str:
+def word_from_cf(terms: list[int], caps: Caps = CAPS) -> str:
     """Word of x = [a0; a1, ..., an]: blocks R^a0 L^a1 R^a2 ..., last block short one.
 
-    The word has length depth(x) - 1; x = 1 gets the empty word.
+    The word has length depth(x) - 1; x = 1 gets the empty word.  Its depth
+    N = a0 + ... + an, rho's N bits, is checked against caps.exp first.
     """
     _check_canonical(terms)
     if terms == [0]:
         raise DomainError("zero is an ancestor, not a vertex")
+    check_cap(caps, "exp", sum(terms), "word depth")
     exps = [*terms[:-1], terms[-1] - 1]
     return "".join(("R" if i % 2 == 0 else "L") * e for i, e in enumerate(exps))
 
 
-def _path(x: ExtRat) -> tuple[str, str]:
-    """(R^a0 L^a1 R^a2 ... X^an, X) for x = [a0; a1, ..., an] > 0: the full
-    blocks, read off the quotients as one Euclid pass yields them."""
-    if x.is_infinite:
-        raise DomainError("infinity has no continued fraction")
-    if x.is_zero:
-        raise DomainError("zero is an ancestor, not a vertex")
-    p, q = x.num, x.den
-    blocks = []
-    while True:
-        a, p = divmod(p, q)
-        blocks.append("R" * a)
-        if not p:
-            return "".join(blocks), "R"
-        a, q = divmod(q, p)
-        blocks.append("L" * a)
-        if not q:
-            return "".join(blocks), "L"
-
-
-def word_from_rat(x: ExtRat) -> str:
-    """The word of word_from_cf: the full blocks, the last one short one."""
-    return _path(x)[0][:-1]
+def word_from_rat(x: ExtRat, caps: Caps = CAPS) -> str:
+    """The word of word_from_cf, checked against caps.exp as it is."""
+    return word_from_cf(cf_from_rat(x), caps)
 
 
 def rat_from_word(word: str) -> ExtRat:
@@ -111,27 +93,16 @@ def hat(x: ExtRat) -> ExtRat:
     a(n-1), an - 1 from the letter R.  Reversed, its blocks are an - 1,
     a(n-1), ..., a1, a0 from the letter of the last block, so it addresses
     [an - 1; a(n-1), ..., a1, a0 + 1] when n is even and the reciprocal of
-    that when n is odd.  The continuant recurrence reads an expansion from
-    its end, here a0 + 1 first: it takes the quotients as one Euclid pass
-    yields them, and the last step's an becomes an - 1 by subtracting the
-    column before.  No word is built, so no cap applies.
+    that when n is odd; an integer's one block reverses to itself.  No
+    word is built, so no cap applies.
     """
-    if x.is_infinite:
-        raise DomainError("infinity has no continued fraction")
-    if x.is_zero:
+    terms = cf_from_rat(x)
+    if terms == [0]:
         raise DomainError("zero is an ancestor, not a vertex")
-    p, q = x.num, x.den
-    a, r = divmod(p, q)
-    h, k = a + 1, 1  # (h, k): first column of the continuant product
-    p, q = q, r
-    odd = False  # n odd
-    while q:
-        a, r = divmod(p, q)
-        h, k = a * h + k, h
-        p, q = q, r
-        odd = not odd
-    h -= k  # gcd(h - k, k) = gcd(h, k) = 1
-    return ExtRat._raw(k, h) if odd else ExtRat._raw(h, k)
+    if len(terms) == 1:
+        return x
+    v = _cf_value([terms[-1] - 1, *terms[-2:0:-1], terms[0] + 1])
+    return v.reciprocal() if len(terms) % 2 == 0 else v
 
 
 def children_cf(terms: list[int]) -> tuple[list[int], list[int]]:
@@ -147,9 +118,7 @@ def children_cf(terms: list[int]) -> tuple[list[int], list[int]]:
     if shorter[-2] == 0:  # only happens for x = 1, terms [1]
         shorter = [0, 2]
     longer = terms[:-1] + [terms[-1] + 1]
-    if (len(terms) - 1) % 2 == 0:
-        return shorter, longer
-    return longer, shorter
+    return (shorter, longer) if len(terms) % 2 else (longer, shorter)
 
 
 @dataclass(frozen=True)
@@ -172,19 +141,20 @@ class InfiniteCode:
         return self.tail
 
 
-def pi_code(x: ExtRat) -> InfiniteCode:
+def pi_code(x: ExtRat, caps: Caps = CAPS) -> InfiniteCode:
     """Infinite address of x in [0, infinity]: full blocks, opposite tail.
 
     pi(0) = (L)^inf, pi(infinity) = (R)^inf; for x = [a0; ..., an] the
-    prefix is R^a0 L^a1 ... (a_n letters in the last block) and the tail
-    is the letter the last block does not use.
+    prefix, word_from_cf's word and the last block's letter, is R^a0 L^a1
+    ... X^an, and the tail is the letter Y != X the last block does not use.
     """
     if x.is_infinite:
         return InfiniteCode("", "R")
     if x.is_zero:
         return InfiniteCode("", "L")
-    prefix, last = _path(x)
-    return InfiniteCode(prefix, "L" if last == "R" else "R")
+    terms = cf_from_rat(x)
+    last, tail = ("R", "L") if len(terms) % 2 else ("L", "R")
+    return InfiniteCode(word_from_cf(terms, caps) + last, tail)
 
 
 def code_compare(c1: InfiniteCode, c2: InfiniteCode) -> int:
@@ -195,9 +165,5 @@ def code_compare(c1: InfiniteCode, c2: InfiniteCode) -> int:
     strings ("L" < "R").
     """
     span = max(len(c1.prefix), len(c2.prefix)) + 1
-    s1, s2 = _spelled(c1, span), _spelled(c2, span)
+    s1, s2 = (c.prefix + c.tail * (span - len(c.prefix)) for c in (c1, c2))
     return (s1 > s2) - (s1 < s2)
-
-
-def _spelled(c: InfiniteCode, span: int) -> str:
-    return c.prefix + c.tail * (span - len(c.prefix))

@@ -45,8 +45,7 @@ class Caps:
     estimate: int = 20  # tree levels of an estimate: time, as the estimators stream
     # them; level_arrays/level_floats join one whole (~2^k * 8 B) per call, uncached
     orbit: int = 1 << 24  # orbit length: time for enumerate and fourier, which stream it
-    exp: int = 1 << 16  # bits of a dyadic or digit string: ?, rho, inverses, stacks, digits
-    word: int = 1 << 10  # letters of an {L, R} or 0/1 word
+    exp: int = 1 << 16  # length of a binary string: dyadic or digit bits, {L, R} or 0/1 letters
     walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)
     horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step
     power: int = 24  # steps of a Markov power: 2^n branch words, walked in O(n) memory
@@ -55,7 +54,7 @@ class Caps:
 
 CAPS = Caps()
 UNSAFE_CAPS = Caps(level=1 << 10, estimate=23, orbit=1 << 25, exp=1 << 20,
-                   word=1 << 16, walks=10 ** 7, horizon=1 << 22, power=26, freqs=1 << 16)
+                   walks=10 ** 7, horizon=1 << 22, power=26, freqs=1 << 16)
 
 # The trees and maps by name, here so the CLI parser needs no numpy module.
 # R, S and T (INVERTIBLE) walk the permuted trees of KINDS, in that order;

@@ -118,8 +118,8 @@ def simulate(
 def cylinder_prob(kind: str, x: ExtRat, word: Sequence[int], caps: Caps = CAPS) -> Fraction:
     """Exact probability that a walk from x begins with the given letters."""
     _check_chain(kind)
+    check_cap(caps, "exp", len(word), "word length")
     bits = tuple(int(b) for b in word)
-    check_cap(caps, "word", len(bits), "word length")
     if any(b not in (0, 1) for b in bits):
         raise ValueError("word must consist of 0/1 bits")
     y = x

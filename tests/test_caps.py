@@ -103,6 +103,26 @@ def test_no_unused_imports(mod):
                 assert bound in read, f"{mod.__name__}: {ast.unparse(node)}"
 
 
+# The functions that run Euclid's algorithm: every other continued fraction
+# is read from cf_from_rat's list, so a faster Euclid has three places to go.
+EUCLID = {"sternbrocot.core.cf_from_rat", "sternbrocot.core._quotient_sum", "sternbrocot.minkowski.rho"}
+
+
+def test_euclid_runs_only_in_its_owners():
+    found = set()
+    for mod in MODULES:
+        stack = [(mod.__name__, node) for node in _tree(mod).body]
+        while stack:
+            owner, node = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owner = f"{owner}.{node.name}"
+            elif isinstance(node, ast.While) and any(
+                    isinstance(n, ast.Call) and _name(n.func) == "divmod" for n in ast.walk(node)):
+                found.add(owner)
+            stack.extend((owner, child) for child in ast.iter_child_nodes(node))
+    assert found == EUCLID
+
+
 def test_cli_imports_numpy_only_inside_functions():
     # cli reaches numpy through trees alone, so making trees lazy in cli
     # is a change to one import line; a function body imports only when it runs

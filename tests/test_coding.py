@@ -1,11 +1,14 @@
 """Words over {L, R}, their matrices, and the infinite addresses."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
-from sternbrocot.core import CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, rat_from_cf
+from sternbrocot.core import (
+    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, cf_from_rat, rat_from_cf,
+)
 from sternbrocot.coding import (
     InfiniteCode,
     children_cf,
@@ -74,9 +77,11 @@ class TestWordsAndMatrices:
             assert len(word_from_rat(x)) == sum(cf_from_rat(x)) - 1
 
     def test_word_cap_is_a_cap(self):
-        assert matrix_from_word("L" * 1024)[2] == 1024
-        with pytest.raises(CapExceeded):
-            matrix_from_word("L" * 1025)
+        # caps.exp bounds a word's length, as it bounds every binary string
+        assert matrix_from_word("L" * (1 << 16))[2] == 1 << 16
+        with pytest.raises(CapExceeded, match=r"caps\.exp"):
+            matrix_from_word("L" * ((1 << 16) + 1))
+        assert matrix_from_word("L" * ((1 << 16) + 1), UNSAFE_CAPS)[2] == (1 << 16) + 1
 
     def test_rejects_bad_letters(self):
         with pytest.raises(DomainError):
@@ -85,6 +90,46 @@ class TestWordsAndMatrices:
     def test_zero_is_not_a_vertex(self):
         with pytest.raises(DomainError):
             word_from_cf([0])
+
+
+class TestSpelledWordsAreCapped:
+    """word_from_cf spells every word, after checking its depth N against caps.exp."""
+
+    DEEP = [
+        lambda caps: word_from_rat(ExtRat(1 << 42), caps),
+        lambda caps: pi_code(ExtRat(1 << 42), caps),
+        lambda caps: word_from_cf([0, 1 << 42], caps),
+    ]
+
+    @pytest.mark.parametrize("spell", DEEP, ids=["word_from_rat", "pi_code", "word_from_cf"])
+    def test_a_2_to_the_42_letter_word_is_refused_before_it_is_built(self, spell):
+        for caps, note in ((CAPS, "lifts it to 1048576"), (UNSAFE_CAPS, "already lifted")):
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceeded, match=r"caps\.exp: ") as info:
+                    spell(caps)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert note in str(info.value) and peak < 1 << 20
+
+    @pytest.mark.parametrize("caps", [CAPS, UNSAFE_CAPS], ids=["caps", "unsafe"])
+    def test_depth_at_the_cap_is_spelled_and_one_past_it_is_not(self, caps):
+        n = caps.exp
+        assert word_from_rat(ExtRat(n), caps) == "R" * (n - 1)
+        assert word_from_cf([0, n], caps) == "L" * (n - 1)
+        assert pi_code(ExtRat(1, n), caps) == InfiniteCode("L" * n, "R")
+        assert pi_code(ExtRat(n - 1, n), caps) == InfiniteCode("L" + "R" * (n - 1), "L")
+        for spell in (lambda: word_from_rat(ExtRat(n + 1), caps), lambda: word_from_cf([0, n + 1], caps),
+                      lambda: pi_code(ExtRat(1, n + 1), caps), lambda: pi_code(ExtRat(n, n + 1), caps)):
+            with pytest.raises(CapExceeded, match=rf"depth {n + 1} above the cap {n} \(caps\.exp"):
+                spell()
+
+    def test_the_cap_counts_depth_over_every_block(self):
+        # [1; 2, 3, ..., 361] has depth 65341, [1; 2, ..., 362] 65703
+        assert len(word_from_cf(list(range(1, 362)))) == 65340
+        with pytest.raises(CapExceeded, match="depth 65703"):
+            word_from_cf(list(range(1, 363)))
 
 
 class TestParents:

@@ -256,6 +256,8 @@ def test_streams_check_their_arguments_when_called(call, error):
 # --------------------------------------------- the int64 digit-matrix path
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+U32 = 1 << 32
+SLABS = 2 * 4096 + 3
 TENS = sorted({v for i in range(19) for v in (10 ** i - 1, 10 ** i)} | {INT64_MAX})
 
 
@@ -298,6 +300,18 @@ INT64_BLOCKS = {
     "zeros-and-negatives": i64([0, -1, -2, -9, -10, -99, -100, INT64_MIN, INT64_MIN + 1, 7],
                                [0] * 10,
                                [-1, 1, 0, INT64_MAX, INT64_MIN, -10 ** 18, 10 ** 18, -5, 55, 0]),
+    # where the digits switch from one uint32 to three 9-digit parts: a column whose
+    # magnitudes stop at 2^32 - 1 is cast once, one that reaches 2^32 is split
+    "uint32-edges": i64([0, U32 - 1, U32, 10 ** 18, INT64_MAX, INT64_MIN],
+                        [U32 - 1, 0, 1, 10, U32 - 1, 5],
+                        [U32, 0, U32 - 1, 10 ** 9, 10 ** 9 - 1, 1],
+                        [1 - U32, -U32, 0, -10 ** 18, 10 ** 18, -1],
+                        [10 ** 18, 10 ** 18 - 1, 10 ** 9, 10 ** 9 - 1, 10 ** 18 + 10 ** 9, 0]),
+    # 2 * 4096 + 3 rows, written a 4096-row slab at a time: a wide column, one
+    # whose negatives and widest value fall in the last slab, and a narrow one
+    "three-slabs": i64(np.arange(SLABS) * 10 ** 14,
+                       np.where(np.arange(SLABS) < 8192, np.arange(SLABS), 8191 - np.arange(SLABS) * U32),
+                       np.arange(SLABS) % 7),
     "one-row": i64([INT64_MIN], [0], [INT64_MAX]),
     "one-column": i64([3, 30, 300]),
 }
@@ -338,7 +352,7 @@ def test_mixed_stream_takes_each_blocks_path(fmt, digit_blocks):
 @settings(deadline=None, max_examples=150)
 @given(st.integers(1, 5).flatmap(lambda width: st.lists(
     st.lists(st.integers(INT64_MIN, INT64_MAX) | st.integers(-1000, 1000)
-             | st.sampled_from([0, INT64_MIN, INT64_MAX, *TENS]),
+             | st.sampled_from([0, INT64_MIN, INT64_MAX, U32 - 1, U32, *TENS]),
              min_size=width, max_size=width),
     max_size=30)), st.sampled_from(["csv", "json"]))
 def test_random_int64_blocks_match_row_writers(rows, fmt):

@@ -82,10 +82,11 @@ def _ref_blocks(exps):
     return "".join(("R" if i % 2 == 0 else "L") * e for i, e in enumerate(exps))
 
 
-def ref_word_from_rat(x):
+def ref_word_from_rat(x, caps=CAPS):
     terms = cf_from_rat(x)
     if terms == [0]:
         raise DomainError("zero is an ancestor, not a vertex")
+    check_cap(caps, "exp", sum(terms), "word depth")
     return _ref_blocks([*terms[:-1], terms[-1] - 1])
 
 
@@ -96,7 +97,7 @@ def ref_mat_mul(m, n):
 
 
 def ref_matrix_from_word(word, caps=CAPS):
-    check_cap(caps, "word", len(word), "word length")
+    check_cap(caps, "exp", len(word), "word length")
     m = (1, 0, 0, 1)
     for ch in word:
         if ch == "L":
@@ -108,15 +109,15 @@ def ref_matrix_from_word(word, caps=CAPS):
     return m
 
 
-# The references build the whole word, so they take the lifted word cap;
+# The references build the whole word, so they take the lifted caps.exp;
 # hat and parents build none and have no cap.
 
 def ref_hat(x):
-    return rat_from_matrix(ref_matrix_from_word(ref_word_from_rat(x)[::-1], UNSAFE_CAPS))
+    return rat_from_matrix(ref_matrix_from_word(ref_word_from_rat(x, UNSAFE_CAPS)[::-1], UNSAFE_CAPS))
 
 
 def ref_parents(x):
-    a, b, c, d = ref_matrix_from_word(ref_word_from_rat(x), UNSAFE_CAPS)
+    a, b, c, d = ref_matrix_from_word(ref_word_from_rat(x, UNSAFE_CAPS), UNSAFE_CAPS)
     return ExtRat(b, d), ExtRat(a, c)
 
 
@@ -126,6 +127,7 @@ def ref_pi_code(x):
     if x.is_zero:
         return InfiniteCode("", "L")
     terms = cf_from_rat(x)
+    check_cap(CAPS, "exp", sum(terms), "word depth")
     tail = "L" if (len(terms) - 1) % 2 == 0 else "R"
     return InfiniteCode(_ref_blocks(terms), tail)
 
@@ -292,8 +294,9 @@ def _near_bits(bits):
     return st.tuples(_exact_bits(bits), st.integers(max(1, bits - 16), bits + 16).flatmap(_exact_bits))
 
 
-# Points whose words have at most 2^21 letters: the words are built whole,
-# so a point like 2^40 would ask for a string of 2^40 letters.
+# Points whose words have at most 2^21 letters: the references build their
+# words whole, so a point like 2^40 would ask them for a string of 2^40
+# letters.  Past caps.exp = 2^16 both sides raise the same CapExceeded.
 coded_points = st.one_of(
     st.sampled_from([ZERO, ONE, INF]),
     st.integers(1, 1 << 21).map(ExtRat),
@@ -467,15 +470,29 @@ class TestCodings:
         assert outcome(word_from_rat, x) == outcome(ref_word_from_rat, x)
         assert outcome(pi_code, x) == outcome(ref_pi_code, x)
 
-    @given(st.text("LRX", max_size=40) | st.text("LR", min_size=1020, max_size=1030))
+    @given(st.text("LRX", max_size=40))
     def test_matrix_from_word(self, word):
         assert outcome(matrix_from_word, word) == outcome(ref_matrix_from_word, word)
 
-    @given(st.integers(1, 1030))
-    def test_hat_word_cap_edge(self, n):
-        # depth n, word length n - 1, on both sides of caps.word = 1024: hat has no cap
-        for x in (ExtRat(n), ExtRat(1, n + 1)):
-            assert outcome(hat, x) == outcome(ref_hat, x)
+    # words of 2^16 - 1, 2^16 and 2^16 + 1 letters, on both sides of caps.exp;
+    # a few blocks each, so the reference's entries grow linearly
+    CAP = 1 << 16
+    EDGE_WORDS = {
+        "R65535": "R" * (CAP - 1), "L65536": "L" * CAP, "R65537": "R" * (CAP + 1),
+        "L100-R65435-L": "L" * 100 + "R" * (CAP - 101) + "L", "RL50-R65436": "RL" * 50 + "R" * (CAP - 100),
+        "LR-L65535": "LR" + "L" * (CAP - 1), "R65536-X": "R" * CAP + "X", "R65535-X": "R" * (CAP - 1) + "X",
+    }
+
+    @pytest.mark.parametrize("word", EDGE_WORDS.values(), ids=EDGE_WORDS.keys())
+    def test_matrix_from_word_cap_edge(self, word):
+        assert outcome(matrix_from_word, word) == outcome(ref_matrix_from_word, word)
+
+    def test_hat_word_cap_edge(self):
+        # depths n and n + 1 (words of n - 1 and n letters) on both sides of
+        # caps.exp = 2^16: hat builds no word, so it has no cap
+        for n in (1, 2, self.CAP - 2, self.CAP - 1, self.CAP, self.CAP + 1, self.CAP + 2):
+            for x in (ExtRat(n), ExtRat(1, n + 1)):
+                assert outcome(hat, x) == outcome(ref_hat, x), n
 
     codes = st.builds(InfiniteCode, st.text("LR", max_size=40), st.sampled_from(["L", "R"]))
 
@@ -488,7 +505,7 @@ class TestCodings:
     @settings(deadline=None)
     @given(coded_points, coded_points)
     def test_code_compare_on_points(self, x, y):
-        c1, c2 = pi_code(x), pi_code(y)
+        c1, c2 = pi_code(x, WIDE), pi_code(y, WIDE)  # depths up to 2^21
         assert code_compare(c1, c2) == ref_code_compare(c1, c2)
 
 

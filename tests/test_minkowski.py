@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sternbrocot.accum import CHUNK, fsum_array
 from sternbrocot.core import (
@@ -253,6 +253,15 @@ def per_vertex_estimates(spec, k, x):
     return [Fraction(sum(counts[:d]), 1 << d) for d in range(1, k + 1)]
 
 
+# 50-60-bit points, from 0 to 2, whose products pass int64 from level 3 to 13
+# on, and points p/q of a low level and 2^-55/q off them
+LARGE_POINTS = st.one_of(
+    st.integers(50, 60).flatmap(lambda b: st.tuples(st.integers(1, 1 << b), st.integers(1 << (b - 1), 1 << b))),
+    st.tuples(st.integers(1, 64), st.integers(1, 64), st.sampled_from([-1, 0, 1])).map(
+        lambda pqe: ((pqe[0] << 55) + pqe[2], pqe[1] << 55)),
+).map(lambda pq: ExtRat(*pq))
+
+
 class TestDistribution:
     def test_counts_approximate_rho(self):
         # |rho(x) - count/2^k| <= 2^-k, exact arithmetic
@@ -279,10 +288,12 @@ class TestDistribution:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
     def test_large_points_match_a_per_vertex_count(self, spec):
         # every point and depth of one call.  Points come 4 to a chunk, and a
-        # chunk whose largest term t has t << j >= 2^63 takes exact object
-        # products on level j: the first and last chunks never do (terms below
-        # 2^51), the second does from level 8 on (a term past 2^55) and the
-        # third on every level (a term past 2^63)
+        # chunk whose largest term t has t << j >= 2^63 on level j counts its
+        # points x <= 1 against their Farey floors x_j, and takes exact object
+        # products if a point above 1 keeps it past int64: the first and last
+        # chunks never leave int64 (terms below 2^51), the second does from
+        # level 8 on (a term past 2^55) and the third on every level (a term
+        # past 2^63)
         r = random.Random(41)
         big = 1 << 40
         xs = [*(ExtRat(r.randrange(1, 999), r.randrange(1, 999)) for _ in range(4)),
@@ -293,6 +304,14 @@ class TestDistribution:
         k = 10
         got = distribution_estimates(spec, k, xs)
         assert got == [per_vertex_estimates(spec, k, x) for x in xs]
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.sampled_from(SPECS), st.lists(LARGE_POINTS, min_size=1, max_size=6), st.integers(1, 14))
+    def test_large_points_match_a_fraction_count(self, spec, xs, k):
+        levels = [[v.as_fraction() for v in level(spec, j)] for j in range(1, k + 1)]
+        for x, ests in zip(xs, distribution_estimates(spec, k, xs), strict=True):
+            counts = [sum(v <= x.as_fraction() for v in vs) for vs in levels]
+            assert ests == [Fraction(sum(counts[:d]), 1 << d) for d in range(1, k + 1)], x
 
     def test_no_points_give_no_estimates(self):
         assert distribution_estimates(TreeSpec("sb"), 5, []) == []

@@ -177,8 +177,12 @@ class TestCylinders:
                 cylinder_prob("MC7", ONE, w)
 
     def test_word_cap_and_bits(self):
-        with pytest.raises(CapExceeded):
-            cylinder_prob("MC0", ONE, [0] * ((1 << 10) + 1))
+        # caps.exp bounds the word's length, checked before the word is read
+        assert cylinder_prob("MC0", ONE, [0] * (1 << 16)) == Fraction(1, 1 << (1 << 16))
+        with pytest.raises(CapExceeded, match=r"word length 65537 above the cap 65536 \(caps\.exp"):
+            cylinder_prob("MC0", ONE, [0] * ((1 << 16) + 1))
+        with pytest.raises(CapExceeded, match=r"caps\.exp"):
+            cylinder_prob("MC1", ONE, range(1 << 42))
         with pytest.raises(ValueError):
             cylinder_prob("MC0", ONE, [0, 3])
 

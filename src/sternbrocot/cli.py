@@ -227,26 +227,25 @@ def _digit_rows(pieces, cols):
     n, row_width = len(cols[0]), len(template)
     text = np.frombuffer(template * n, np.uint8).reshape(n, row_width)
     keep = np.ones((n, row_width), bool)
-    for r in range(0, n, 4096):  # a slab of rows, kept in cache by the strided column writes
-        rows, end = slice(r, r + 4096), len(pieces[0])
-        for (parts, neg, cells, shared), piece in zip(fields, pieces[1:]):
-            end += cells
-            for i in range(cells):
-                if i % 9 == 0 and i // 9 < len(parts):  # the next part starts
-                    v, higher = parts[i // 9][rows], parts[i // 9 + 1:]
-                    above = sum(part[rows] for part in higher) if higher else None  # > 0 if one is
-                at = end - 1 - i
-                q = v // 10
-                text[rows, at] = v - q * 10 + 48
-                if i >= shared:  # every row has its digits below 10^shared
-                    keep[rows, at] = v != 0 if above is None else (v | above) != 0
-                v = q
-            if neg is not None:  # a "-" just before each negative value's first digit
-                hit = np.flatnonzero(neg[rows])
-                at = end - 1 - sum(keep[rows, j] for j in range(end - cells, end))[hit]
-                text[rows][hit, at] = 45
-                keep[rows][hit, at] = True
-            end += len(piece)
+    end = len(pieces[0])
+    for (parts, neg, cells, shared), piece in zip(fields, pieces[1:]):
+        end += cells
+        for i in range(cells):
+            if i % 9 == 0 and i // 9 < len(parts):  # the next part starts
+                v, higher = parts[i // 9], parts[i // 9 + 1:]
+                above = sum(higher) if higher else None  # > 0 if one is
+            at = end - 1 - i
+            q = v // 10
+            text[:, at] = v - q * 10 + 48
+            if i >= shared:  # every row has its digits below 10^shared
+                keep[:, at] = v != 0 if above is None else (v | above) != 0
+            v = q
+        if neg is not None:  # a "-" just before each negative value's first digit
+            hit = np.flatnonzero(neg)
+            at = end - 1 - keep[hit, end - cells:end].sum(axis=1)
+            text[hit, at] = 45
+            keep[hit, at] = True
+        end += len(piece)
     return str(text[keep], "ascii")  # decodes the kept cells in place, with no bytes copy
 
 

@@ -12,6 +12,8 @@ points are ordered.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
+from operator import mul
 
 from .core import (
     CAPS,
@@ -57,14 +59,21 @@ def word_from_cf(terms: list[int], caps: Caps = CAPS) -> str:
     _check_canonical(terms)
     if terms == [0]:
         raise DomainError("zero is an ancestor, not a vertex")
+    return _blocks(terms, caps)[:-1]
+
+
+def _blocks(terms: list[int], caps: Caps) -> str:
+    """The full blocks R^a0 L^a1 R^a2 ... of canonical terms other than [0]."""
     check_cap(caps, "exp", sum(terms), "word depth")
-    exps = [*terms[:-1], terms[-1] - 1]
-    return "".join(("R" if i % 2 == 0 else "L") * e for i, e in enumerate(exps))
+    return "".join(map(mul, cycle("RL"), terms))
 
 
 def word_from_rat(x: ExtRat, caps: Caps = CAPS) -> str:
     """The word of word_from_cf, checked against caps.exp as it is."""
-    return word_from_cf(cf_from_rat(x), caps)
+    terms = cf_from_rat(x)
+    if terms == [0]:
+        raise DomainError("zero is an ancestor, not a vertex")
+    return _blocks(terms, caps)[:-1]
 
 
 def rat_from_word(word: str) -> ExtRat:
@@ -145,16 +154,15 @@ def pi_code(x: ExtRat, caps: Caps = CAPS) -> InfiniteCode:
     """Infinite address of x in [0, infinity]: full blocks, opposite tail.
 
     pi(0) = (L)^inf, pi(infinity) = (R)^inf; for x = [a0; ..., an] the
-    prefix, word_from_cf's word and the last block's letter, is R^a0 L^a1
-    ... X^an, and the tail is the letter Y != X the last block does not use.
+    prefix is the full blocks R^a0 L^a1 ... X^an, word_from_cf's word and
+    the last block's letter, and the tail is the letter Y != X.
     """
     if x.is_infinite:
         return InfiniteCode("", "R")
     if x.is_zero:
         return InfiniteCode("", "L")
     terms = cf_from_rat(x)
-    last, tail = ("R", "L") if len(terms) % 2 else ("L", "R")
-    return InfiniteCode(word_from_cf(terms, caps) + last, tail)
+    return InfiniteCode(_blocks(terms, caps), "L" if len(terms) % 2 else "R")
 
 
 def code_compare(c1: InfiniteCode, c2: InfiniteCode) -> int:

@@ -34,7 +34,6 @@ from .core import (
     ExtRat,
     _cf_value,
     _quotient_sum,
-    cf_from_rat,
     check_cap,
     phi,
     phi_inv,
@@ -279,48 +278,22 @@ def distribution_estimates(spec: TreeSpec, k: int, xs: Sequence[ExtRat],
     """For each x in xs, the shares of levels 1..d at or below x, out of 2^d,
     for d = 1..k, from one stream of levels 1..k.  Each block meets
     POINT_CHUNK points at once in the outer product p*xd <= xn*q (1/0 needs
-    no special case) on the columns of _point_columns."""
+    no special case): in int64 while the chunk's largest term t has
+    t << j < 2^63 on level j, whose entries are at most 2^j (see
+    level_blocks), and in Python ints past that."""
     if k < 1:
         raise DomainError("levels start at 1")
     check_cap(caps, "estimate", k, "distribution estimate level")
+    nd = np.array([[x.num for x in xs], [x.den for x in xs]], object)[..., None]
     starts = range(0, len(xs), POINT_CHUNK)
     counts = np.zeros((len(xs), k), dtype=np.int64)
     for j in range(1, k + 1):
-        chunks = [_point_columns(xs[i:i + POINT_CHUNK], j) for i in starts]
+        chunks = [nd[:, i:i + POINT_CHUNK] for i in starts]
+        chunks = [c.astype(np.int64) if c.max() << j < 1 << 63 else c for c in chunks]
         for p, q in trees.level_blocks(spec, j, caps):
             for i, (xn, xd) in zip(starts, chunks):
                 counts[i:i + POINT_CHUNK, j - 1] += np.count_nonzero(p * xd <= xn * q, axis=1)
     return [[Fraction(c, 1 << d) for d, c in enumerate(cs, 1)] for cs in counts.cumsum(1).tolist()]
-
-
-def _point_columns(xs, j):
-    """(num, den) columns of points for level j, int64 while the largest term
-    t has t << j < 2^63.  Past that, up to level 31, an x <= 1 gives way to
-    x_j = _farey_floor(x, 2^j): level j's terms are at most 2^j (see
-    level_blocks), so an entry is <= x exactly when it is <= x_j, and the
-    products stay below 2^63.  Otherwise the products take Python ints."""
-    if max(max(x.num, x.den) for x in xs) << j >= 1 << 63 and j <= 31:
-        xs = [_farey_floor(x, 1 << j) if x.num <= x.den else x for x in xs]
-    cols = [[x.num for x in xs], [x.den for x in xs]]
-    return np.array(cols, object if max(map(max, cols)) << j >= 1 << 63 else np.int64)[..., None]
-
-
-def _farey_floor(x: ExtRat, n: int) -> ExtRat:
-    """The largest c/d <= x with d <= n, for a finite x.  The Stern-Brocot
-    descent to x moves its bounds l < x < r a continued fraction block at a
-    time, through the convergents and semiconvergents, and stops in the
-    block that would take a denominator past n: no fraction with one at
-    most n lies between the neighbours l and r then."""
-    if x.den <= n:
-        return x
-    bounds = [[0, 1], [1, 0]]  # l and r as [num, den]
-    for i, a in enumerate(cf_from_rat(x)):
-        move, by = bounds[i % 2], bounds[1 - i % 2]  # l by r for even i, r by l for odd
-        t = min(a, (n - move[1]) // by[1]) if by[1] else a
-        move[0] += t * by[0]
-        move[1] += t * by[1]
-        if t < a:  # always reached, as x.den > n
-            return ExtRat._raw(*bounds[0])
 
 
 def stieltjes_means(

@@ -277,9 +277,19 @@ def _c_pi_prefix(r, seed):
 
     pts = [x for _, x in _vertices("sb", last=8)] + [_rand_rat(r, 16) for _ in range(500)]
     for x in pts:
-        code = coding.pi_code(x)
-        w = coding.word_from_cf(cf_from_rat(x))
-        if "".join(code.letter(i) for i in range(len(w))) != w:
+        # x's path from the root 1/1 between the parents 0/1 and 1/0: L while
+        # x is below the mediant, R while above, until the mediant is x
+        (a, b), (c, d), word = (0, 1), (1, 0), []
+        while side := x.num * (b + d) - (a + c) * x.den:
+            if side > 0:
+                a, b = a + c, b + d
+            else:
+                c, d = a + c, b + d
+            word.append("R" if side > 0 else "L")
+        # then one turn and the other turn forever, the two ways down to x
+        code, n = coding.pi_code(x), len(word)
+        letters = [code.letter(i) for i in range(n + 2)]
+        if len(code.prefix) != n + 1 or letters[:n] != word or letters[n] == letters[n + 1]:
             raise CheckFailure(f"pi prefix mismatch at {x}")
     return f"pi-code prefix equals tree word on {len(pts)} rationals"
 

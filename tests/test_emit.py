@@ -257,7 +257,6 @@ def test_streams_check_their_arguments_when_called(call, error):
 
 INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
 U32 = 1 << 32
-SLABS = 2 * 4096 + 3
 TENS = sorted({v for i in range(19) for v in (10 ** i - 1, 10 ** i)} | {INT64_MAX})
 
 
@@ -307,11 +306,6 @@ INT64_BLOCKS = {
                         [U32, 0, U32 - 1, 10 ** 9, 10 ** 9 - 1, 1],
                         [1 - U32, -U32, 0, -10 ** 18, 10 ** 18, -1],
                         [10 ** 18, 10 ** 18 - 1, 10 ** 9, 10 ** 9 - 1, 10 ** 18 + 10 ** 9, 0]),
-    # 2 * 4096 + 3 rows, written a 4096-row slab at a time: a wide column, one
-    # whose negatives and widest value fall in the last slab, and a narrow one
-    "three-slabs": i64(np.arange(SLABS) * 10 ** 14,
-                       np.where(np.arange(SLABS) < 8192, np.arange(SLABS), 8191 - np.arange(SLABS) * U32),
-                       np.arange(SLABS) % 7),
     "one-row": i64([INT64_MIN], [0], [INT64_MAX]),
     "one-column": i64([3, 30, 300]),
 }

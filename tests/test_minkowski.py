@@ -288,12 +288,10 @@ class TestDistribution:
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
     def test_large_points_match_a_per_vertex_count(self, spec):
         # every point and depth of one call.  Points come 4 to a chunk, and a
-        # chunk whose largest term t has t << j >= 2^63 on level j counts its
-        # points x <= 1 against their Farey floors x_j, and takes exact object
-        # products if a point above 1 keeps it past int64: the first and last
-        # chunks never leave int64 (terms below 2^51), the second does from
-        # level 8 on (a term past 2^55) and the third on every level (a term
-        # past 2^63)
+        # chunk whose largest term t has t << j >= 2^63 takes exact object
+        # products on level j: the first and last chunks never do (terms below
+        # 2^51), the second does from level 8 on (a term past 2^55) and the
+        # third on every level (a term past 2^63)
         r = random.Random(41)
         big = 1 << 40
         xs = [*(ExtRat(r.randrange(1, 999), r.randrange(1, 999)) for _ in range(4)),

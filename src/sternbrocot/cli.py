@@ -154,13 +154,14 @@ _ROWS_KEY = '\n  "rows": []'  # unique: a newline inside a JSON string is escape
 def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     """Write an all-integer table given as blocks of equal-length columns.
 
-    A block whose columns are all int64 arrays is written by _digit_rows
-    from one matrix of digits; any other block (lists, ranges, object
-    arrays of Python ints) with one %-format.  Either way the bytes are
-    those _emit writes for the same rows: csv.writer's, or json.dump's
-    with indent=2, whose document head and tail (meta, columns, extra
-    keys) come from json.dumps itself.  extra, if given, is called after
-    the last block for the JSON keys that follow the rows.
+    A block whose columns are all int64 arrays with no negative entry is
+    written by _digit_rows from one matrix of digits; any other block
+    (lists, ranges, object arrays of Python ints, signed int64 columns)
+    with one %-format.  Either way the bytes are those _emit writes for
+    the same rows: csv.writer's, or json.dump's with indent=2, whose
+    document head and tail (meta, columns, extra keys) come from
+    json.dumps itself.  extra, if given, is called after the last block
+    for the JSON keys that follow the rows.
     """
     width = len(columns)
     as_json = args.format == "json"
@@ -181,7 +182,8 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
         count = 0
         for cols in blocks:
             n = len(cols[0])
-            if n and all(getattr(col, "dtype", None) == "int64" for col in cols):
+            if n and all(getattr(col, "dtype", None) == "int64" and col.min() >= 0
+                         for col in cols):
                 text = _digit_rows(pieces, cols)
             else:
                 cells = [0] * (n * width)
@@ -199,36 +201,30 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
 
 def _digit_rows(pieces, cols):
     """The text of n rows, pieces[0] col0 pieces[1] col1 ... pieces[-1],
-    for a nonempty block of int64 columns, as %d would write them.
+    for a nonempty block of nonnegative int64 columns, as %d would write them.
 
     The rows are one (n, row width) uint8 matrix.  Its constant cells hold
     the pieces; each field is right-aligned in cells as wide as the block's
-    longest value, one digit column per uint32 division by 10: a magnitude
+    largest value, one digit column per uint32 division by 10: a value
     below 2^32 is cast once, a wider one split once into the 9-digit parts
     v mod 10^9, v // 10^9 mod 10^9 and v // 10^18.
-    A mask keeps the last digit, every digit from the first nonzero one
-    on, and the "-" of a negative value just before its first digit.
+    A mask keeps the last digit and every digit from the first nonzero one on.
     """
     import numpy as np
 
-    fields = []  # (uint32 parts, negative rows or None, cells, digits every row has)
+    fields = []  # (uint32 parts, cells, digits every row has)
     template = bytearray(pieces[0])
     for col, piece in zip(cols, pieces[1:]):
         lo, hi = int(col.min()), int(col.max())
-        v, neg = col.view(np.uint64), None
-        if lo < 0:  # negated in uint64, -2^63 has its magnitude 2^63
-            neg = col < 0
-            v = np.where(neg, -v, v)
-        top = max(hi, -lo)
-        parts = [v] if top < 1 << 32 else [v % 10 ** 9, v // 10 ** 9 % 10 ** 9, v // 10 ** 18]
-        cells = len(str(top)) + (lo < 0)
-        fields.append(([p.astype(np.uint32) for p in parts], neg, cells, 1 if lo < 0 else len(str(lo))))
+        parts = [col] if hi < 1 << 32 else [col % 10 ** 9, col // 10 ** 9 % 10 ** 9, col // 10 ** 18]
+        cells = len(str(hi))
+        fields.append(([p.astype(np.uint32) for p in parts], cells, len(str(lo))))
         template += bytes(cells) + piece
     n, row_width = len(cols[0]), len(template)
     text = np.frombuffer(template * n, np.uint8).reshape(n, row_width)
     keep = np.ones((n, row_width), bool)
     end = len(pieces[0])
-    for (parts, neg, cells, shared), piece in zip(fields, pieces[1:]):
+    for (parts, cells, shared), piece in zip(fields, pieces[1:]):
         end += cells
         for i in range(cells):
             if i % 9 == 0 and i // 9 < len(parts):  # the next part starts
@@ -240,11 +236,6 @@ def _digit_rows(pieces, cols):
             if i >= shared:  # every row has its digits below 10^shared
                 keep[:, at] = v != 0 if above is None else (v | above) != 0
             v = q
-        if neg is not None:  # a "-" just before each negative value's first digit
-            hit = np.flatnonzero(neg)
-            at = end - 1 - keep[hit, end - cells:end].sum(axis=1)
-            text[hit, at] = 45
-            keep[hit, at] = True
         end += len(piece)
     return str(text[keep], "ascii")  # decodes the kept cells in place, with no bytes copy
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import total_ordering
 from itertools import repeat
 from math import gcd, inf
 
@@ -77,6 +78,7 @@ def check_cap(caps: Caps, field: str, size: int, what: str) -> None:
     raise CapExceeded(f"{what} {size} above the cap {cap} (caps.{field}: {note})")
 
 
+@total_ordering
 class ExtRat:
     """Reduced fraction p/q with p, q >= 0; 1/0 represents infinity."""
 
@@ -142,7 +144,8 @@ class ExtRat:
 
     # Each comparison takes another ExtRat only: both are reduced, so equal
     # values have equal fields, and cross multiplication covers 1/0, which
-    # compares above everything.
+    # compares above everything.  total_ordering derives <=, > and >= from
+    # < and ==, and passes NotImplemented on.
 
     def __eq__(self, other):
         if type(other) is not ExtRat:
@@ -153,21 +156,6 @@ class ExtRat:
         if type(other) is not ExtRat:
             return NotImplemented
         return self.num * other.den < other.num * self.den
-
-    def __le__(self, other):
-        if type(other) is not ExtRat:
-            return NotImplemented
-        return self.num * other.den <= other.num * self.den
-
-    def __gt__(self, other):
-        if type(other) is not ExtRat:
-            return NotImplemented
-        return self.num * other.den > other.num * self.den
-
-    def __ge__(self, other):
-        if type(other) is not ExtRat:
-            return NotImplemented
-        return self.num * other.den >= other.num * self.den
 
     def __hash__(self):
         return hash((self.num, self.den))

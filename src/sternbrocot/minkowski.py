@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import total_ordering
 from math import fsum
 from typing import Callable, Sequence
 
@@ -43,6 +44,7 @@ from .trees import TreeSpec
 _SB = TreeSpec("sb")
 
 
+@total_ordering
 class Dyadic:
     """Exact dyadic rational num/2^exp, kept with num odd or exp = 0.
 
@@ -127,31 +129,11 @@ class Dyadic:
             return NotImplemented
         return self.num == other.num and self.exp == other.exp
 
-    def _cmp(self, other):
-        m = max(self.exp, other.exp)
-        a = self.num << (m - self.exp)
-        b = other.num << (m - other.exp)
-        return (a > b) - (a < b)
-
     def __lt__(self, other):
         if type(other) is not Dyadic:
             return NotImplemented
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        if type(other) is not Dyadic:
-            return NotImplemented
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        if type(other) is not Dyadic:
-            return NotImplemented
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        if type(other) is not Dyadic:
-            return NotImplemented
-        return self._cmp(other) >= 0
+        m = max(self.exp, other.exp)
+        return self.num << (m - self.exp) < other.num << (m - other.exp)
 
     def __add__(self, other):
         if type(other) is not Dyadic:

@@ -10,10 +10,11 @@ generated directly by the descendant rules
     farey:   p/q -> p/(p+q), q/(2q-p)
     dyadic:  p/q -> p/(2q), (p+q)/(2q)
 
-Levels are streamed left to right in blocks of up to 4096 entries: a
-depth-first walk reaches each vertex 13 levels above the target and
-expands its subtree, two blocks, as int64 columns, exact up to level 62
-(see level_blocks), so level 24 never needs the whole tree in memory.
+Levels are streamed left to right in blocks of up to 4096 entries: each
+vertex 13 levels above the target is reached from the root by the bits of
+its index and its subtree expanded, two blocks, as int64 columns, exact up
+to level 62 (see level_blocks), so level 24 never needs the whole tree in
+memory.
 A level can also be streamed from any index, as the orbits of R, S and
 T are.  level_blocks and level check their arguments when called, before
 any block is asked for.  The tree estimators (the distribution counts,
@@ -107,11 +108,12 @@ INT64_LEVEL = 62
 def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
     """Level k as (num, den) column blocks, left to right.
 
-    A depth-first walk visits the vertices of level k - c, with
-    c = min(BLOCK_LEVELS + BATCH_LEVELS, k - 1), and expands the subtree
-    under each one c levels at once, one _child_cols call a level for a
-    whole batch of block roots; its 2^c leaves are cut into blocks of up to
-    2^BLOCK_LEVELS entries, aligned to multiples of that size in the level.
+    Each vertex of level k - c, with c = min(BLOCK_LEVELS + BATCH_LEVELS,
+    k - 1), is reached from the root by the bits of its index, and the
+    subtree under it is expanded c levels at once, one _child_cols call a
+    level for a whole batch of block roots; its 2^c leaves are cut into
+    blocks of up to 2^BLOCK_LEVELS entries, aligned to multiples of that
+    size in the level.
 
     The arithmetic is exact in int64 up to level INT64_LEVEL.  Each child
     rule builds its entries from p + q, 2q, 2q - p and 2p +- 1 with p < q
@@ -135,30 +137,18 @@ def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
 
 def _level_from(spec, k, start):
     """level_blocks from index start (0 is the leftmost) of level k, unchecked,
-    for orbits that run past caps.level.  The walk is pruned to the path down
-    to the batch holding start, and the first block begins at start."""
+    for orbits that run past caps.level.  Each batch root is reached from the
+    root by the bits of its index in its level, most significant first (L = 0,
+    R = 1), and the first block begins at start."""
     c = min(BLOCK_LEVELS + BATCH_LEVELS, k - 1)
     size = 1 << min(BLOCK_LEVELS, c)
     dtype = np.int64 if k <= INT64_LEVEL else object
     top = k - c  # the level of the batch roots
-    batch = start >> c
-    stack, s = [], _root_state(spec)
-    for d in range(1, top):  # down to the batch holding start; later siblings wait
-        left, right = _children(spec, s)
-        if batch >> (top - 1 - d) & 1:
-            s = right
-        else:
-            stack.append((d + 1, right))
-            s = left
-    stack.append((top, s))
     lo = start & ((1 << c) - 1)
-    while stack:
-        d, s = stack.pop()
-        if d < top:
-            left, right = _children(spec, s)
-            stack.append((d + 1, right))
-            stack.append((d + 1, left))
-            continue
+    for batch in range(start >> c, 1 << (top - 1)):
+        s = _root_state(spec)
+        for d in range(top - 2, -1, -1):
+            s = _children(spec, s)[batch >> d & 1]
         cols = _cols(s, dtype)
         for _ in range(c):
             cols = _child_cols(spec, cols)

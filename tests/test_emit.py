@@ -308,6 +308,13 @@ INT64_BLOCKS = {
                         [10 ** 18, 10 ** 18 - 1, 10 ** 9, 10 ** 9 - 1, 10 ** 18 + 10 ** 9, 0]),
     "one-row": i64([INT64_MIN], [0], [INT64_MAX]),
     "one-column": i64([3, 30, 300]),
+    # the same widths and edges with no negative entry
+    "powers-of-ten-unsigned": i64(TENS, TENS[::-1]),
+    "uint32-edges-unsigned": i64([0, U32 - 1, U32, 10 ** 18, INT64_MAX, 0],
+                                 [U32 - 1, 0, 1, 10, U32 - 1, 5],
+                                 [U32, 0, U32 - 1, 10 ** 9, 10 ** 9 - 1, 1],
+                                 [10 ** 18, 10 ** 18 - 1, 10 ** 9, 10 ** 9 - 1,
+                                  10 ** 18 + 10 ** 9, 0]),
 }
 
 
@@ -319,7 +326,12 @@ def test_int64_blocks_match_row_writers(name, fmt, digit_blocks):
     # the block alone, and after an empty block and a one-row block
     for blocks in ([cols], [i64(*[[]] * len(cols)), tuple(c[:1] for c in cols), cols]):
         assert emit_blocks(fmt, columns, blocks) == want_bytes(fmt, columns, blocks)
-    assert digit_blocks == [len(cols[0]), 1, len(cols[0])]
+    # only blocks with no negative entry take the matrix: of the signed cases,
+    # only the first row of powers-of-ten (0, 2^63 - 1, 0) has none
+    n = len(cols[0])
+    routed = {"powers-of-ten": [1], "zeros-and-negatives": [], "uint32-edges": [],
+              "one-row": []}
+    assert digit_blocks == routed.get(name, [n, 1, n])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -334,13 +346,32 @@ def test_mixed_stream_takes_each_blocks_path(fmt, digit_blocks):
     big = 1 << 70
     blocks = [
         (range(0, 3), [5, 6, 7], [-1, 0, big]),  # lists and ranges: %d
-        i64([3, 4], [10, 11], [12, -13]),  # all int64: the matrix
+        i64([3, 4], [10, 11], [12, -13]),  # signed int64: %d
+        i64([3, 4], [10, 11], [12, 13]),  # nonnegative int64: the matrix
         (np.arange(5, 7), np.array([big, -big], dtype=object), np.array([1, 2])),  # object: %d
-        i64([7], [INT64_MIN], [INT64_MAX]),
+        i64([7], [INT64_MIN], [INT64_MAX]),  # signed int64: %d
+        i64([7], [0], [INT64_MAX]),  # the matrix
         (np.arange(8, 10), np.array([1, 2], dtype=np.int32), np.array([3, 4])),  # int32: %d
     ]
     assert emit_blocks(fmt, ("i", "num", "den"), blocks) == want_bytes(fmt, ("i", "num", "den"), blocks)
     assert digit_blocks == [2, 1]
+
+
+@pytest.mark.parametrize("argv,rows", [
+    *[(["tree", "--kind", kind, "--depth", "15"] + ["--permuted"] * permuted, 1 << 14)
+      for kind, permuted in SPECS],
+    (["enumerate", "--map", "R", "--start", "1/0", "--count", "10000"], 10000),
+    (["enumerate", "--map", "S", "--start", "1", "--count", "10000"], 10000),
+    (["enumerate", "--map", "T", "--start", "1/1", "--count", "10000"], 10000),
+    (["enumerate", "--map", "T", "--start", "1/3", "--count", "10000"], 10000),
+    (["simulate", "--chain", "mc1", "--walks", "5000", "--horizon", "8", "--interval", "2/5,3/5"], 0),
+], ids=[f"tree-{kind}{'-permuted' * permuted}" for kind, permuted in SPECS]
+    + ["enumerate-R", "enumerate-S", "enumerate-T", "enumerate-T-odometer", "simulate"])
+def test_commands_route_their_blocks(argv, rows, digit_blocks, tmp_path):
+    # tree and enumerate write indices and reduced p, q >= 0 in int64, all on
+    # the digit matrix; simulate's blocks are lists
+    assert run(argv + ["--output", str(tmp_path / "out.csv")]) == 0
+    assert sum(digit_blocks) == rows
 
 
 @settings(deadline=None, max_examples=150)
@@ -353,5 +384,6 @@ def test_random_int64_blocks_match_row_writers(rows, fmt):
     width = len(rows[0]) if rows else 1
     cols = tuple(np.array([r[j] for r in rows], dtype=np.int64) for j in range(width))
     columns = tuple(f"c{j}" for j in range(width))
-    blocks = [cols, tuple(c[::-1] for c in cols)]
+    # the last block maps each negative v to -v - 1, so the matrix sees these rows too
+    blocks = [cols, tuple(c[::-1] for c in cols), tuple(np.where(c < 0, ~c, c) for c in cols)]
     assert emit_blocks(fmt, columns, blocks) == want_bytes(fmt, columns, blocks)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,15 @@ FAREY = TreeSpec("farey")
 DYADIC = TreeSpec("dyadic")
 SPECS = tuple(TreeSpec(kind, permuted) for kind in ("sb", "farey", "dyadic")
               for permuted in (False, True))
+
+
+def vertex_at(spec, k, i):
+    """(num, den) of the vertex at index i of level k: the Python-int walk from
+    the root by the k - 1 bits of i, most significant first (L = 0, R = 1)."""
+    x = ONE if spec.kind == "sb" else ExtRat(1, 2)
+    for d in range(k - 2, -1, -1):
+        x = descendants(spec, x)[i >> d & 1]
+    return x.num, x.den
 
 
 def mediant_stage_oracle(k: int, ancestors) -> list[list[tuple[int, int]]]:
@@ -182,18 +192,59 @@ class TestLevelArrays:
         assert not trees._STATE_CACHE and not trees._FLOAT_CACHE
 
     def test_blocks_from_a_start_index(self):
-        # level 16 is one batch of four 4096-entry blocks; start anywhere in it
+        # level 16 is four batches of two 4096-entry blocks; start anywhere in
+        # it, at the block and batch seams, and in the last batch
         rng = random.Random(17)
         for spec in SPECS:
-            for k in (1, 2, 13, 16, 18):
-                whole = list(level(spec, k))
-                for start in {0, len(whole) - 1, rng.randrange(len(whole))}:
+            for k in (1, 2, 13, 14, 16, 18, 20):
+                num, den = level_arrays(spec, k)
+                starts = {0, num.size - 1, rng.randrange(num.size)}
+                if k in (14, 16, 20):  # 8192 and 8193 are past the end of level 14
+                    starts |= {8191, 8192, 8193, max(num.size - (2 << trees.BLOCK_LEVELS), 0)}
+                for start in sorted(starts):
+                    if start < num.size:
+                        assert (num[start], den[start]) == vertex_at(spec, k, start)
                     blocks = list(trees._level_from(spec, k, start))
-                    got = [ExtRat._raw(p, q) for num, den in blocks
-                           for p, q in zip(num.tolist(), den.tolist())]
-                    assert got == whole[start:], (spec, k, start)
+                    for j, want in enumerate((num, den)):
+                        got = [block[j] for block in blocks]
+                        assert np.array_equal(np.concatenate(got) if got else [], want[start:]), (
+                            spec, k, start)
                     # blocks after the first end on multiples of 4096
-                    assert all(len(num) == 4096 for num, _ in blocks[1:-1])
+                    assert all(len(n) == 4096 for n, _ in blocks[1:-1])
+
+    @pytest.mark.parametrize("k", [40, 62, 63])
+    def test_deep_starts_reach_their_vertex(self, k):
+        rng = random.Random(k)
+        width = 1 << (k - 1)
+        for spec in SPECS:
+            for start in (rng.randrange(width), width - 4097, width - 1):
+                blocks = trees._level_from(spec, k, start)
+                num, den = next(blocks)
+                assert len(num) == 4096 - start % 4096
+                assert num.dtype == (np.int64 if k <= trees.INT64_LEVEL else object)
+                end = start + len(num)
+                got = [(num[0], den[0]), (num[-1], den[-1])]
+                assert got == [vertex_at(spec, k, start), vertex_at(spec, k, end - 1)], (spec, start)
+                if end < width:
+                    num, den = next(blocks)
+                    assert (num[0], den[0]) == vertex_at(spec, k, end), (spec, end)
+                else:
+                    assert next(blocks, None) is None
+
+    def test_level_stream_time(self):
+        # each batch root of level 24 is 10 child steps from the root; the
+        # whole level streamed in 0.13-0.26 s on a 2-core Xeon
+        t = time.perf_counter()
+        for _ in trees.level_blocks(DYADIC, 24):
+            pass
+        elapsed = time.perf_counter() - t
+        assert elapsed < 2, f"dyadic level 24 took {elapsed:.3f}s"
+        # from the last index of level 62 one walk of 48 steps reaches its
+        # batch root: 0.3-0.6 ms on the same host
+        t = time.perf_counter()
+        next(trees._level_from(TreeSpec("sb", permuted=True), 62, (1 << 61) - 1))
+        elapsed = time.perf_counter() - t
+        assert elapsed < 0.1, f"the first block of level 62's last index took {elapsed:.3f}s"
 
     def test_caps(self):
         with pytest.raises(CapExceeded):

@@ -32,9 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import gc
-import json
 import os
 import sys
 
@@ -138,10 +136,14 @@ def _emit(args, columns, rows, flags) -> int:
     """Write one table as CSV rows or as a JSON document with metadata."""
     with _open_out(args) as stream:
         if args.format == "csv":
+            import csv
+
             w = csv.writer(stream, lineterminator="\n")
             w.writerow(columns)
             w.writerows(rows)
         else:
+            import json
+
             doc = _doc(args, columns, flags, [list(r) for r in rows])
             json.dump(doc, stream, indent=2)
             stream.write("\n")
@@ -167,6 +169,8 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     as_json = args.format == "json"
 
     def json_parts(extra_keys=None):
+        import json
+
         text = json.dumps(_doc(args, columns, flags, [], extra_keys), indent=2)
         return text.split(_ROWS_KEY)
 
@@ -182,9 +186,10 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
         count = 0
         for cols in blocks:
             n = len(cols[0])
-            if n and all(getattr(col, "dtype", None) == "int64" and col.min() >= 0
-                         for col in cols):
-                text = _digit_rows(pieces, cols)
+            lows = [int(col.min()) for col in cols
+                    if n and getattr(col, "dtype", None) == "int64"]
+            if len(lows) == width and min(lows) >= 0:
+                text = _digit_rows(pieces, cols, lows)
             else:
                 cells = [0] * (n * width)
                 for j, col in enumerate(cols):
@@ -199,9 +204,10 @@ def _emit_ints(args, columns, blocks, flags, extra=None) -> int:
     return 0
 
 
-def _digit_rows(pieces, cols):
+def _digit_rows(pieces, cols, lows):
     """The text of n rows, pieces[0] col0 pieces[1] col1 ... pieces[-1],
-    for a nonempty block of nonnegative int64 columns, as %d would write them.
+    for a nonempty block of nonnegative int64 columns with minima lows,
+    as %d would write them.
 
     The rows are one (n, row width) uint8 matrix.  Its constant cells hold
     the pieces; each field is right-aligned in cells as wide as the block's
@@ -214,8 +220,8 @@ def _digit_rows(pieces, cols):
 
     fields = []  # (uint32 parts, cells, digits every row has)
     template = bytearray(pieces[0])
-    for col, piece in zip(cols, pieces[1:]):
-        lo, hi = int(col.min()), int(col.max())
+    for col, lo, piece in zip(cols, lows, pieces[1:]):
+        hi = int(col.max())
         parts = [col] if hi < 1 << 32 else [col % 10 ** 9, col // 10 ** 9 % 10 ** 9, col // 10 ** 18]
         cells = len(str(hi))
         fields.append(([p.astype(np.uint32) for p in parts], cells, len(str(lo))))
@@ -542,7 +548,3 @@ def main() -> None:
     # frozen objects sit in the permanent generation, which they skip.
     gc.freeze()
     sys.exit(code)
-
-
-if __name__ == "__main__":
-    main()

@@ -20,7 +20,6 @@ experiments module step it, and none of them needs another's code for it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import total_ordering
 from itertools import repeat
 from math import gcd, inf
@@ -125,6 +124,8 @@ class ExtRat:
         return self.num == 0
 
     def as_fraction(self) -> Fraction:
+        from fractions import Fraction  # here, so start-up loads no fractions or decimal
+
         if self.den == 0:
             raise DomainError("infinity has no Fraction value")
         return Fraction(self.num, self.den)

@@ -336,7 +336,7 @@ class StackInterval:
     hi: ExtRat
 
     def __contains__(self, x: ExtRat) -> bool:
-        return self.lo <= x < self.hi
+        return not x < self.lo and x < self.hi  # one __lt__ a bound
 
     def __str__(self) -> str:
         return f"{self.family}({self.i},{self.n}) = [{self.lo}, {self.hi})"

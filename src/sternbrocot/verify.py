@@ -547,7 +547,7 @@ def _c_log_diffusion(r, seed):
     orb = maps.orbit("R", INF, (1 << 16) + 1)
     best = ZERO
     for i in range(1, (1 << 16) + 1):
-        if orb[i] > best:
+        if best < orb[i]:  # one __lt__; total_ordering builds > from two calls
             best = orb[i]
         want = i.bit_length() - 1
         if best.den != 1 or best.num != want:

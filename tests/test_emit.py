@@ -284,9 +284,9 @@ def digit_blocks(monkeypatch):
     seen = []
     real = cli._digit_rows
 
-    def spy(pieces, cols):
+    def spy(pieces, cols, *rest):
         seen.append(len(cols[0]))
-        return real(pieces, cols)
+        return real(pieces, cols, *rest)
 
     monkeypatch.setattr(cli, "_digit_rows", spy)
     return seen

@@ -1,11 +1,13 @@
-"""The process exit path: main() freezes the heap instead of tearing it down.
+"""The process start-up and exit paths: import with the collector off, exit frozen.
 
 These tests start fresh interpreters, so they run the real exit: atexit
 handlers, the flush of stdout and stderr, and the frozen heap left to the
-OS.  run() itself, which tests and verify call in-process, must leave
-the garbage collector as it found it.
+OS.  The start-up path imports with the collector off and freezes what
+the imports built.  run() itself, which tests and verify call in-process,
+must leave the garbage collector as it found it.
 """
 
+import ast
 import gc
 import os
 import subprocess
@@ -72,6 +74,52 @@ def test_a_reader_that_leaves_early_gets_exit_zero():
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+START_UP = """
+import gc, sys
+
+passes = []
+gc.callbacks.append(lambda phase, info: phase == "start" and passes.append(info))
+import sternbrocot.__main__ as entry
+
+seen = {"imported": (gc.isenabled(), gc.get_freeze_count())}
+
+def at_run(frame, event, arg):
+    # the call of cli.run: every import is done and the command starts
+    if (event == "call" and frame.f_code.co_name == "run"
+            and frame.f_globals["__name__"] == "sternbrocot.cli"):
+        sys.setprofile(None)
+        cli = sys.modules["sternbrocot.cli"]
+        tracked = {id(o) for o in gc.get_objects()}  # frozen objects are not listed
+        seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count() > 0,
+                    passes=len(passes),
+                    unfrozen=[id(o) in tracked for o in (cli._Parser, vars(cli),
+                                                         vars(sys.modules["numpy"]))])
+
+sys.setprofile(at_run)
+sys.argv[1:] = ["--version"]
+try:
+    entry.main()
+except SystemExit as exc:
+    seen["code"] = exc.code
+print(seen, file=sys.stderr)
+"""
+
+
+def test_start_up_imports_with_the_collector_off_and_freezes_them():
+    proc = subprocess.run([sys.executable, "-c", START_UP], env=ENV, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.startswith("sternbrocot "), proc.stderr
+    seen = ast.literal_eval(proc.stderr)
+    # importing the module, as the package's own tests do, changes nothing
+    assert seen["imported"] == (True, 0)
+    # no collection ran over the imports, which sit frozen when the command
+    # starts with the collector on
+    assert seen["passes"] == 0
+    assert seen["enabled"] and seen["frozen"]
+    assert seen["unfrozen"] == [False, False, False]
+    assert seen["code"] == 0
 
 
 @pytest.mark.parametrize("argv", [

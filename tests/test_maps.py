@@ -45,6 +45,10 @@ def frac(x: ExtRat) -> Fraction:
     return Fraction(x.num, x.den)
 
 
+def rat(f: Fraction) -> ExtRat:
+    return ExtRat(f.numerator, f.denominator)
+
+
 def ref_R(x: Fraction) -> Fraction:
     # next-rational map: 1 / (2 floor(x) + 1 - x)
     n = x.numerator // x.denominator
@@ -308,7 +312,7 @@ class TestStacks:
             nxt = stack_interval("A", i + 1, n)
             for third in (1, 2):
                 f = frac(cur.lo) + third * (frac(cur.hi) - frac(cur.lo)) / 3
-                x = ExtRat(f.numerator, f.denominator)
+                x = rat(f)
                 assert x in cur
                 assert apply("T", x) in nxt
 
@@ -330,6 +334,21 @@ class TestStacks:
             assert qmark(b.lo).as_fraction() == frac(a.lo)
             assert qmark(b.hi).as_fraction() == frac(a.hi)
             assert phi(c.lo) == b.lo and phi(c.hi) == b.hi
+
+    @pytest.mark.parametrize("family", "ABC")
+    def test_levels_are_half_open(self, family):
+        n = 4
+        for i in range(1, (1 << n) + 1):
+            s = stack_interval(family, i, n)
+            lo, hi = frac(s.lo), s.hi
+            # C's last level ends at 1/0
+            below_hi = frac(hi) - (frac(hi) - lo) / 1000 if hi.den else lo + 10 ** 6
+            assert s.lo in s and rat(below_hi) in s
+            assert hi not in s
+            if lo:
+                assert rat(lo / 2) not in s
+            if hi.den:
+                assert rat(frac(hi) + 1) not in s
 
     def test_guards(self):
         with pytest.raises(DomainError):

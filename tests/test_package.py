@@ -55,6 +55,32 @@ def test_each_command_loads_only_the_modules_it_runs(argv, loaded, absent):
     assert not absent & modules
 
 
+WRITERS = {"csv", "json", "fractions", "decimal"}
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["--version"], set()),
+    (["tree", "--kind", "sb", "--depth", "3"], set()),
+    (["tree", "--kind", "sb", "--depth", "3", "--format", "json"], {"json"}),
+], ids=["version", "tree-csv", "tree-json"])
+def test_each_command_loads_only_the_stdlib_writers_it_uses(argv, loaded):
+    # -X importtime lists every module the process imports, one a line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "sternbrocot", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+               if line.startswith("import time:")}
+    assert "sternbrocot.cli" in modules
+    assert WRITERS & modules == loaded
+
+
+def test_the_console_script_is_the_python_m_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert project["scripts"] == {"sternbrocot": "sternbrocot.__main__:main"}
+
+
 def test_cli_import_loads_numpy():
     # the trees module stays eager in cli, so numpy's import time is part of
     # `import sternbrocot.cli`, where bench/run.py's import_times reads it

@@ -171,7 +171,7 @@ def inverse_branches(m: str, x: ExtRat) -> tuple[ExtRat, ExtRat]:
         raise DomainError(f"{m!r} is not a two-to-one map")
     if m != "G":
         _need_unit(x, m)
-    left, right = trees._children(trees.TreeSpec(kind, permuted=True), (x.num, x.den))
+    left, right = trees._children(trees.TreeSpec(kind, permuted=True), x)
     return ExtRat(*left), ExtRat(*right)
 
 

@@ -253,6 +253,19 @@ def per_vertex_estimates(spec, k, x):
     return [Fraction(sum(counts[:d]), 1 << d) for d in range(1, k + 1)]
 
 
+def identity_shares(spec, k, x):
+    """The share of levels 1..d at or below x, for d = 1..k, by the identity
+    min(floor(2^d g(x)), 2^d - 1)/2^d: g is rho for sb, ? for Farey and x
+    itself for dyadic, and g = 1 from x = 1 on for Farey and dyadic."""
+    if spec.kind == "sb":
+        g = rho(x).as_fraction()
+    elif x >= ONE:
+        g = Fraction(1)
+    else:
+        g = qmark(x).as_fraction() if spec.kind == "farey" else x.as_fraction()
+    return [Fraction(min(math.floor(g * (1 << d)), (1 << d) - 1), 1 << d) for d in range(1, k + 1)]
+
+
 # 50-60-bit points, from 0 to 2, whose products pass int64 from level 3 to 13
 # on, and points p/q of a low level and 2^-55/q off them
 LARGE_POINTS = st.one_of(
@@ -313,6 +326,24 @@ class TestDistribution:
 
     def test_no_points_give_no_estimates(self):
         assert distribution_estimates(TreeSpec("sb"), 5, []) == []
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
+    def test_estimates_are_the_question_mark_identity(self, spec):
+        # every depth up to caps.estimate, so levels 17..20 of each stream are
+        # checked too, at 0, 1/0, 1, vertices, random points and the 69-bit
+        # ratio F(101)/F(102)
+        fib = [0, 1]
+        while len(fib) < 103:
+            fib.append(fib[-1] + fib[-2])
+        r = random.Random(29)
+        xs = [ZERO, INF, ONE, ExtRat(1, 2), ExtRat(2, 5), ExtRat(3, 8), ExtRat(5, 3),
+              ExtRat(fib[101], fib[102])]
+        for _ in range(10):
+            q = r.randrange(2, 10 ** 6)
+            xs += [ExtRat(r.randrange(1, q), q), ExtRat(r.randrange(1, 10 ** 6), r.randrange(1, 10 ** 6))]
+        k = CAPS.estimate
+        got = distribution_estimates(spec, k, xs)
+        assert got == [identity_shares(spec, k, x) for x in xs]
 
     def test_products_past_int64_at_level_28_stay_exact(self):
         # Entries of level j reach 2^j.  Level j of the dyadic tree is m/2^j for

@@ -1,6 +1,7 @@
 """The ``sternbrocot`` command: ``python -m sternbrocot`` and the console script."""
 
 import gc
+import sys
 
 
 def main() -> None:
@@ -10,10 +11,14 @@ def main() -> None:
     # command with the collector back on.  Later full collections skip the
     # frozen objects.
     gc.disable()
-    from .cli import main as command
+    from .cli import run
     gc.freeze()
     gc.enable()
-    command()
+    code = run()
+    # Shutdown's collections would only free memory the OS reclaims anyway;
+    # frozen objects sit in the permanent generation, which they skip.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

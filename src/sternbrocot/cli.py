@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import os
 import sys
 
@@ -60,27 +59,19 @@ class _Parser(argparse.ArgumentParser):
 
 # ---------------------------------------------------------------- parsing
 
-def _rat(text: str) -> ExtRat:
+def _value(text: str, parse=ExtRat.from_string, noun: str = "fraction"):
+    """text read by parse (an ExtRat by default), or a UsageError naming noun."""
     try:
-        return ExtRat.from_string(text)
-    except (ValueError, DomainError) as exc:
-        raise UsageError(f"malformed fraction {text!r}: {exc}") from exc
-
-
-def _dyadic(text: str):
-    from .minkowski import Dyadic
-
-    try:
-        return Dyadic.from_string(text)
-    except (ValueError, DomainError) as exc:
-        raise UsageError(f"malformed dyadic {text!r}: {exc}") from exc
+        return parse(text)
+    except ValueError as exc:  # DomainError among them
+        raise UsageError(f"malformed {noun} {text!r}: {exc}") from exc
 
 
 def _interval(text: str) -> tuple[ExtRat, ExtRat]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"interval must be 'a/b,c/d', got {text!r}")
-    return _rat(parts[0]), _rat(parts[1])
+    return _value(parts[0]), _value(parts[1])
 
 
 def _cf_prefix(text: str) -> list[int]:
@@ -89,7 +80,7 @@ def _cf_prefix(text: str) -> list[int]:
         if s.startswith("["):
             return parse_cf(s)
         return [int(t) for t in s.replace(";", ",").split(",")]
-    except (ValueError, DomainError) as exc:
+    except ValueError as exc:  # DomainError among them
         raise UsageError(
             f"malformed continued-fraction prefix {text!r}"
         ) from exc
@@ -273,14 +264,14 @@ def _cmd_enumerate(args, caps) -> int:
 
     from . import maps
 
-    start = _rat(args.start)
+    start = _value(args.start)
     orbit = maps.orbit_blocks(args.map, start.num, start.den, args.count, caps)
     flags = {"map": args.map, "start": args.start, "count": args.count}
     return _emit_ints(args, ("i", "num", "den"), _indexed(0, orbit, np.arange), flags)
 
 
 def _cmd_qmark(args, caps) -> int:
-    from .minkowski import qmark, qmark_enclosure, qmark_inv, rho, rho_inv
+    from .minkowski import Dyadic, qmark, qmark_enclosure, qmark_inv, rho, rho_inv
 
     if args.enclosure:
         if args.extended:
@@ -294,12 +285,12 @@ def _cmd_qmark(args, caps) -> int:
             args, ("input", "lo", "hi", "lo_decimal", "hi_decimal"), [row], flags
         )
     if args.inverse:
-        d = _dyadic(args.value)
+        d = _value(args.value, Dyadic.from_string, "dyadic")
         x = rho_inv(d, caps) if args.extended else qmark_inv(d, caps)
         flags = {"input": args.value, "mode": "inverse", "extended": args.extended}
         row = (args.value, str(x), float(x))
     else:
-        x = _rat(args.value)
+        x = _value(args.value)
         d = rho(x, caps) if args.extended else qmark(x, caps)
         flags = {"input": args.value, "mode": "value", "extended": args.extended}
         row = (args.value, str(d), float(d))
@@ -313,7 +304,7 @@ def _cmd_fourier(args, caps) -> int:
     if args.n_max < 1:
         raise UsageError("--n-max must be at least 1")
     check_cap(caps, "freqs", args.n_max, "--n-max")  # before len() of a range past 2^63
-    start = _rat(args.start)
+    start = _value(args.start)
     ns = range(1, args.n_max + 1)
     runs = []  # one list of rows a method, each estimate made for all n at once
     if args.method in ("tree", "both"):
@@ -343,7 +334,7 @@ def _cmd_simulate(args, caps) -> int:
         kind, start = "MC0", ONE
     else:
         kind = args.chain.upper()
-        start = _rat(args.start) if args.start is not None else ONE
+        start = _value(args.start) if args.start is not None else ONE
     interval = _interval(args.interval) if args.interval else None
     blocks = stochastic.walk_blocks(kind, start, args.walks, args.horizon, args.seed,
                                     interval=interval, caps=caps)
@@ -540,11 +531,3 @@ def _dispatch(argv) -> int:
     except OSError as exc:
         print(f"sternbrocot: error: {exc}", file=sys.stderr)
         return 1
-
-
-def main() -> None:
-    code = run()
-    # Shutdown's collections would only free memory the OS reclaims anyway;
-    # frozen objects sit in the permanent generation, which they skip.
-    gc.freeze()
-    sys.exit(code)

@@ -57,9 +57,14 @@ def word_from_cf(terms: list[int], caps: Caps = CAPS) -> str:
     N = a0 + ... + an, rho's N bits, is checked against caps.exp first.
     """
     _check_canonical(terms)
+    return _blocks(_vertex_terms(terms), caps)[:-1]
+
+
+def _vertex_terms(terms: list[int]) -> list[int]:
+    """The terms of a tree vertex: any but zero's [0]."""
     if terms == [0]:
         raise DomainError("zero is an ancestor, not a vertex")
-    return _blocks(terms, caps)[:-1]
+    return terms
 
 
 def _blocks(terms: list[int], caps: Caps) -> str:
@@ -70,10 +75,7 @@ def _blocks(terms: list[int], caps: Caps) -> str:
 
 def word_from_rat(x: ExtRat, caps: Caps = CAPS) -> str:
     """The word of word_from_cf, checked against caps.exp as it is."""
-    terms = cf_from_rat(x)
-    if terms == [0]:
-        raise DomainError("zero is an ancestor, not a vertex")
-    return _blocks(terms, caps)[:-1]
+    return _blocks(_vertex_terms(cf_from_rat(x)), caps)[:-1]
 
 
 def rat_from_word(word: str) -> ExtRat:
@@ -87,9 +89,7 @@ def parents(x: ExtRat) -> tuple[ExtRat, ExtRat]:
     (1/0 when n = 0), above x when n is even, and [a0; ..., an - 1] =
     (p - p')/(q - q') by the continuant recurrence.  No word is built.
     """
-    terms = cf_from_rat(x)
-    if terms == [0]:
-        raise DomainError("zero is an ancestor, not a vertex")
+    terms = _vertex_terms(cf_from_rat(x))
     head = _cf_value(terms[:-1])
     other = ExtRat._raw(x.num - head.num, x.den - head.den)
     return (other, head) if len(terms) % 2 else (head, other)
@@ -105,9 +105,7 @@ def hat(x: ExtRat) -> ExtRat:
     that when n is odd; an integer's one block reverses to itself.  No
     word is built, so no cap applies.
     """
-    terms = cf_from_rat(x)
-    if terms == [0]:
-        raise DomainError("zero is an ancestor, not a vertex")
+    terms = _vertex_terms(cf_from_rat(x))
     if len(terms) == 1:
         return x
     v = _cf_value([terms[-1] - 1, *terms[-2:0:-1], terms[0] + 1])
@@ -121,8 +119,7 @@ def children_cf(terms: list[int]) -> tuple[list[int], list[int]]:
     [a0; ..., an + 1]; for odd n the two are interchanged.
     """
     _check_canonical(terms)
-    if terms == [0]:
-        raise DomainError("zero is an ancestor, not a vertex")
+    _vertex_terms(terms)
     shorter = terms[:-1] + [terms[-1] - 1, 2]
     if shorter[-2] == 0:  # only happens for x = 1, terms [1]
         shorter = [0, 2]

@@ -7,16 +7,18 @@ two-to-one genealogical counterparts: G the slow Euclid map on [0, inf],
 F the Farey map, D the doubling map.  Everything here is exact integer
 arithmetic on reduced fractions.
 
-orbit_blocks reads the orbits of R, S and T in bulk.  From a vertex at
-(level k, index i) of the permuted sb, Farey or dyadic tree, the orbit
-runs on through level k from index i and then through levels k+1, k+2,
-... (trees.level_blocks); R from 1/0 first gives 1/0, 0/1, and S and T
-from 1 give 1, 0/1.  T from a non-dyadic start is the 2-adic odometer:
-with x = (B + r)/2^M, T^N(x) = (rev(v + N mod 2^M) + T^c(r))/2^M for
-v = rev(B) and c = (v + N) // 2^M (see _odometer).  Both give int64
-columns; levels past INT64_LEVEL give object columns of Python ints.
-A start deeper than INT64_LEVEL, an odometer run that int64 cannot hold
-and every orbit of G, F and D take one scalar _STEPS step per entry.
+orbit_blocks reads the orbits of R, S and T in bulk.  R from 1/0 first
+gives 1/0, 0/1 and then the root 1/1; S and T from 1 give 1, 0/1 and
+then the root 1/2.  From a vertex at (level k, index i) of the permuted
+sb or Farey tree, the orbit of R or S runs on through level k from index
+i and then through levels k+1, k+2, ... (trees.level_blocks).  T from
+every start is the 2-adic odometer: with x = (B + r)/2^M,
+T^N(x) = (rev(v + N mod 2^M) + T^c(r))/2^M for v = rev(B) and
+c = (v + N) // 2^M (see _odometer).  Both give int64 columns; tree levels
+past INT64_LEVEL give object columns of Python ints.  The scalar _STEPS
+step, one per entry, serves every orbit of G, F and D, R and S from a
+start deeper than INT64_LEVEL, and T once an odometer run would not be
+exact in int64.
 orbit_blocks and orbit_iter check the map, the start and the count when
 called, before any block is asked for.
 """
@@ -215,18 +217,16 @@ def _orbit_cols(m, p, q, step):
         if (p, q) in head:
             head = head[head.index((p, q)):]
             yield np.array([h[0] for h in head]), np.array([h[1] for h in head])
-            pos = 1, 0
-        else:
-            pos = _tree_position(m, p, q)
-        if pos is not None:
+            p, q = (1, 1) if m == "R" else (1, 2)
+        if m == "T":
+            p, q = yield from _odometer(p, q)
+        elif (pos := _tree_position(m, p, q)) is not None:
             k, i = pos
-            # R, S and T walk the permuted trees of trees.KINDS, in that order
+            # R and S walk the permuted trees of trees.KINDS, in that order
             spec = trees.TreeSpec(trees.KINDS[INVERTIBLE.index(m)], permuted=True)
             while True:
                 yield from trees._level_from(spec, k, i)
                 k, i = k + 1, 0
-        if m == "T" and q & (q - 1):
-            p, q = yield from _odometer(p, q)
     while True:
         nums, dens = [0] * ORBIT_BLOCK, [0] * ORBIT_BLOCK
         for j in range(ORBIT_BLOCK):
@@ -237,19 +237,14 @@ def _orbit_cols(m, p, q, step):
 
 
 def _tree_position(m, p, q):
-    """(level, index) of p/q in the permuted tree that m walks; None for a
-    point off the tree (a non-dyadic T start) or deeper than INT64_LEVEL.
+    """(level, index) of p/q in the permuted tree that R or S walks; None
+    for a vertex deeper than INT64_LEVEL.
 
     The permuted tree puts at address w the vertex that the plain tree has
     at the reversed word, so the index reads the word of p/q backwards
     (L = 0, R = 1): the blocks R^a0 L^a1 R^a2 ... of [a0; a1, ..., an],
     the last short by one.  The Farey tree is the sb subtree under L.
     """
-    if m == "T":
-        k = q.bit_length() - 1
-        if q & (q - 1) or k > trees.INT64_LEVEL:
-            return None
-        return k, _bit_reverse(p >> 1, k - 1)  # plain index (p - 1)/2 of odd p
     terms = cf_from_rat(ExtRat._raw(p, q))
     k = sum(terms) - (m == "S")
     if k > trees.INT64_LEVEL:
@@ -264,17 +259,19 @@ def _tree_position(m, p, q):
 
 
 def _odometer(p, q):
-    """T's orbit of a non-dyadic p/q in runs of int64 columns; returns the
+    """T's orbit of p/q in (0, 1) in runs of int64 columns; returns the
     first entry whose run would not be exact in int64.
 
     With M = ODOMETER_DIGITS, p/q = (B + r)/2^M for an integer B < 2^M and
-    r = s/t in (0, 1).  T adds 1 to the binary digits read least
+    r = s/t in [0, 1).  T adds 1 to the binary digits read least
     significant first, so T^N(p/q) = (rev(v + N mod 2^M) + T^c(r))/2^M with
     v = rev(B) and c = (v + N) // 2^M: each run of 2^M entries shares one
     tail, and the tail takes one scalar step per run.  An entry is
     (u t + s)/(2^M t) with u < 2^M, exact in int64 while 2^M t < 2^62.
-    Its numerator n is positive and prime to t (gcd(n, t) = gcd(s, t) = 1),
-    so gcd(n, 2^M t) = gcd(n, 2^M), the lowest set bit of n capped at 2^M.
+    Its numerator n is positive (u = s = 0 only at the start 0, which
+    _orbit_cols leaves out) and prime to t (gcd(n, t) = gcd(s, t) = 1, and
+    t = 1 when r = 0), so gcd(n, 2^M t) = gcd(n, 2^M), the lowest set bit
+    of n capped at 2^M.
     """
     rev = np.zeros(1, dtype=np.int64)  # rev[u]: the M binary digits of u reversed
     while rev.size < 1 << ODOMETER_DIGITS:

@@ -227,6 +227,9 @@ def test_c06_level_counts_track_rho():
             target = rho(x).as_fraction()
             for k, est in enumerate(row, 1):
                 assert abs(target - est) <= Fraction(1, 1 << k)
+                # exactly: rho carries the sb levels onto the dyadic levels in order
+                below = (target.numerator << k) // target.denominator
+                assert est == Fraction(min(below, (1 << k) - 1), 1 << k), (x, k)
 
 
 def test_c07_measure_is_invariant_under_farey_folding():

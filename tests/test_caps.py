@@ -140,6 +140,14 @@ def test_cli_imports_numpy_only_inside_functions():
         stack.extend(ast.iter_child_nodes(node))
 
 
+def test_only_the_entry_point_imports_gc():
+    # the collector policy, from import to exit, is __main__.main's alone
+    importers = {mod.__name__ for mod in MODULES for node in ast.walk(_tree(mod))
+                 if isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "gc"}
+    assert importers == {"sternbrocot.__main__"}
+
+
 def _identifiers(tree):
     # every name a piece of code reads, imports or looks up as an attribute
     out = set()

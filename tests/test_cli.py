@@ -74,6 +74,16 @@ class TestEnumerate:
                     "--count", "4"]) == 1
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("start,why", [
+        ("1/x", "invalid literal for int() with base 10: 'x'"),  # ValueError
+        ("0/0", "0/0 is not a point"),  # DomainError
+    ])
+    def test_malformed_start_keeps_its_message(self, start, why, capsys):
+        assert run(["enumerate", "--map", "R", "--start", start, "--count", "3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sternbrocot: error: malformed fraction {start!r}: {why}\n"
+
 
 class TestQmark:
     def test_value_json_is_pinned(self, capsys):

@@ -91,6 +91,14 @@ class TestWordsAndMatrices:
         with pytest.raises(DomainError):
             word_from_cf([0])
 
+    @pytest.mark.parametrize("refuse", [
+        lambda: word_from_cf([0]), lambda: word_from_rat(ZERO), lambda: parents(ZERO),
+        lambda: hat(ZERO), lambda: children_cf([0]),
+    ], ids=["word_from_cf", "word_from_rat", "parents", "hat", "children_cf"])
+    def test_every_entry_point_refuses_zero_alike(self, refuse):
+        with pytest.raises(DomainError, match=r"^zero is an ancestor, not a vertex$"):
+            refuse()
+
 
 class TestSpelledWordsAreCapped:
     """word_from_cf spells every word, after checking its depth N against caps.exp."""

@@ -50,11 +50,11 @@ def test_exit_codes(argv, code):
 
 
 def test_verify_failure_exits_two():
-    code = ("import sys; from sternbrocot import cli, verify\n"
+    code = ("import sys; from sternbrocot import __main__ as entry, verify\n"
             "def bad(r, seed): raise verify.CheckFailure('planted')\n"
             "verify._REGISTRY['core.phi-mediant'] = bad\n"
             "sys.argv[1:] = ['verify', '--suite', 'core.phi-mediant']\n"
-            "cli.main()\n")
+            "entry.main()\n")
     proc = subprocess.run([sys.executable, "-c", code], env=ENV, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr

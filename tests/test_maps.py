@@ -224,13 +224,16 @@ def vertex(m, k, rng, tail):
 
 
 class TestOrbitBlocks:
-    """orbit_blocks reads R, S and T from tree levels and the odometer; the
-    scalar steps are the reference."""
+    """orbit_blocks reads R and S from tree levels and T from the odometer;
+    the scalar steps are the reference."""
 
     @pytest.mark.parametrize("m", INVERTIBLE)
     def test_level_starts_match_the_scalar_steps(self, m):
-        # levels 63..70 take the scalar path; starts near the end of level
-        # 62 run on into the object columns of level 63
+        # R and S: levels 63..70 take the scalar path, and starts near the
+        # end of level 62 run on into the object columns of level 63.  T runs
+        # the odometer from every start: a start of level k leaves the tail
+        # 2^(k - 12) as its denominator, in int64 runs up to level 61, and
+        # from level 62 on the scalar path takes over at once
         rng = random.Random(ord(m))
         for k in range(1, 71):
             for tail, count in ((k, 4097), (12, 9000)):
@@ -238,12 +241,12 @@ class TestOrbitBlocks:
                 assert block_orbit(m, x, count) == scalar_orbit(m, x, count), (k, x)
 
     def test_last_vertex_of_the_int64_levels_runs_into_object_columns(self):
-        x = vertex("T", INT64_LEVEL, None, 0)
-        assert x == ExtRat((1 << INT64_LEVEL) - 1, 1 << INT64_LEVEL)
-        got = list(orbit_blocks("T", x.num, x.den, 3))
+        x = vertex("S", INT64_LEVEL, None, 0)
+        assert x == ExtRat(INT64_LEVEL, INT64_LEVEL + 1)
+        got = list(orbit_blocks("S", x.num, x.den, 3))
         assert [c.dtype for c in got[0]] == [np.int64, np.int64]
         assert [c.dtype for c in got[1]] == [object, object]
-        assert block_orbit("T", x, 3) == scalar_orbit("T", x, 3)
+        assert block_orbit("S", x, 3) == scalar_orbit("S", x, 3)
 
     @pytest.mark.parametrize("m,start", [("R", INF), ("R", ZERO), ("R", ONE),
                                          ("S", ONE), ("S", ZERO), ("T", ONE), ("T", ZERO)])
@@ -256,13 +259,26 @@ class TestOrbitBlocks:
         # runs are exact in int64 while 2^12 den < 2^62: denominators on
         # both sides of 2^50, odd and even, and far past it
         rng = random.Random(59)
+        starts = []
         for bits in (3, 20, 41, 49, 50, 51, 60, 200):
             for q in ((1 << bits) + 2 * rng.randrange(1 << (bits - 1)) + 1,
                       (1 << bits) - 2 * rng.randrange(1, 1 << (bits - 2)) - 1,
                       3 << (bits - 1)):
-                x = ExtRat(rng.randrange(1, q), q)
-                count = rng.choice((5, 4097, 9000))
-                assert block_orbit("T", x, count) == scalar_orbit("T", x, count), x
+                starts.append((ExtRat(rng.randrange(1, q), q), rng.choice((5, 4097, 9000))))
+        # dyadic starts: the first, last and a random vertex of each level k
+        # of the permuted dyadic tree, whose tail 2^(k - 12) keeps the first
+        # block int64 up to level 61; B/2^12, whose tail is 0; and 0 and 1,
+        # which the head hands on to the root 1/2
+        for k in range(1, INT64_LEVEL + 1):
+            for p in (1, (1 << k) - 1, 2 * rng.randrange(1 << (k - 1)) + 1):
+                x = ExtRat(p, 1 << k)
+                nums, dens = next(orbit_blocks("T", x.num, x.den, 1))
+                assert nums.dtype == dens.dtype == (np.int64 if k < INT64_LEVEL else object), x
+                starts.append((x, 4097))
+        starts += [(ExtRat(b, 1 << 12), 9000) for b in (1, 2, 3, 2731, 3 << 10, 4095)]
+        starts += [(ZERO, 9000), (ONE, 9000)]
+        for x, count in starts:
+            assert block_orbit("T", x, count) == scalar_orbit("T", x, count), x
 
     def test_floats_divide_exactly_above_2_53(self):
         a, b = 1, 1

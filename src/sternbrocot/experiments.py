@@ -38,19 +38,6 @@ from .stochastic import (
     _BATCH, _check_sizes, _draw_letter, _letter_steps, count_hits, curve_from_counts, walk_blocks,
 )
 
-__all__ = [
-    "ChainSpec",
-    "WalkPath",
-    "HittingResult",
-    "MartingaleReport",
-    "simulate",
-    "cylinder_prob",
-    "hitting_experiment",
-    "martingale_check",
-    "mc0_limit_experiment",
-]
-
-
 @dataclasses.dataclass(frozen=True)
 class ChainSpec:
     """Chain kind, start state, walk length, base seed, and size caps."""

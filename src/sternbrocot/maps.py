@@ -278,7 +278,7 @@ def _odometer(p, q):
         rev = np.concatenate([2 * rev, 2 * rev + 1])
     b, s = divmod(p << ODOMETER_DIGITS, q)
     s, t = _reduced(s, q)
-    j = _bit_reverse(b, ODOMETER_DIGITS)
+    j = int(rev[b])
     while t >> (62 - ODOMETER_DIGITS) == 0:
         nums = rev[j:] * t + s
         g = np.minimum(nums & -nums, 1 << ODOMETER_DIGITS)

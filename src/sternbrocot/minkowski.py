@@ -153,9 +153,10 @@ DY_ZERO = Dyadic(0)
 DY_ONE = Dyadic(1)
 
 
-def _check_unit(d: Dyadic):
+def _check_unit(d: Dyadic, caps: Caps):
     if not isinstance(d, Dyadic):
         raise TypeError("expected a Dyadic")
+    check_cap(caps, "exp", d.exp, "dyadic exponent")  # before the range test shifts by it
     if d.num < 0 or d > DY_ONE:
         raise DomainError("value must lie in [0, 1]")
 
@@ -215,8 +216,7 @@ def rho_inv(d: Dyadic, caps: Caps = CAPS) -> ExtRat:
     expansion of d in one pass: its runs, leading ones first (a run of no
     ones when d starts with a 0), are the continued fraction of x.  The
     other expansion, ending in ones, gives the same value."""
-    check_cap(caps, "exp", d.exp, "dyadic exponent")
-    _check_unit(d)
+    _check_unit(d, caps)
     if d.num == 0:
         return ZERO
     if d == DY_ONE:
@@ -287,27 +287,25 @@ def stieltjes_means(
 ) -> list:
     """Means of f over levels 1..d, over 2^d, for d = 1..k, from one stream.
 
-    The plain path hands f exact rationals one at a time and holds a level's
-    values in a list (tracemalloc peak 0.6 MB at k = 14, 5.7 MB at k = 18).
-    With vectorized=True, f is called once per level_blocks block on a
-    float64 array of at most 4096 values, so it must act elementwise, and no
-    level is held whole; blocks are cut at multiples of 4096 from the
-    level's start, as fsum_array cuts a whole level, so the fsum of their
-    partials has the bits of one call on the whole level.  Either way the
-    sums are compensated: the results do not depend on how work is split.
+    Levels are read as level_blocks makes them, blocks of at most 4096
+    entries, and no level is held whole.  The plain path hands f exact
+    rationals one at a time; with vectorized=True, f is called once per
+    block on a float64 array, so it must act elementwise.  Blocks are cut
+    at multiples of 4096 from the level's start, as fsum_array cuts a whole
+    level, so the fsum of their partials has the bits of one fsum_array
+    call on the level's values, however the work is split.
     """
-    if vectorized:
-        def level_sums(j):
-            re, im = [], []
-            for num, den in trees.level_blocks(spec, j, caps):
+    def level_sums(j):
+        re, im = [], []
+        for num, den in trees.level_blocks(spec, j, caps):
+            if vectorized:
                 vals = np.asarray(f(num / den))
-                re.append(fsum_array(vals.real))
-                im.append(fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
-            return [(fsum(re), fsum(im))]
-    else:
-        def level_sums(j):
-            vals = [complex(f(v)) for v in trees.level(spec, j, caps)]
-            return [(fsum(v.real for v in vals), fsum(v.imag for v in vals))]
+            else:
+                vals = np.asarray([complex(f(x)) for x in map(ExtRat._raw, num.tolist(), den.tolist())])
+            re.append(fsum_array(vals.real))
+            im.append(fsum_array(vals.imag) if np.iscomplexobj(vals) else 0.0)
+        return [(fsum(re), fsum(im))]
+
     return _level_means(k, caps, level_sums)[0]
 
 

@@ -47,9 +47,6 @@ from .core import (
     check_cap,
 )
 
-__all__ = ["walk_blocks", "walk_table", "count_hits", "curve_from_counts"]
-
-
 def _draw_letter(kind: str, key: int, step: int, x: ExtRat) -> int:
     # letter 0 with probability w0/(w0+w1), exact 53-bit threshold; MC0's
     # (1, 1) makes it the top bit of the draw

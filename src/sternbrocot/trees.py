@@ -17,7 +17,7 @@ tree in memory.
 A level can also be streamed from any index, as the orbits of R, S and
 T are.  level_blocks and level check their arguments when called, before
 any block is asked for.  The tree estimators (the distribution counts,
-the vectorized Stieltjes means and the Fourier means) stream levels 1..k
+the Stieltjes means and the Fourier means) stream levels 1..k
 once for all depths and points, block by block, so their memory stays
 flat in the depth and no level outlives the call; level_arrays and
 level_floats join a whole level on each call and cache nothing.

@@ -35,9 +35,6 @@ from .core import (
     rat_from_cf,
 )
 
-__all__ = ["CheckResult", "CheckFailure", "names", "select", "run_suite"]
-
-
 class CheckFailure(AssertionError):
     """Raised by a check body when an invariant does not hold."""
 

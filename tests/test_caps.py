@@ -148,6 +148,22 @@ def test_only_the_entry_point_imports_gc():
     assert importers == {"sternbrocot.__main__"}
 
 
+def test_only_the_package_lists_public_names():
+    # sternbrocot._EXPORTS is the one list of public names; a submodule's
+    # __all__ would be a second copy to keep in step
+    for mod in [sternbrocot, *MODULES]:
+        assigns = any(isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+                      for node in ast.walk(_tree(mod)))
+        assert assigns == (mod is sternbrocot), mod.__name__
+
+
+def test_estimators_read_levels_only_as_blocks():
+    # every tree estimator streams level_blocks, so none holds a whole level
+    from sternbrocot import minkowski
+
+    assert "level" not in _identifiers(_tree(minkowski))
+
+
 def _identifiers(tree):
     # every name a piece of code reads, imports or looks up as an attribute
     out = set()

@@ -78,6 +78,12 @@ class TestExtRat:
     def test_float_of_infinity(self):
         assert float(INF) == float("inf")
 
+    def test_infinity_has_no_floor_or_fractional_part(self):
+        with pytest.raises(DomainError, match="floor of infinity"):
+            INF.floor()
+        with pytest.raises(DomainError, match="fractional part of infinity"):
+            INF.frac_part()
+
     def test_compares_only_with_extrat(self):
         assert (ExtRat(1, 2) == Fraction(1, 2)) is False
         assert (ExtRat(3) == 3) is False
@@ -174,9 +180,21 @@ class TestContinuedFractions:
         for text in ["[2;3,4]", "[0;1,7]", "[5]"]:
             assert format_cf(parse_cf(text)) == text
 
+    @pytest.mark.parametrize("terms, message", [
+        ([], "empty continued fraction"),
+        ([1, 2.0], "continued fraction terms must be integers"),
+        ([-1], "a0 must be nonnegative"),
+        ([0, 0, 2], "partial quotients must be positive"),
+        ([0, 2, 1], "canonical expansions do not end in 1"),
+    ])
+    def test_value_takes_only_canonical_expansions(self, terms, message):
+        with pytest.raises(DomainError, match=message):
+            rat_from_cf(terms)
+
     def test_parse_rejects_garbage(self):
-        with pytest.raises(DomainError):
-            parse_cf("2;3,4")
+        for text in ("2;3,4", "[0;x]"):
+            with pytest.raises(DomainError, match="bad continued fraction literal"):
+                parse_cf(text)
 
 
 class TestDepthRank:
@@ -228,6 +246,11 @@ class TestComplement:
             terms = cf_from_rat(ExtRat(p, q))
             assert canonicalize_cf(complement_cf(complement_cf(terms))) == terms
 
+    @pytest.mark.parametrize("terms", [[0], [1], [2, 3]])
+    def test_needs_the_open_unit_interval(self, terms):
+        with pytest.raises(DomainError, match=r"complement wants x in \(0,1\)"):
+            complement_cf(terms)
+
 
 class TestPhi:
     def test_sends_the_ancestors_to_the_farey_frame(self):
@@ -244,6 +267,11 @@ class TestPhi:
     def test_inverse_roundtrip(self, a):
         x = ExtRat(*a)
         assert phi_inv(phi(x)) == x
+
+    @pytest.mark.parametrize("y", [ExtRat(3, 2), INF])
+    def test_inverse_lives_on_the_unit_interval(self, y):
+        with pytest.raises(DomainError, match=r"phi_inv is defined on \[0, 1\]"):
+            phi_inv(y)
 
 
 class TestEdges:

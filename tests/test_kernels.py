@@ -206,8 +206,7 @@ def _ref_rho_runs(digits):
 
 
 def ref_rho_inv(d, caps=CAPS):
-    check_cap(caps, "exp", d.exp, "dyadic exponent")
-    _check_unit(d)
+    _check_unit(d, caps)
     if d.num == 0:
         return ZERO
     if d == Dyadic(1):

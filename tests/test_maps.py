@@ -138,6 +138,18 @@ class TestInverses:
     def test_folding_maps_have_no_inverse(self):
         with pytest.raises(DomainError):
             apply_inverse("G", ONE)
+        with pytest.raises(DomainError, match="'R' is not a two-to-one map"):
+            inverse_branches("R", ONE)
+
+    def test_inverses_at_the_ends(self):
+        # R(1/0) = 0, and S and T send 1 to 0
+        assert apply_inverse("R", ZERO) == INF
+        assert apply_inverse("S", ZERO) == apply_inverse("T", ZERO) == ONE
+        with pytest.raises(DomainError, match="infinity is not in the range of R"):
+            apply_inverse("R", INF)
+        for m in ("S", "T"):
+            with pytest.raises(DomainError, match=f"1 is not in the range of {m}"):
+                apply_inverse(m, ONE)
 
     @given(positives)
     def test_G_branches_are_sections(self, a):
@@ -422,6 +434,11 @@ class TestOdometer:
             lhs, rhs = eigenfunction_check(r.randrange(1, 12), ExtRat(p, q))
             assert abs(lhs - rhs) < 1e-12
 
+    @pytest.mark.parametrize("m", [0, 13])
+    def test_eigenfunction_digit_count(self, m):
+        with pytest.raises(DomainError, match=r"digit count must lie in 1\.\.12"):
+            eigenfunction_check(m, ExtRat(1, 3))
+
 
 class TestErgodicMeans:
     def test_cached_orbit_gives_identical_repeats(self):
@@ -437,6 +454,10 @@ class TestErgodicMeans:
     def test_guards(self):
         with pytest.raises(DomainError):
             ergodic_fourier(1, INF, 10)
+        with pytest.raises(DomainError, match="ergodic means run along R, S or T orbits"):
+            ergodic_fourier(1, ONE, 10, map="G")
+        with pytest.raises(DomainError, match="need at least one iterate"):
+            ergodic_fourier(1, ONE, 0)
         with pytest.raises(CapExceeded):
             ergodic_fourier(1, ONE, (1 << 24) + 1)
 

@@ -98,6 +98,10 @@ class TestDyadic:
             with pytest.raises(TypeError):
                 Dyadic(*args)
 
+    def test_rejects_a_negative_exponent(self):
+        with pytest.raises(DomainError, match="negative exponent"):
+            Dyadic(1, -1)
+
 
 class TestQmarkValues:
     def test_fixed_points(self):
@@ -211,6 +215,12 @@ class TestInversion:
         for k in range(17):
             d = Dyadic(k, 4)
             assert rho(rho_inv(d)) == d
+
+    @pytest.mark.parametrize("inverse", [rho_inv, qmark_inv])
+    @pytest.mark.parametrize("d", [ExtRat(1, 2), Fraction(1, 2), 0.5], ids=lambda d: type(d).__name__)
+    def test_takes_only_a_dyadic(self, inverse, d):
+        with pytest.raises(TypeError, match="expected a Dyadic"):
+            inverse(d)
 
     def test_boundary(self):
         assert qmark_inv(Dyadic(0)) == ZERO
@@ -327,6 +337,10 @@ class TestDistribution:
     def test_no_points_give_no_estimates(self):
         assert distribution_estimates(TreeSpec("sb"), 5, []) == []
 
+    def test_levels_start_at_one(self):
+        with pytest.raises(DomainError, match="levels start at 1"):
+            distribution_estimates(TreeSpec("sb"), 0, [ONE])
+
     @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.kind + "-perm" * s.permuted)
     def test_estimates_are_the_question_mark_identity(self, spec):
         # every depth up to caps.estimate, so levels 17..20 of each stream are
@@ -394,13 +408,18 @@ class TestMeans:
             assert list(map(repr, got)) == [repr(whole_level_mean(g, k, sb)) for k in range(1, 19)]
 
     def test_vectorized_and_plain_agree(self):
-        f_exact = lambda v: Fraction(v.num, v.num + v.den)
-        f_vec = lambda arr: arr / (arr + 1.0)
-        a = stieltjes_means(f_exact, 10)
-        b = stieltjes_means(f_vec, 10, vectorized=True)
-        assert len(a) == len(b) == 10
-        for x, y in zip(a, b):
-            assert math.isclose(x, y, rel_tol=0, abs_tol=1e-12)
+        # levels 13 and 14 span two blocks each; the complex pair checks the
+        # imaginary partials of the plain path
+        pairs = [
+            (lambda v: Fraction(v.num, v.num + v.den), lambda arr: arr / (arr + 1.0)),
+            (lambda v: cmath.exp(2j * cmath.pi * v.num / v.den), lambda arr: np.exp(2j * np.pi * arr)),
+        ]
+        for f_exact, f_vec in pairs:
+            a = stieltjes_means(f_exact, 14)
+            b = stieltjes_means(f_vec, 14, vectorized=True)
+            assert len(a) == len(b) == 14
+            for x, y in zip(a, b):
+                assert type(x) is type(y) and abs(x - y) <= 1e-12
 
     def test_fourier_tree_mean_matches_direct_sum(self):
         spec = TreeSpec("sb")

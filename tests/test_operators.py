@@ -88,6 +88,14 @@ class TestTransfer:
             got, want = transfer_apply(kind, q, ext, x), transfer_apply(kind, q, frac, x)
             assert type(got) is type(want) and got == want
 
+    @pytest.mark.parametrize("kind", ["G", "dyadic", "farey"])
+    @pytest.mark.parametrize("q", [Fraction(2), 2.0])
+    def test_integral_weights_stay_exact(self, kind, q):
+        f = lambda y: y * y + 1
+        for x in (Fraction(2, 5), Fraction(7, 3)):
+            got = transfer_apply(kind, q, f, x)
+            assert type(got) is Fraction and got == transfer_apply(kind, 2, f, x)
+
     def test_guards(self):
         with pytest.raises(DomainError):
             transfer_apply("X", 1, lambda y: 1, Fraction(1, 2))
@@ -439,3 +447,15 @@ class TestAgainstReferences:
         assert _sum_terms(terms) == _ref_sum_terms(terms) == 1.0
         terms = [0.1] * (3 * _BLOCK + 1) + [1j]
         assert _sum_terms(terms) == _ref_sum_terms(terms)
+
+    def test_sum_terms_keeps_the_first_error(self):
+        # float(2^1100) overflows in the first block; the later blocks fold nothing
+        terms = [0.5, 1 << 1100] + [1.0] * (2 * _BLOCK)
+        assert _outcome(_sum_terms, terms) == _outcome(_ref_sum_terms, terms) == OverflowError
+
+    def test_sum_terms_reads_numpy_complex_terms(self):
+        # np.complex64 is not a complex instance: alone it sums as its real
+        # part, beside a complex term its imaginary part counts too
+        for terms in ([np.complex64(1 + 2j), 0.5], [np.complex64(1 + 2j), 0.5, 1j],
+                      [1j] + [np.complex64(0.25 - 1j)] * (_BLOCK + 3)):
+            assert _outcome(_sum_terms, terms) == _outcome(_ref_sum_terms, terms)

@@ -111,6 +111,10 @@ class TestPlainLevels:
             for k in range(1, 10):
                 assert sum(1 for _ in level(spec, k)) == 1 << (k - 1)
 
+    def test_unknown_kind(self):
+        with pytest.raises(DomainError, match="unknown tree kind 'x'"):
+            TreeSpec("x")
+
     def test_root_rows(self):
         assert row(SB, 1) == ["1/1"]
         assert row(FAREY, 1) == ["1/2"]
@@ -195,7 +199,9 @@ class TestLevelArrays:
         lambda: distribution_estimates(SB, 20, [ExtRat(2, 5)]),
         lambda: distribution_estimates(SB, 20, [ExtRat(n, 37) for n in range(1, 101)]),
         lambda: stieltjes_means(lambda a: np.exp(2j * np.pi * a), 20, vectorized=True),
-    ], ids=["distribution_estimates", "distribution_estimates-100-points", "stieltjes_means"])
+        lambda: stieltjes_means(lambda v: v.den / (v.num + v.den), 18),
+    ], ids=["distribution_estimates", "distribution_estimates-100-points", "stieltjes_means",
+            "stieltjes_means-plain"])
     def test_estimators_stream_the_levels_and_hold_none(self, estimate):
         # level 20 alone is 2^19 entries, 4 MB a column
         tracemalloc.start()

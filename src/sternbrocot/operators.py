@@ -10,14 +10,15 @@ the branch step and the integer weights) lives in core, so the walk
 kernel in stochastic steps the chains without loading this module.
 
 The chain weights are integers over their sum: (1, 1) over 2 for MC0 and
-(q, p) over p+q for MC1 at x = p/q.  When every value f gives is exactly
-an int or a Fraction, markov_apply and averaging_apply put the weighted
-values over one denominator of Python ints and reduce once.  Any other
-value (bool, a numpy scalar, ExtRat, float, complex) takes the generic
-path: scale by the Fraction weight, then _sum_terms.  Both paths give
-the same value and type.  Every operator reads an ExtRat value as its
-Fraction.  markov_power walks the 2^n branch words depth first and sums
-f as it goes, so it holds O(n) words, not 2^n.
+(q, p) over p+q for MC1 at x = p/q.  An ExtRat value reads as its
+Fraction.  A value is exact iff it is an instance of int or Fraction (a
+bool is one); when every value f gives is exact, markov_apply,
+averaging_apply and commutator_residual put the weighted values over one
+denominator of Python ints and reduce once.  A value is complex iff it is
+a Python complex or a numpy complex scalar, and reads as complex(v); any
+other value reads as float(v).  Inexact values are scaled by the weight
+and summed by _sum_terms.  markov_power walks the 2^n branch words depth
+first and sums f as it goes, so it holds O(n) words, not 2^n.
 """
 
 from __future__ import annotations
@@ -29,28 +30,25 @@ from math import fsum, inf, isfinite, nan
 from .core import CAPS, Caps, DomainError, ExtRat, _check_chain, _int_weights, check_cap
 
 TRANSFER_KINDS = ("G", "dyadic", "farey")
-_EXACT = (int, Fraction)  # value types the integer-weight path takes, by exact type
+_EXACT = (int, Fraction)  # isinstance of these: the values the integer-weight path takes
 _BLOCK = 4096  # terms a _Sum holds before it folds them into its float sums
 
 
-def _point(x):
+def _weighting(x, q):
+    """(point, exponent, exact) for the weights |slope|^-q at x: x as a
+    Fraction if rational, else a float; exact iff x is rational and q
+    integral, and then the exponent is q as an int, else float(q)."""
     if isinstance(x, ExtRat):
         if x.is_infinite:
             raise DomainError("operators act at finite points")
-        return x.as_fraction()
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    return float(x)
-
-
-def _integer_q(q):
+        x = x.as_fraction()
+    if not isinstance(x, _EXACT):
+        return float(x), float(q), False
+    if isinstance(q, Fraction) and q.denominator == 1 or isinstance(q, float) and q.is_integer():
+        q = int(q)
     if isinstance(q, int):
-        return q
-    if isinstance(q, Fraction) and q.denominator == 1:
-        return q.numerator
-    if isinstance(q, float) and q.is_integer():
-        return int(q)
-    return None
+        return Fraction(x), q, True
+    return Fraction(x), float(q), False
 
 
 def _power(base, e, exact: bool):
@@ -64,6 +62,11 @@ def _value(v):
     if isinstance(v, ExtRat):
         return v.as_fraction()
     return v
+
+
+def _is_complex(v) -> bool:
+    """A Python complex (np.complex128 is one) or a numpy complex scalar."""
+    return isinstance(v, complex) or getattr(getattr(v, "dtype", None), "kind", None) == "c"
 
 
 def _expansion(xs: list) -> list:
@@ -123,8 +126,9 @@ class _Sum:
 
     def _fold(self, last: bool) -> None:
         terms, self.pending = self.pending, []
+        rational = all(isinstance(t, _EXACT) for t in terms)
         if self.exact is not None:
-            if all(isinstance(t, (int, Fraction)) for t in terms):
+            if rational:
                 total = _pairwise(terms)
                 self.count += 1
                 i = self.count
@@ -136,21 +140,18 @@ class _Sum:
                     return
             else:
                 self.exact = None
-        self.is_complex = self.is_complex or any(isinstance(t, complex) for t in terms)
         if self.error is not None:
-            return
+            return  # result() raises it unless every term is exact
         re, im = self.re, self.im
         try:
             for t in terms:
-                if isinstance(t, complex):
+                if not rational and _is_complex(t):
+                    self.is_complex = True
                     t = complex(t)
                     re.append(t.real)
                     im.append(t.imag)
                 else:
                     re.append(float(t))
-                    # numpy complex scalars are not complex instances
-                    if type(t) not in (int, Fraction, float) and hasattr(t, "__complex__"):
-                        im.append(complex(t).imag)
             self.re, self.im = _expansion(re), _expansion(im)
         except (OverflowError, TypeError, ValueError) as exc:
             self.error = exc
@@ -193,34 +194,29 @@ def transfer_apply(kind: str, q, f, x):
     map on [0, 1].  Exact rational arithmetic whenever q is an integer
     and both x and f's values are rational.
     """
-    pt = _point(x)
-    qi = _integer_q(q)
-    exact = qi is not None and isinstance(pt, Fraction)
-    qq = qi if exact else float(q)
+    pt, qq, exact = _weighting(x, q)
     if kind == "G":
         w0 = _power(1 + pt, -2 * qq, exact)
-        return _sum_terms([w0 * _value(f(pt / (1 + pt))), f(pt + 1)])
+        return _sum_terms([_scale(w0, f(pt / (1 + pt))), f(pt + 1)])
     if kind == "dyadic":
         w = _power(2, -qq, exact)
         half = Fraction(1, 2) if isinstance(pt, Fraction) else 0.5
-        return _sum_terms([w * _value(f(pt / 2)), w * _value(f(pt / 2 + half))])
+        return _sum_terms([_scale(w, f(pt / 2)), _scale(w, f(pt / 2 + half))])
     if kind == "farey":
         if pt == 2:
             raise DomainError("branch singularity at x = 2")
         w0 = _power(1 + pt, -2 * qq, exact)
         w1 = _power(2 - pt, -2 * qq, exact)
-        return _sum_terms([w0 * _value(f(pt / (1 + pt))), w1 * _value(f(1 / (2 - pt)))])
+        return _sum_terms([_scale(w0, f(pt / (1 + pt))), _scale(w1, f(1 / (2 - pt)))])
     raise DomainError(f"unknown transfer kind {kind!r}; one of {TRANSFER_KINDS}")
 
 
 def lewis_zagier_residual(f, q, x):
     """f(x) - f(x+1) - (1+x)^(-2q) f(x/(1+x)); zero iff f solves the
     three-term functional equation at x."""
-    pt = _point(x)
-    qi = _integer_q(q)
-    exact = qi is not None and isinstance(pt, Fraction)
-    w = _power(1 + pt, -2 * (qi if exact else float(q)), exact)
-    return _sum_terms([f(pt), -_value(f(pt + 1)), -(w * _value(f(pt / (1 + pt))))])
+    pt, qq, exact = _weighting(x, q)
+    w = _power(1 + pt, -2 * qq, exact)
+    return _sum_terms([f(pt), -_value(f(pt + 1)), -_scale(w, f(pt / (1 + pt)))])
 
 
 def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:
@@ -233,29 +229,30 @@ def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:
     return Fraction(w0, w0 + w1), Fraction(w1, w0 + w1)
 
 
-def _scale(w: Fraction, v):
+def _scale(w, v):
+    """v weighed by w (a Fraction, or a float for inexact transfer weights)."""
     v = _value(v)
-    if isinstance(v, (int, Fraction)):
+    if isinstance(v, _EXACT):
         return w * v
-    if isinstance(v, complex):
-        return complex(float(w)) * v
-    return float(w) * v
+    if _is_complex(v):
+        return complex(float(w)) * complex(v)
+    return float(w) * float(v)
 
 
 def _markov_mean(w0: int, v0, w1: int, v1):
     """(w0 v0 + w1 v1) / (w0 + w1); a zero-weight branch's value is ignored.
 
-    Two values that are exactly ints or Fractions go over one denominator
-    and make one Fraction, reduced once.
+    Two exact values (ints or Fractions) go over one denominator and make
+    one Fraction, reduced once.
     """
-    if type(v0) in _EXACT and type(v1) in _EXACT:
+    if isinstance(v0, _EXACT) and isinstance(v1, _EXACT):
         b0, b1 = v0.denominator, v1.denominator
         return Fraction(w0 * v0.numerator * b1 + w1 * v1.numerator * b0, b0 * b1 * (w0 + w1))
     return _sum_terms([_scale(Fraction(w, w0 + w1), v) for w, v in ((w0, v0), (w1, v1)) if w])
 
 
 def _average(a, b):
-    if type(a) in _EXACT and type(b) in _EXACT:
+    if isinstance(a, _EXACT) and isinstance(b, _EXACT):
         return _markov_mean(1, a, 1, b)
     return _sum_terms([a, b]) / 2
 
@@ -308,15 +305,13 @@ def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
     if kind == "MC0":
         for p, q in _cw_leaves(x.num, x.den, n):
             acc.add(f(ExtRat._raw(p, q)))
-        total = acc.result()
-        w = Fraction(1, 1 << n)
-        return _scale(w, total) if not isinstance(total, float) else total / (1 << n)
+        return _scale(Fraction(1, 1 << n), acc.result())  # float(2^-n) is exact
     pq = x.num * x.den
     if not pq:
         return _sum_terms([_scale(Fraction(1), f(x))])
     for p, q in _cw_leaves(x.num, x.den, n):
         v = f(ExtRat._raw(p, q))
-        if type(v) in _EXACT:
+        if isinstance(v, _EXACT):
             acc.add(Fraction(pq * v.numerator, p * q * v.denominator))
         else:
             acc.add(_scale(Fraction(pq, p * q), v))
@@ -353,7 +348,7 @@ def commutator_residual(kind: str, f, x: ExtRat):
     weights = (w0 * t, w0 * t, w1 * t, w1 * t, -w0 * t, -w1 * t, -u0 * s, -u1 * s)
     num, den = 0, 1
     for w, v in zip(weights, (*a0, *a1, v0, v1, z0, z1)):
-        if type(v) not in _EXACT:
+        if not isinstance(v, _EXACT):
             break
         b = v.denominator
         num, den = num * b + w * v.numerator * den, den * b

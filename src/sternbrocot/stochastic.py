@@ -36,7 +36,6 @@ integer test.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -300,6 +299,8 @@ def count_hits(counts: List[int], hit_times: Sequence[int]) -> None:
 
 def curve_from_counts(counts: Sequence[int], walks: int) -> Tuple[Fraction, ...]:
     """curve[t]: exact fraction of the walks with a hit at one of times 0..t."""
+    from fractions import Fraction  # here, so a CSV simulate loads no fractions
+
     curve = []
     cum = 0
     for c in counts:

@@ -17,6 +17,7 @@ from sternbrocot.core import (
 from sternbrocot.minkowski import rho
 from sternbrocot.operators import (
     _BLOCK,
+    _Sum,
     _sum_terms,
     averaging_apply,
     commutator_residual,
@@ -253,6 +254,13 @@ class TestSymmetry:
         got = averaging_apply(rho_frac, ExtRat(1, 3))
         assert got == (rho_frac(ExtRat(1, 3)) + rho_frac(ExtRat(3, 1))) / 2
 
+    def test_average_of_equal_subnormals_is_that_value(self):
+        # sum, then halve: halving each smallest subnormal first rounds it to 0
+        tiny = 5e-324
+        assert averaging_apply(lambda y: tiny, ExtRat(1, 3)) == tiny
+        f = lambda y: Fraction(1, 1 << 1074) if y == ExtRat(1, 3) else tiny
+        assert averaging_apply(f, ExtRat(1, 3)) == tiny
+
     @given(positives)
     def test_chains_commute_with_reciprocal_averaging(self, a):
         x = ExtRat(*a)
@@ -300,11 +308,15 @@ def _ref_value(v):
     return v.as_fraction() if isinstance(v, ExtRat) else v
 
 
+def _ref_complex(v):
+    return isinstance(v, (complex, np.complexfloating))
+
+
 def _ref_sum_terms(terms):
     terms = [_ref_value(t) for t in terms]
     if all(isinstance(t, (int, Fraction)) for t in terms):
         return sum(terms, Fraction(0))
-    if any(isinstance(t, complex) for t in terms):
+    if any(_ref_complex(t) for t in terms):
         vals = [complex(t) for t in terms]
         return complex(fsum(v.real for v in vals), fsum(v.imag for v in vals))
     return fsum(float(t) for t in terms)
@@ -320,8 +332,8 @@ def _ref_scale(w, v):
     v = _ref_value(v)
     if isinstance(v, (int, Fraction)):
         return w * v
-    if isinstance(v, complex):
-        return complex(float(w)) * v
+    if _ref_complex(v):
+        return complex(float(w)) * complex(v)
     return float(w) * v
 
 
@@ -395,6 +407,7 @@ _values = st.one_of(
     .map(lambda a: ExtRat(*a)),
     _floats,
     st.builds(complex, _floats, _floats),
+    st.builds(complex, st.floats(width=32), st.floats(width=32)).map(np.complex64),
 )
 _pools = st.lists(_values, min_size=1, max_size=4)
 _points = st.sampled_from([ZERO, INF, ONE]) | st.builds(
@@ -448,14 +461,52 @@ class TestAgainstReferences:
         terms = [0.1] * (3 * _BLOCK + 1) + [1j]
         assert _sum_terms(terms) == _ref_sum_terms(terms)
 
+    def test_sum_terms_keeps_exact_blocks_in_the_float_sums(self):
+        # whole blocks of Fractions, then one float: the float sum needs them all
+        terms = [Fraction(1, 3)] * (2 * _BLOCK) + [0.5]
+        assert _sum_terms(terms) == _ref_sum_terms(terms) == fsum([2 * _BLOCK / 3, 0.5])
+
+    def test_sum_terms_folds_whole_blocks(self):
+        acc = _Sum()
+        for t in range(_BLOCK + 1):
+            assert len(acc.pending) == min(t, _BLOCK)
+            acc.add(t)
+        assert len(acc.pending) == 1
+
     def test_sum_terms_keeps_the_first_error(self):
         # float(2^1100) overflows in the first block; the later blocks fold nothing
         terms = [0.5, 1 << 1100] + [1.0] * (2 * _BLOCK)
         assert _outcome(_sum_terms, terms) == _outcome(_ref_sum_terms, terms) == OverflowError
 
     def test_sum_terms_reads_numpy_complex_terms(self):
-        # np.complex64 is not a complex instance: alone it sums as its real
-        # part, beside a complex term its imaginary part counts too
+        # np.complex64 is not a complex instance, but it sums as one: alone,
+        # beside a complex term, and across blocks
+        assert _outcome(_sum_terms, [np.complex64(1 + 2j), 0.5]) == (complex, "(1.5+2j)")
         for terms in ([np.complex64(1 + 2j), 0.5], [np.complex64(1 + 2j), 0.5, 1j],
-                      [1j] + [np.complex64(0.25 - 1j)] * (_BLOCK + 3)):
+                      [1j] + [np.complex64(0.25 - 1j)] * (_BLOCK + 3),
+                      [0.5] * (_BLOCK + 3) + [np.complex64(0.25 - 1j)]):
             assert _outcome(_sum_terms, terms) == _outcome(_ref_sum_terms, terms)
+
+
+@pytest.mark.parametrize("kind", ["MC0", "MC1"])
+def test_numpy_complex_values_read_as_complex(kind):
+    # each operator gives the same complex number whether f's values are
+    # np.complex64, np.complex128 or complex (all exact in complex64)
+    def results(ctype):
+        def f(y):
+            y = y.as_fraction() if isinstance(y, ExtRat) else Fraction(y)
+            return ctype(complex(y.numerator % 7, -(y.denominator % 5)) / 4)
+        out = []
+        for x in (ONE, ExtRat(1, 2), ExtRat(3, 7)):
+            out += [markov_apply(kind, f, x), averaging_apply(f, x),
+                    commutator_residual(kind, f, x), markov_power(kind, f, x, 3)]
+        for q, pt in ((1, Fraction(1, 3)), (1.5, Fraction(1, 3)), (2, 0.3)):
+            out += [transfer_apply(t, q, f, pt) for t in ("G", "dyadic", "farey")]
+            out.append(lewis_zagier_residual(f, q, pt))
+        return out
+
+    want = results(complex)
+    assert want[0].imag
+    for ctype in (complex, np.complex64, np.complex128):
+        got = results(ctype)
+        assert got == want and all(type(v) is complex for v in got)

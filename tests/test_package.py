@@ -62,7 +62,8 @@ WRITERS = {"csv", "json", "fractions", "decimal"}
     (["--version"], set()),
     (["tree", "--kind", "sb", "--depth", "3"], set()),
     (["tree", "--kind", "sb", "--depth", "3", "--format", "json"], {"json"}),
-], ids=["version", "tree-csv", "tree-json"])
+    (["simulate", "--chain", "mc0", "--walks", "2", "--horizon", "3"], set()),
+], ids=["version", "tree-csv", "tree-json", "simulate-csv"])
 def test_each_command_loads_only_the_stdlib_writers_it_uses(argv, loaded):
     # -X importtime lists every module the process imports, one a line
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -48,7 +48,7 @@ class Caps:
     exp: int = 1 << 16  # length of a binary string: dyadic or digit bits, {L, R} or 0/1 letters
     walks: int = 10 ** 6  # walks in one table; walk_table holds them (~80 B a walk)
     horizon: int = 1 << 20  # steps a walk; a hitting curve holds each step
-    power: int = 24  # steps of a Markov power: 2^n branch words, walked in O(n) memory
+    power: int = 24  # steps of a Markov power: 2^n branch words, read in blocks, flat memory
     freqs: int = 1 << 10  # Fourier frequencies of one estimate: time, and ~1 KB each
 
 

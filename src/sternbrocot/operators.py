@@ -17,8 +17,8 @@ averaging_apply and commutator_residual put the weighted values over one
 denominator of Python ints and reduce once.  A value is complex iff it is
 a Python complex or a numpy complex scalar, and reads as complex(v); any
 other value reads as float(v).  Inexact values are scaled by the weight
-and summed by _sum_terms.  markov_power walks the 2^n branch words depth
-first and sums f as it goes, so it holds O(n) words, not 2^n.
+and summed by _sum_terms.  markov_power reads the 2^n branch words' end
+points a block at a time from a tree level, so its memory is flat in n.
 """
 
 from __future__ import annotations
@@ -31,7 +31,9 @@ from .core import CAPS, Caps, DomainError, ExtRat, _check_chain, _int_weights, c
 
 TRANSFER_KINDS = ("G", "dyadic", "farey")
 _EXACT = (int, Fraction)  # isinstance of these: the values the integer-weight path takes
+_INEXACT = (float, complex)  # types _is_exact rules out first, as Fraction's ABC check misses slowly
 _BLOCK = 4096  # terms a _Sum holds before it folds them into its float sums
+_SLICE = 512  # tree entries markov_power turns into Python ints at a time
 
 
 def _weighting(x, q):
@@ -42,7 +44,7 @@ def _weighting(x, q):
         if x.is_infinite:
             raise DomainError("operators act at finite points")
         x = x.as_fraction()
-    if not isinstance(x, _EXACT):
+    if not _is_exact(x):
         return float(x), float(q), False
     if isinstance(q, Fraction) and q.denominator == 1 or isinstance(q, float) and q.is_integer():
         q = int(q)
@@ -56,6 +58,11 @@ def _power(base, e, exact: bool):
     if exact:
         return Fraction(base) ** e
     return float(base) ** e
+
+
+def _is_exact(v) -> bool:
+    """The exactness rule: an instance of int or Fraction (a bool is one)."""
+    return type(v) not in _INEXACT and isinstance(v, _EXACT)
 
 
 def _value(v):
@@ -126,7 +133,7 @@ class _Sum:
 
     def _fold(self, last: bool) -> None:
         terms, self.pending = self.pending, []
-        rational = all(isinstance(t, _EXACT) for t in terms)
+        rational = all(isinstance(t, _EXACT) for t in terms)  # hits are cheap; all() stops at a miss
         if self.exact is not None:
             if rational:
                 total = _pairwise(terms)
@@ -232,7 +239,7 @@ def transition_probs(kind: str, x: ExtRat) -> tuple[Fraction, Fraction]:
 def _scale(w, v):
     """v weighed by w (a Fraction, or a float for inexact transfer weights)."""
     v = _value(v)
-    if isinstance(v, _EXACT):
+    if _is_exact(v):
         return w * v
     if _is_complex(v):
         return complex(float(w)) * complex(v)
@@ -245,14 +252,14 @@ def _markov_mean(w0: int, v0, w1: int, v1):
     Two exact values (ints or Fractions) go over one denominator and make
     one Fraction, reduced once.
     """
-    if isinstance(v0, _EXACT) and isinstance(v1, _EXACT):
+    if _is_exact(v0) and _is_exact(v1):
         b0, b1 = v0.denominator, v1.denominator
         return Fraction(w0 * v0.numerator * b1 + w1 * v1.numerator * b0, b0 * b1 * (w0 + w1))
     return _sum_terms([_scale(Fraction(w, w0 + w1), v) for w, v in ((w0, v0), (w1, v1)) if w])
 
 
 def _average(a, b):
-    if isinstance(a, _EXACT) and isinstance(b, _EXACT):
+    if _is_exact(a) and _is_exact(b):
         return _markov_mean(1, a, 1, b)
     return _sum_terms([a, b]) / 2
 
@@ -271,30 +278,26 @@ def markov_apply(kind: str, f, x: ExtRat):
     return _markov_mean(w0, v0, w1, v1)
 
 
-def _cw_leaves(p: int, q: int, n: int):
+def _branch_ends(x: ExtRat, n: int):
     """Yield the end points (p', q') of the 2^n n-letter branch words from
-    p/q in word order (letter 0 first): the depth-n Calkin-Wilf subtree
-    rooted at p/q, walked depth first with one pending sibling a level."""
-    stack = [(p, q, n)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        p, q, k = pop()
-        while k:
-            k -= 1
-            s = p + q
-            push((s, q, k))
-            q = s
-        yield p, q
+    x = p/q in word order (letter 0 first): the Calkin-Wilf subtree at x,
+    level n + 1 of the permuted sb tree headed by (p, q), _SLICE at a time."""
+    from . import trees  # loaded here, so importing operators loads no numpy
+
+    for num, den in trees._level_from(trees.TreeSpec("sb", True), n + 1, 0, ((x.num, x.den),)):
+        for i in range(0, len(num), _SLICE):
+            yield from zip(num[i:i + _SLICE].tolist(), den[i:i + _SLICE].tolist())
 
 
 def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
     """Exact n-step expectation E_x[f(W_n)] over all 2^n branch words.
 
-    The words are walked depth first and f is summed as they come, so
-    memory is O(n) words plus one _Sum.  An MC1 word's weight telescopes:
-    letter 0 keeps p and sends q to s = p+q with weight q/s, letter 1
-    keeps q and sends p to s with weight p/s, so each step weighs
-    p q / (p' q') and the word from x = p/q to p_n/q_n weighs
+    f is summed over the words' end points as _branch_ends reads them, so
+    memory rests on one 4096-entry block, its tree's word table, _SLICE
+    end points as Python ints and one _Sum, not on n.  An MC1 word's
+    weight telescopes: letter 0 keeps p and sends q to s = p+q with weight
+    q/s, letter 1 keeps q and sends p to s with weight p/s, so each step
+    weighs p q / (p' q') and the word from x = p/q to p_n/q_n weighs
     p q / (p_n q_n).  At 0 and infinity one word has all the weight.
     """
     if n < 0:
@@ -303,15 +306,15 @@ def markov_power(kind: str, f, x: ExtRat, n: int, caps: Caps = CAPS):
     _check_chain(kind)
     acc = _Sum()
     if kind == "MC0":
-        for p, q in _cw_leaves(x.num, x.den, n):
+        for p, q in _branch_ends(x, n):
             acc.add(f(ExtRat._raw(p, q)))
         return _scale(Fraction(1, 1 << n), acc.result())  # float(2^-n) is exact
     pq = x.num * x.den
     if not pq:
         return _sum_terms([_scale(Fraction(1), f(x))])
-    for p, q in _cw_leaves(x.num, x.den, n):
+    for p, q in _branch_ends(x, n):
         v = f(ExtRat._raw(p, q))
-        if isinstance(v, _EXACT):
+        if _is_exact(v):
             acc.add(Fraction(pq * v.numerator, p * q * v.denominator))
         else:
             acc.add(_scale(Fraction(pq, p * q), v))
@@ -348,7 +351,7 @@ def commutator_residual(kind: str, f, x: ExtRat):
     weights = (w0 * t, w0 * t, w1 * t, w1 * t, -w0 * t, -w1 * t, -u0 * s, -u1 * s)
     num, den = 0, 1
     for w, v in zip(weights, (*a0, *a1, v0, v1, z0, z1)):
-        if not isinstance(v, _EXACT):
+        if not _is_exact(v):
             break
         b = v.denominator
         num, den = num * b + w * v.numerator * den, den * b

@@ -8,19 +8,18 @@ one formula: the vertex at word w1...w(k-1) of level k is
 A M(w1) ... M(w(k-1)) (1, 1)^T, the product reversed in the permuted
 trees (_factors).
 
-Levels are streamed left to right in blocks of up to 4096 entries: each
-vertex 13 levels above the target is reached from the root by the bits of
-its index, and its 2^13 leaves, two blocks, are one product of its state
-with a table of all 13-letter words, built once a call, as int64 columns
-exact up to level 62 (see level_blocks), so level 24 never needs the whole
-tree in memory.
+Levels are streamed left to right in blocks of up to 4096 entries, each
+one product of a vertex's state with a table of all 12-letter words, as
+int64 columns while they are exact (level_blocks), so level 24 never
+needs the whole tree in memory.
 A level can also be streamed from any index, as the orbits of R, S and
-T are.  level_blocks and level check their arguments when called, before
-any block is asked for.  The tree estimators (the distribution counts,
-the Stieltjes means and the Fourier means) stream levels 1..k
-once for all depths and points, block by block, so their memory stays
-flat in the depth and no level outlives the call; level_arrays and
-level_floats join a whole level on each call and cache nothing.
+T are, or from another head, as the branch words of markov_power are.
+level_blocks and level check their arguments when called, before any
+block is asked for.  The tree estimators (the distribution counts, the
+Stieltjes means and the Fourier means) stream levels 1..k once for all
+depths and points, block by block, so their memory stays flat in the
+depth and no level outlives the call; level_arrays and level_floats join
+a whole level on each call and cache nothing.
 """
 
 from __future__ import annotations
@@ -95,36 +94,31 @@ def _children(spec, x):
 
 # Levels below each block's root: 2^12 entries a block.
 BLOCK_LEVELS = 12
-# Levels a batch adds above the block roots: 2 blocks a batch.  At 4 blocks
-# the peak RSS of `tree --depth 19` rose by about 0.5 MB.
-BATCH_LEVELS = 1
-# The deepest level whose arithmetic level_blocks does in int64.
+# The deepest level whose arithmetic level_blocks does in int64, from (1, 1).
 INT64_LEVEL = 62
 
 
 def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
     """Level k as (num, den) column blocks, left to right.
 
-    With c = min(BLOCK_LEVELS + BATCH_LEVELS, k - 1), each vertex of level
-    k - c is reached from the root by the bits of its index, one letter
-    product a bit in Python ints, and its 2^c leaves are one product of its
-    state with the table of the c-letter words (_level_from); they are cut
-    into blocks of up to 2^BLOCK_LEVELS entries, aligned to multiples of
-    that size in the level.
+    With c = min(BLOCK_LEVELS, k - 1), each vertex of level k - c is
+    reached from the head by the bits of its index, one letter product a
+    bit in Python ints, going on from the walk to the vertex before it,
+    and its 2^c leaves, one block, are one product of its state with the
+    table of the c-letter words (_level_from).
 
-    The arithmetic is exact in int64 up to level INT64_LEVEL.  Head,
-    letters, tail, states and table have no negative entry, so each term
-    and partial sum of a leaf is at most the numerator or denominator it
-    adds up to, and no vertex of level k has either above 2^k (dyadic
-    denominators are 2^k, sb and Farey entries at most F(k + 2) <= 2^k).
+    The arithmetic is exact in int64 while (p + q) << (k - 1) < 2^63 for
+    the (p, q) that the letters act on: the head row of a permuted tree,
+    the tail column of a plain one, both (1, 1) for the spec's own head,
+    so k <= INT64_LEVEL.  Head, letters, tail, states and table have no
+    negative entry, so each term and partial sum of a leaf is at most the
+    numerator or denominator it adds up to.  Every letter M has column
+    sums at most 2, so M v and v M^T at most double the entry sum of v,
+    k - 1 letters take (p, q) to a sum at most (p + q) << (k - 1), and
+    the other end (A, A^T or I, of 0/1 entries) picks no entry above it.
     A state entry is at most its own vertex's num or den, and a table
-    entry, from at most 13 letters of line sums at most 3, at most 3^13.
-    So every integer computed for level k is at most 2^k, within int64 for
-    k <= 62.  Deeper levels, reachable only past the default caps.level,
-    use numpy object columns of Python ints.
-
-    k is checked against 1 and caps.level here, when level_blocks is
-    called, not when the first block is asked for.
+    entry, from at most 12 letters of line sums at most 3, at most 3^12.
+    Past the bound the columns are numpy object arrays of Python ints.
     """
     if k < 1:
         raise DomainError("levels start at 1")
@@ -132,15 +126,17 @@ def level_blocks(spec: TreeSpec, k: int, caps: Caps = CAPS):
     return _level_from(spec, k, 0)
 
 
-def _level_from(spec, k, start):
+def _level_from(spec, k, start, head=None):
     """level_blocks from index start (0 is the leftmost) of level k, unchecked,
-    for orbits that run past caps.level.  Each batch root is reached from the
-    root by the bits of its index in its level, most significant first (L = 0,
-    R = 1), and the first block begins at start."""
-    c = min(BLOCK_LEVELS + BATCH_LEVELS, k - 1)
-    size = 1 << min(BLOCK_LEVELS, c)
-    dtype = np.int64 if k <= INT64_LEVEL else object
-    head, letters, tail = _factors(spec)
+    for orbits that run past caps.level.  Each block root is reached from the
+    head by the bits of its index, most significant first (L = 0, R = 1), and
+    the first block begins at start.  head, given only for a permuted tree,
+    is one row (p, q) in place of its (1, 1)."""
+    own, letters, tail = _factors(spec)
+    head = head or own
+    c = min(BLOCK_LEVELS, k - 1)
+    p, q = head[0] if spec.permuted else tail[0]  # what the letters double (level_blocks)
+    dtype = np.int64 if p + q << k - 1 < 1 << 63 else object
     # table[j, :, n]: letters[u1] @ ... @ letters[uc] @ tail column j for
     # the n-th c-letter word u, level order: a letter put in front of the n
     # words so far writes R's products to the right of them, then L's over them
@@ -151,18 +147,16 @@ def _level_from(spec, k, start):
         table[:, :, n:2 * n] = np.array(letters[1]) @ words
         table[:, :, :n] = np.array(letters[0]) @ words
     table = table.astype(dtype, copy=False)
-    top = k - c  # the level of the batch roots
-    lo = start & ((1 << c) - 1)
-    for batch in range(start >> c, 1 << (top - 1)):
-        s = head
-        for d in range(top - 2, -1, -1):
-            s = _step(s, letters[batch >> d & 1])
-        num, den = _times(s, table)
-        while lo < num.size:
-            hi = (lo | (size - 1)) + 1
-            yield num[lo:hi], den[lo:hi]
-            lo = hi
-        lo = 0
+    top = k - c  # the level of the block roots
+    path = [head]  # the states along block root b's word, from the head
+    for b in range(start >> c, 1 << (top - 1)):
+        t = (b ^ (b - 1)).bit_length() if b > start >> c else top - 1
+        del path[top - t:]  # b's word shares all but its last t letters with b - 1's
+        for d in range(t - 1, -1, -1):
+            path.append(_step(path[-1], letters[b >> d & 1]))
+        num, den = _times(path[-1], table)
+        lo = max(start - (b << c), 0)
+        yield num[lo:], den[lo:]
 
 
 def level(spec: TreeSpec, k: int, caps: Caps = CAPS) -> Iterator[ExtRat]:

@@ -6,9 +6,9 @@ continued fraction, depth and rank summed the cf_from_rat list, hat
 multiplied out the reversed word, parents read the columns of the
 word's matrix, matrix_from_word multiplied one 2x2 product per letter,
 pi_code and word_from_rat joined blocks over the list, code_compare
-walked letter by letter, the Markov step and the commutator put
-(weight, value) tuples over one denominator, and Dyadic added through
-its generic _combine.  The digit-string kernels replaced loops too:
+walked letter by letter, and Dyadic added through its generic _combine;
+the Markov step and the commutator are test_operators' list-based
+references.  The digit-string kernels replaced loops too:
 _bit_reverse shifted one digit at a time, binary_digits took one divmod
 a digit and odometer_value summed that tuple, and rho_inv read both
 binary expansions of its dyadic through groupby, then cross-checked
@@ -38,15 +38,16 @@ from sternbrocot.coding import (
     word_from_rat,
 )
 from sternbrocot.core import (
-    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, _cf_value, _int_weights,
-    apply_letter, cf_from_rat, check_cap, depth, phi, phi_inv, rank,
+    CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, _cf_value,
+    cf_from_rat, check_cap, depth, phi, phi_inv, rank,
 )
 from sternbrocot.maps import (
     StackInterval, _bit_reverse, _need_unit, binary_digits, odometer_value, stack_interval,
 )
 from sternbrocot.minkowski import Dyadic, _check_unit, qmark, qmark_inv, rho, rho_inv
-from sternbrocot.operators import _EXACT, _scale, _sum_terms, commutator_residual, h1, markov_apply
+from sternbrocot.operators import commutator_residual, h1, markov_apply
 from sternbrocot.trees import TreeSpec, descendants
+from test_operators import _ref_commutator_residual, _ref_markov_apply
 
 
 # ---------------------------------------------------------------- references
@@ -141,49 +142,20 @@ def ref_code_compare(c1, c2):
     return 0
 
 
-def _ref_exact_mean(pairs, total):
-    num, den = 0, 1
-    for w, v in pairs:
-        if type(v) not in _EXACT:
-            return None
-        b = v.denominator
-        num, den = num * b + w * v.numerator * den, den * b
-    return Fraction(num, den * total)
+def _chain_checked(ref):
+    """ref, which reads every chain but MC0 as MC1, behind the check the
+    operators make first: an unknown chain raises, with their message."""
+    def run(kind, f, x):
+        if kind not in ("MC0", "MC1"):
+            raise DomainError(f"unknown chain {kind!r}; one of ('MC0', 'MC1')")
+        return ref(kind, f, x)
+    return run
 
 
-def _ref_markov_mean(w0, v0, w1, v1):
-    mean = _ref_exact_mean(((w0, v0), (w1, v1)), w0 + w1)
-    if mean is None:
-        return _sum_terms([_scale(Fraction(w, w0 + w1), v) for w, v in ((w0, v0), (w1, v1)) if w])
-    return mean
-
-
-def _ref_average(a, b):
-    mean = _ref_exact_mean(((1, a), (1, b)), 2)
-    return _sum_terms([a, b]) / 2 if mean is None else mean
-
-
-def _ref_branches(kind, f, x):
-    w0, w1 = _int_weights(kind, x.num, x.den)
-    return w0, f(apply_letter(x, 0)) if w0 else 0, w1, f(apply_letter(x, 1)) if w1 else 0
-
-
-def ref_markov_apply(kind, f, x):
-    return _ref_markov_mean(*_ref_branches(kind, f, x))
-
-
-def ref_commutator_residual(kind, f, x):
-    w0, a0, w1, a1 = _ref_branches(kind, lambda y: (f(y), f(y.reciprocal())), x)
-    a0, a1 = a0 or (0, 0), a1 or (0, 0)
-    px, prx = _ref_branches(kind, f, x), _ref_branches(kind, f, x.reciprocal())
-    s, t = w0 + w1, prx[0] + prx[2]
-    terms = [(w0 * t, a0[0]), (w0 * t, a0[1]), (w1 * t, a1[0]), (w1 * t, a1[1]),
-             (-w0 * t, px[1]), (-w1 * t, px[3]), (-prx[0] * s, prx[1]), (-prx[2] * s, prx[3])]
-    mean = _ref_exact_mean(terms, 2 * s * t)
-    if mean is None:
-        lhs = _ref_markov_mean(w0, _ref_average(*a0), w1, _ref_average(*a1))
-        return lhs - _ref_average(_ref_markov_mean(*px), _ref_markov_mean(*prx))
-    return mean
+# The list-based Markov step and commutator of test_operators, which scale
+# every term by a Fraction weight and share no helper with the operators.
+ref_markov_apply = _chain_checked(_ref_markov_apply)
+ref_commutator_residual = _chain_checked(_ref_commutator_residual)
 
 
 def ref_dyadic_add(a, b):

@@ -15,8 +15,10 @@ from sternbrocot.core import (
     CAPS, UNSAFE_CAPS, CapExceeded, DomainError, ExtRat, INF, ONE, ZERO, apply_letter,
 )
 from sternbrocot.minkowski import rho
+from sternbrocot import trees
 from sternbrocot.operators import (
     _BLOCK,
+    _SLICE,
     _Sum,
     _sum_terms,
     averaging_apply,
@@ -236,6 +238,24 @@ class TestChainPower:
         # the cap is checked before any branch word is walked or f is called
         with pytest.raises(CapExceeded, match="already lifted"):
             markov_power("MC1", lambda y: 1 / 0, ONE, UNSAFE_CAPS.power + 1, UNSAFE_CAPS)
+
+    def test_end_points_become_python_ints_a_slice_at_a_time(self, monkeypatch):
+        # the memory bound counts _SLICE end points as Python ints at once,
+        # not a whole 4096-entry block
+        sizes = []
+
+        class Recorder(np.ndarray):
+            def tolist(self):
+                sizes.append(self.size)
+                return super().tolist()
+
+        level_from = trees._level_from
+        monkeypatch.setattr(trees, "_level_from", lambda *args: (
+            (num.view(Recorder), den.view(Recorder)) for num, den in level_from(*args)))
+        for kind in ("MC0", "MC1"):
+            sizes.clear()
+            assert markov_power(kind, lambda y: 1, ExtRat(3, 7), 14) == 1
+            assert sizes == [_SLICE] * ((2 << 14) // _SLICE), kind
 
     @pytest.mark.parametrize("kind,n", [("MC0", 20), ("MC1", 18)])
     def test_memory_stays_flat(self, kind, n):

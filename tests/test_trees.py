@@ -156,6 +156,53 @@ class TestPermutedLevels:
         ]
 
 
+def cw_leaves(p, q, n):
+    """The end points (p', q') of the 2^n n-letter branch words from p/q in
+    word order (letter 0 first): the depth-n Calkin-Wilf subtree at p/q,
+    walked depth first with one pending sibling a level, as markov_power
+    walked it before it read tree levels."""
+    stack = [(p, q, n)]
+    while stack:
+        p, q, k = stack.pop()
+        while k:
+            k -= 1
+            stack.append((p + q, q, k))
+            q += p
+        yield p, q
+
+
+def headed(p, q, k):
+    """Level k of the permuted sb tree headed by (p, q), as (num, den)
+    pairs, and the dtypes of its blocks."""
+    blocks = list(trees._level_from(TreeSpec("sb", permuted=True), k, 0, ((p, q),)))
+    pairs = [pair for num, den in blocks for pair in zip(num.tolist(), den.tolist())]
+    return pairs, {num.dtype for num, _ in blocks} | {den.dtype for _, den in blocks}
+
+
+class TestHeads:
+    @pytest.mark.parametrize("x", [ExtRat(0), ExtRat(1, 0), ExtRat(1), ExtRat(3, 7), ExtRat(5, 2),
+                                   ExtRat((1 << 61) + 1, 3)], ids=str)
+    def test_headed_levels_are_the_branch_word_ends(self, x):
+        for n in range(15):
+            pairs, dtypes = headed(x.num, x.den, n + 1)
+            assert pairs == list(cw_leaves(x.num, x.den, n)), n
+            assert all(type(v) is int for pair in pairs for v in pair)
+            exact = (x.num + x.den) << n < 1 << 63
+            assert dtypes == {np.dtype(np.int64) if exact else np.dtype(object)}, n
+
+    def test_the_head_picks_the_columns_at_the_int64_bound(self):
+        # (p + q) << (k - 1) just under 2^63 takes int64 columns, at 2^63
+        # object columns; at k = 2 the leaf p + q of a head past the bound
+        # is itself past int64
+        for k in (2, 13, 14):
+            bound = 1 << (64 - k)
+            for total, dtype in ((bound - 1, np.int64), (bound, object), (3 * bound, object)):
+                for p in (0, total // 3, total):
+                    pairs, dtypes = headed(p, total - p, k)
+                    assert dtypes == {np.dtype(dtype)}, (k, p, total)
+                    assert pairs == list(cw_leaves(p, total - p, k - 1)), (k, p, total)
+
+
 class TestDescendants:
     def test_sb_children_are_the_neighbor_mediants(self):
         assert descendants(SB, ONE) == (ExtRat(1, 2), ExtRat(2, 1))
@@ -214,8 +261,8 @@ class TestLevelArrays:
         assert not trees._STATE_CACHE and not trees._FLOAT_CACHE
 
     def test_blocks_from_a_start_index(self):
-        # level 16 is four batches of two 4096-entry blocks; start anywhere in
-        # it, at the block and batch seams, and in the last batch
+        # level 16 is eight 4096-entry blocks; start anywhere in it, at the
+        # block seams, and in its last two blocks
         rng = random.Random(17)
         for spec in SPECS:
             for k in (1, 2, 13, 14, 16, 18, 20):
@@ -254,16 +301,29 @@ class TestLevelArrays:
                 else:
                     assert next(blocks, None) is None
 
+    def test_block_roots_go_on_from_the_walk_before(self, monkeypatch):
+        # a block root keeps the states its word shares with the one before,
+        # so 64 blocks from deep in level 40 take a walk of 27 letters and
+        # then about two a block, not 27 a block
+        step, steps = trees._step, []
+        monkeypatch.setattr(trees, "_step", lambda s, m: steps.append(m) or step(s, m))
+        for spec in SPECS:
+            steps.clear()
+            blocks = list(itertools.islice(trees._level_from(spec, 40, 12345678901), 64))
+            assert len(blocks) == 64
+            assert len(steps) < 27 + 3 * 64, spec
+
     def test_level_stream_time(self):
-        # each batch root of level 24 is 10 child steps from the root; the
-        # whole level streamed in 0.03-0.04 s on a 2-core Xeon
+        # the block roots of level 24 are 11 letters below the root, each walk
+        # going on from the one before; the whole level streamed in 0.03-0.06 s
+        # on a 2-core Xeon
         t = time.perf_counter()
         for _ in trees.level_blocks(DYADIC, 24):
             pass
         elapsed = time.perf_counter() - t
         assert elapsed < 2, f"dyadic level 24 took {elapsed:.3f}s"
-        # from the last index of level 62 one walk of 48 steps reaches its
-        # batch root: 0.5-0.8 ms on the same host, the word table included
+        # from the last index of level 62 one walk of 49 steps reaches its
+        # block root: 0.4-0.7 ms on the same host, the word table included
         t = time.perf_counter()
         next(trees._level_from(TreeSpec("sb", permuted=True), 62, (1 << 61) - 1))
         elapsed = time.perf_counter() - t
